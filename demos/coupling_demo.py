@@ -18,7 +18,7 @@ import numpy as np
 
 from treecast.channels import symmetric_channel
 from treecast.conditioning import build_coupling
-from treecast.evolution import base_pair, evolve, deep_policy, mean_gap
+from treecast.evolution import base_pair, evolve, deep_policy, mean_gap, trajectory
 
 
 def main():
@@ -29,18 +29,17 @@ def main():
     args = parser.parse_args()
 
     c = symmetric_channel(args.eps)
-    pair = base_pair(c, args.k)
     print(f"symmetric channel eps={args.eps}, k={args.k}\n")
     print(f"  {'depth':>5}  {'atoms':>7}  {'diag mass':>10}  {'crossing':>10}  "
           f"{'E[y0-y1]':>12}  {'mean gap':>12}")
-    for depth in range(1, args.depth + 1):
-        if depth > 1:
-            pair = evolve(pair, c, args.k, deep_policy())
+    pairs = trajectory(base_pair(c, args.k),
+                       lambda p: evolve(p, c, args.k, deep_policy()), args.depth)
+    for pair in pairs:
         coupling = build_coupling(pair, c)
         off = coupling.y0 != coupling.y1
         diag_mass = float(coupling.weight[~off].sum())
         cross_mass = float(coupling.weight[off].sum())
-        print(f"  {depth:5d}  {len(pair.values):7d}  {diag_mass:10.6f}  "
+        print(f"  {pair.depth:5d}  {len(pair.values):7d}  {diag_mass:10.6f}  "
               f"{cross_mass:10.6f}  {coupling.mean_difference():12.6e}  "
               f"{mean_gap(pair):12.6e}")
 

@@ -18,19 +18,15 @@ import argparse
 import numpy as np
 
 from treecast.channels import symmetric_channel, kesten_stigum_eps_c
-from treecast.evolution import (base_pair, evolve, deep_policy, exact_policy,
-                                diagnostics)
+from treecast.evolution import (base_pair, evolve, evolve_to_depth, deep_policy,
+                                exact_policy, diagnostics, trajectory)
 from treecast.sampling import bp_root_posterior, sample_broadcast_batch
 
 
 def curve(eps, k, depth):
     c = symmetric_channel(eps)
-    pair = base_pair(c, k)
-    rows = [diagnostics(pair, c)]
-    for _ in range(depth - 1):
-        pair = evolve(pair, c, k, deep_policy())
-        rows.append(diagnostics(pair, c))
-    return c, pair, rows
+    pairs = trajectory(base_pair(c, k), lambda p: evolve(p, c, k, deep_policy()), depth)
+    return [diagnostics(pair, c) for pair in pairs]
 
 
 def main():
@@ -44,7 +40,7 @@ def main():
 
     for label, eps in (("above threshold (low noise)", 0.6 * eps_c),
                        ("below threshold (high noise)", 1.6 * eps_c)):
-        c, pair, rows = curve(eps, args.k, args.depth)
+        rows = curve(eps, args.k, args.depth)
         print(f"--- eps = {eps:.4f}: {label} ---")
         print(f"  {'depth':>5}  {'tv':>12}  {'mean_gap':>12}  {'var_A':>12}")
         for d, row in enumerate(rows, start=1):
@@ -57,8 +53,7 @@ def main():
     # shallow-depth cross-check against the leaf-pattern posterior and sampler
     eps = 0.2
     c = symmetric_channel(eps)
-    pair = base_pair(c, args.k)
-    pair = evolve(pair, c, args.k, exact_policy())
+    pair = evolve_to_depth(c, args.k, 2, exact_policy())
     n_leaves = args.k ** 2
     patterns = np.array([[(bits >> j) & 1 for j in range(n_leaves)]
                          for bits in range(2 ** n_leaves)])

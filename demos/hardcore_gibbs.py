@@ -16,7 +16,8 @@ Run
 import argparse
 
 from treecast.channels import hardcore_channel, w_of_lambda
-from treecast.evolution import base_pair, evolve, deep_policy, diagnostics
+from treecast.evolution import (base_pair, evolve, deep_policy, diagnostics,
+                                trajectory)
 from treecast.hardcore import (FiniteGraph, truncated_tree,
                                enumerate_independent_sets, hardcore_measure,
                                gibbs_conditional_sweep, brw_independence_check)
@@ -63,11 +64,9 @@ def main():
     print("--- reconstruction diagnostics: moderate vs extreme activity ---")
     for lam in (2.0, 500.0):
         c_hot, _ = hardcore_channel(w_of_lambda(lam, args.k), args.k)
-        pair = base_pair(c_hot, args.k)
-        rows = [diagnostics(pair, c_hot)]
-        for _ in range(9):
-            pair = evolve(pair, c_hot, args.k, deep_policy())
-            rows.append(diagnostics(pair, c_hot))
+        pairs = trajectory(base_pair(c_hot, args.k),
+                           lambda p: evolve(p, c_hot, args.k, deep_policy()), 10)
+        rows = [diagnostics(pair, c_hot) for pair in pairs]
         print(f"  lambda={lam:g}: tv by depth:")
         print("   ", "  ".join(f"{row['tv']:.4f}" for row in rows))
         ratio = rows[-1]["tv"] / rows[-2]["tv"]

@@ -15,7 +15,7 @@ Run
 import argparse
 
 from treecast.channels import symmetric_channel, kesten_stigum_eps_c
-from treecast.evolution import base_pair
+from treecast.evolution import base_pair, trajectory
 from treecast.sampling import (population_from_pair, population_evolve,
                                estimate_diagnostics)
 from treecast.threshold import ChannelFamily, bisect_threshold
@@ -34,10 +34,11 @@ def main():
 
     for eps in (0.8 * eps_c, 1.2 * eps_c):
         c = symmetric_channel(eps)
-        pop = population_from_pair(base_pair(c, args.k), args.pop_size,
-                                   args.seed)
-        for _ in range(args.depth - 1):
-            pop = population_evolve(pop, c, args.k)
+        first = population_from_pair(base_pair(c, args.k), args.pop_size,
+                                     args.seed)
+        for pop in trajectory(first, lambda p: population_evolve(p, c, args.k),
+                              args.depth):
+            pass
         est = estimate_diagnostics(pop, c)
         side = "above (reconstructable)" if eps < eps_c else "below (lost)"
         print(f"eps={eps:.4f} [{side}] at depth {args.depth}:")

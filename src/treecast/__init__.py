@@ -21,8 +21,8 @@ from .channels import (BinaryChannel, HardCoreParams, make_channel,
 from .atoms import (AtomicDistribution, ConditionalPair, grid_merge,
                     posterior_from_llr, llr_from_posterior)
 from .evolution import (PruningPolicy, exact_policy, deep_policy, base_pair,
-                        evolve, evolve_to_depth, mean_gap, diagnostics,
-                        gap_identity_residual)
+                        evolve, trajectory, evolve_to_depth, mean_gap,
+                        diagnostics, gap_identity_residual)
 from .conditioning import (Coupling, build_coupling, SandwichVerdict,
                            verify_sandwich)
 from .sampling import (BroadcastSample, sample_broadcast,
@@ -55,7 +55,8 @@ __all__ = [
     "AtomicDistribution", "ConditionalPair", "grid_merge",
     "posterior_from_llr", "llr_from_posterior",
     "PruningPolicy", "exact_policy", "deep_policy", "base_pair", "evolve",
-    "evolve_to_depth", "mean_gap", "diagnostics", "gap_identity_residual",
+    "trajectory", "evolve_to_depth", "mean_gap", "diagnostics",
+    "gap_identity_residual",
     "Coupling", "build_coupling", "SandwichVerdict", "verify_sandwich",
     "BroadcastSample", "sample_broadcast", "sample_broadcast_batch",
     "bp_root_posterior", "Population", "population_from_pair",

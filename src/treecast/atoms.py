@@ -72,7 +72,7 @@ class AtomicDistribution:
         +inf if both signs of infinity do (the gap convention upstream)."""
         has_pos = bool(np.isposinf(self.values[-1]))
         has_neg = bool(np.isneginf(self.values[0]))
-        if has_pos or (has_pos and has_neg):
+        if has_pos:
             return math.inf
         if has_neg:
             return -math.inf
@@ -173,12 +173,24 @@ def grid_merge(values: np.ndarray, *weight_vectors: np.ndarray, tol: float):
     -------
     (values, *weights) : tuple of ndarray
         Sorted strictly-increasing support and the merged weight vectors.
+
+    Raises
+    ------
+    InvalidParameter
+        If ``tol`` is not positive, or a finite ``value/tol`` leaves the
+        int64 cell range (the cell index would wrap around).
     """
     if tol <= 0:
         raise InvalidParameter(f"merge tolerance must be positive, got {tol}")
     v = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(v)
     cells = np.empty(len(v), dtype=np.int64)
+    # the int64 extremes stay reserved for the infinite atoms
+    reach = float(np.max(np.abs(v), where=finite, initial=0.0))
+    if reach / tol >= 2.0 ** 63:
+        raise InvalidParameter(
+            f"atom value {reach:g} is beyond the int64 cell range at merge "
+            f"tolerance {tol:g}")
     # floor anchors the grid at 0 so cells never straddle the sign change
     cells[finite] = np.floor(v[finite] / tol).astype(np.int64)
     cells[np.isposinf(v)] = _POS_CELL

@@ -25,7 +25,7 @@ bisection bracket.  The only environment variable honored is
 from __future__ import annotations
 
 import argparse
-import math
+import itertools
 import os
 import sys
 
@@ -33,15 +33,14 @@ import numpy as np
 
 from .errors import (AtomExplosion, BadBracket, DegenerateChannel,
                      DegenerateEvent, InvalidParameter, NotInterior,
-                     PreconditionViolation, ResourceLimit, TreecastError,
-                     UndefinedLimit)
+                     PreconditionViolation, ResourceLimit, UndefinedLimit)
 from .channels import (BinaryChannel, make_channel, symmetric_channel,
                        hardcore_channel, w_of_lambda, lambda_of_w,
-                       kelly_threshold, gap_kernel, gap_kernel_peak,
+                       gap_kernel, gap_kernel_peak,
                        mossel_peres_lhs, geometric_mean_bound_lhs)
-from .atoms import ConditionalPair
-from .evolution import (PruningPolicy, deep_policy, exact_policy, base_pair,
-                        evolve, diagnostics, mean_gap, gap_identity_residual)
+from .evolution import (deep_policy, exact_policy, base_pair, evolve,
+                        evolve_to_depth, trajectory, diagnostics, mean_gap,
+                        gap_identity_residual)
 from .conditioning import build_coupling, verify_sandwich
 from .sampling import (population_from_pair, population_evolve,
                        estimate_diagnostics)
@@ -207,19 +206,17 @@ def cmd_evolve(args) -> int:
     fmt = args.format or "csv"
     config = _run_config(args, desc, depth=depth, engine=engine, fmt=fmt)
 
-    rows = []
+    first = base_pair(c, args.k)
     if engine == "exact":
-        pair = base_pair(c, args.k)
-        rows.append({"depth": 1, **diagnostics(pair, c)})
-        for _ in range(depth - 1):
-            pair = evolve(pair, c, args.k, deep_policy())
-            rows.append({"depth": pair.depth, **diagnostics(pair, c)})
+        # ``evolve`` is looked up at each step, so a wrapper installed on
+        # ``cli.evolve`` sees every pair
+        step = lambda p: evolve(p, c, args.k, deep_policy())
+        measure = diagnostics
     else:
-        pop = population_from_pair(base_pair(c, args.k), args.pop_size, args.seed)
-        rows.append({"depth": 1, **estimate_diagnostics(pop, c)})
-        for _ in range(depth - 1):
-            pop = population_evolve(pop, c, args.k)
-            rows.append({"depth": pop.depth, **estimate_diagnostics(pop, c)})
+        first = population_from_pair(first, args.pop_size, args.seed)
+        step = lambda p: population_evolve(p, c, args.k)
+        measure = estimate_diagnostics
+    rows = [{"depth": s.depth, **measure(s, c)} for s in trajectory(first, step, depth)]
 
     if fmt == "csv":
         _emit(args, serialize.curve_csv(rows, config))
@@ -256,9 +253,7 @@ def cmd_couple(args) -> int:
     desc, c = _parse_channel(args, args.k, allow_family_only=False)
     depth = args.depth
     fmt = args.format or "csv"
-    pair = base_pair(c, args.k)
-    for _ in range(depth - 1):
-        pair = evolve(pair, c, args.k, deep_policy())
+    pair = evolve_to_depth(c, args.k, depth, deep_policy())
     coupling = build_coupling(pair, c)
     config = _run_config(args, desc, depth=depth, engine="exact", fmt=fmt)
     if fmt == "csv":
@@ -316,11 +311,9 @@ def _verify_suite(seed: int) -> list:
     for _ in range(20):
         c = make_channel(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
         for k in (1, 2):
-            pair = base_pair(c, k)
-            for _ in range(2):
-                nxt = evolve(pair, c, k, exact_policy())
+            pairs = trajectory(base_pair(c, k), lambda p: evolve(p, c, k, exact_policy()), 3)
+            for pair, nxt in itertools.pairwise(pairs):
                 worst = max(worst, gap_identity_residual(nxt, pair, c, k))
-                pair = nxt
     record("mean_gap_identity", worst, worst <= 1e-9)
 
     # coupling marginals and crossing
@@ -329,9 +322,7 @@ def _verify_suite(seed: int) -> list:
     cases = [(symmetric_channel(0.2), 2), (symmetric_channel(0.35), 2),
              (hardcore_channel(1.0, 1)[0], 1), (hardcore_channel(1.0, 2)[0], 2)]
     for c, k in cases:
-        pair = base_pair(c, k)
-        for _ in range(3):
-            pair = evolve(pair, c, k, deep_policy())
+        pair = evolve_to_depth(c, k, 4, deep_policy())
         coupling = build_coupling(pair, c)
         r0, r1 = coupling.marginal_residuals(pair)
         worst = max(worst, r0, r1)
@@ -409,9 +400,8 @@ def _verify_suite(seed: int) -> list:
 def _verify_channel(c: BinaryChannel) -> list:
     """Channel-specific checks for ``verify --matrix``."""
     checks = []
-    pair1 = base_pair(c, 2)
-    pair2 = evolve(pair1, c, 2, exact_policy())
-    pair3 = evolve(pair2, c, 2, exact_policy())
+    pair1, pair2, pair3 = trajectory(base_pair(c, 2),
+                                     lambda p: evolve(p, c, 2, exact_policy()), 3)
     res = max(gap_identity_residual(pair2, pair1, c, 2),
               gap_identity_residual(pair3, pair2, c, 2))
     checks.append({"name": "mean_gap_identity", "residual": float(res),

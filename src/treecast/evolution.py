@@ -18,6 +18,7 @@ variation between the laws) survives coarsening.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,15 +60,15 @@ class PruningPolicy:
     span_bins: int | None = None
 
 
-def exact_policy(atom_cap: int = 20_000_000, pair_budget: int = 1 << 25) -> PruningPolicy:
+def exact_policy() -> PruningPolicy:
     """Policy for oracle-grade runs: dedup-only merging, no weight floor."""
     return PruningPolicy(merge_tol=1e-12, weight_floor=0.0,
-                         atom_cap=atom_cap, pair_budget=pair_budget, span_bins=None)
+                         atom_cap=20_000_000, pair_budget=1 << 25, span_bins=None)
 
 
-def deep_policy(span_bins: int = 2048) -> PruningPolicy:
+def deep_policy() -> PruningPolicy:
     """Policy for deep runs: escalate to a span-proportional grid on overflow."""
-    return PruningPolicy(span_bins=span_bins)
+    return PruningPolicy(span_bins=2048)
 
 
 def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
@@ -219,26 +220,26 @@ def _convolve(g_arr, mix0, mix1, k, const, eff, policy):
     return s, sw0, sw1
 
 
-def evolve_to_depth(c: BinaryChannel, k: int, depth: int,
-                    policy: PruningPolicy | None = None,
-                    collect=None) -> ConditionalPair:
-    """Run :func:`base_pair` then :func:`evolve` up to ``depth``.
+def trajectory(state, step, depth: int):
+    """Iterate the depth recursion from a depth-1 state of either engine.
 
-    Parameters
-    ----------
-    collect : callable, optional
-        Called with each intermediate pair (depth 1 through ``depth``),
-        useful for diagnostic curves.
+    Yields ``state`` and then ``step`` applied ``depth - 1`` times, one
+    state per depth, computing each step only when it is requested.
+    ``state`` is a depth-1 :class:`ConditionalPair` or
+    :class:`~treecast.sampling.Population`; ``step`` maps a state to the
+    next depth's (for example ``lambda p: evolve(p, c, k, policy)``).
     """
     if depth < 1:
         raise InvalidParameter(f"depth must be >= 1, got {depth}")
-    pair = base_pair(c, k)
-    if collect is not None:
-        collect(pair)
-    for _ in range(depth - 1):
-        pair = evolve(pair, c, k, policy)
-        if collect is not None:
-            collect(pair)
+    return itertools.accumulate(range(depth - 1), lambda s, _: step(s),
+                                initial=state)
+
+
+def evolve_to_depth(c: BinaryChannel, k: int, depth: int,
+                    policy: PruningPolicy | None = None) -> ConditionalPair:
+    """Run :func:`base_pair` then :func:`evolve` up to ``depth``."""
+    for pair in trajectory(base_pair(c, k), lambda p: evolve(p, c, k, policy), depth):
+        pass
     return pair
 
 

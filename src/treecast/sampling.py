@@ -201,20 +201,17 @@ def population_from_pair(pair: ConditionalPair, n: int, seed: int) -> Population
     return Population(depth=pair.depth, samples0=s0, samples1=s1, rng=rng)
 
 
-def population_evolve(pop: Population, c: BinaryChannel, k: int,
-                      seed: int | None = None) -> Population:
+def population_evolve(pop: Population, c: BinaryChannel, k: int) -> Population:
     """Plain population-dynamics step (independent conditional arrays).
 
     Each new conditional-0 sample draws k child values from the first
     channel row, an LLR for each child uniformly from the array matching
     the child's value, and applies the depth recursion; conditional-1
-    samples use the second row.  Deterministic in ``seed`` (or in the
-    population's own stream when ``seed`` is None).
+    samples use the second row.  Consumes the population's own stream.
     """
     if pop.size < 1000:
         raise InvalidParameter(f"population size must be >= 1000, got {pop.size}")
-    rng = (np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-           if seed is not None else pop.rng)
+    rng = pop.rng
     n = pop.size
     const = k * math.log(c.p00 / c.p10)
 
@@ -236,8 +233,7 @@ def _project_unit_mean(s: np.ndarray) -> np.ndarray:
     return s + shift
 
 
-def population_evolve_anchored(pop: Population, c: BinaryChannel, k: int,
-                               seed: int | None = None) -> Population:
+def population_evolve_anchored(pop: Population, c: BinaryChannel, k: int) -> Population:
     """Stabilized population step for deep runs.
 
     Identical in expectation to :func:`population_evolve`, but the
@@ -249,8 +245,7 @@ def population_evolve_anchored(pop: Population, c: BinaryChannel, k: int,
     """
     if pop.size < 1000:
         raise InvalidParameter(f"population size must be >= 1000, got {pop.size}")
-    rng = (np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-           if seed is not None else pop.rng)
+    rng = pop.rng
     n = pop.size
     const = k * math.log(c.p00 / c.p10)
 

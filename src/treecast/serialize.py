@@ -1,4 +1,4 @@
-"""Deterministic text serialization for every treecast artifact.
+"""Deterministic text output for every treecast command.
 
 All floating-point values are printed with 17 significant digits so the
 decimal text round-trips to the identical IEEE double, and all composite
@@ -6,16 +6,8 @@ output (JSON with sorted keys, fixed comment headers, no timestamps) is a
 pure function of its inputs.  Re-running a command with the same
 configuration therefore reproduces files byte for byte.
 
-Formats:
-
-* atomic distributions: two columns ``value weight`` per line, with
-  ``inf`` / ``-inf`` tokens for infinite atoms;
-* conditional pairs: a ``depth`` line followed by tagged ``law0`` /
-  ``law1`` blocks in the two-column format;
-* populations: a key-value header (size, depth, seed, channel entries)
-  followed by tagged sample blocks;
-* reports: JSON with sorted keys; curves: CSV with the run configuration
-  embedded in ``#`` comment lines.
+Formats: reports are JSON with sorted keys; curves and couplings are CSV
+with the run configuration embedded in ``#`` comment lines.
 """
 
 from __future__ import annotations
@@ -26,10 +18,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameter
-from .channels import BinaryChannel
-from .atoms import AtomicDistribution, ConditionalPair
 from .conditioning import Coupling
-from .sampling import Population
 
 
 def fmt_float(x: float) -> str:
@@ -78,115 +67,6 @@ def canonical_json(obj, level: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise InvalidParameter(f"cannot serialize {type(obj).__name__}")
-
-
-def save_distribution(dist: AtomicDistribution) -> str:
-    """Two-column text: one ``value weight`` line per atom."""
-    lines = [f"{fmt_float(v)} {fmt_float(w)}"
-             for v, w in zip(dist.values, dist.weights)]
-    return "\n".join(lines) + "\n"
-
-
-def load_distribution(text: str) -> AtomicDistribution:
-    values, weights = [], []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InvalidParameter(f"bad atom line: {line!r}")
-        values.append(float(parts[0]))
-        weights.append(float(parts[1]))
-    return AtomicDistribution(np.array(values), np.array(weights))
-
-
-def save_pair(pair: ConditionalPair) -> str:
-    """Depth-tagged pair of two-column blocks (zero-weight atoms dropped)."""
-    law0, law1 = pair.law0, pair.law1
-    out = [f"depth {pair.depth}", f"law0 {len(law0)}"]
-    out += [f"{fmt_float(v)} {fmt_float(w)}" for v, w in zip(law0.values, law0.weights)]
-    out.append(f"law1 {len(law1)}")
-    out += [f"{fmt_float(v)} {fmt_float(w)}" for v, w in zip(law1.values, law1.weights)]
-    return "\n".join(out) + "\n"
-
-
-def load_pair(text: str) -> ConditionalPair:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("depth "):
-        raise InvalidParameter("pair text must start with a depth line")
-    depth = int(lines[0].split()[1])
-    cursor = 1
-    laws = {}
-    for tag in ("law0", "law1"):
-        head = lines[cursor].split()
-        if head[0] != tag:
-            raise InvalidParameter(f"expected {tag} block, got {lines[cursor]!r}")
-        count = int(head[1])
-        block = lines[cursor + 1: cursor + 1 + count]
-        cursor += 1 + count
-        vals = np.array([float(ln.split()[0]) for ln in block])
-        wts = np.array([float(ln.split()[1]) for ln in block])
-        laws[tag] = (vals, wts)
-
-    # rebuild the shared support as the union of the two atom sets
-    v0, w0 = laws["law0"]
-    v1, w1 = laws["law1"]
-    support = np.union1d(v0, v1)
-    full0 = np.zeros(len(support))
-    full1 = np.zeros(len(support))
-    full0[np.searchsorted(support, v0)] = w0
-    full1[np.searchsorted(support, v1)] = w1
-    return ConditionalPair(depth=depth, values=support, w0=full0, w1=full1)
-
-
-def save_population(pop: Population, c: BinaryChannel, seed: int) -> str:
-    """Header (size, depth, seed, channel) plus tagged sample blocks.
-
-    The live generator state is not serialized; loading re-derives the
-    stream from the recorded seed.
-    """
-    head = [f"n {pop.size}", f"depth {pop.depth}", f"seed {seed}",
-            f"p00 {fmt_float(c.p00)}", f"p01 {fmt_float(c.p01)}",
-            f"p10 {fmt_float(c.p10)}", f"p11 {fmt_float(c.p11)}"]
-    body = ["samples0"] + [fmt_float(x) for x in pop.samples0]
-    body += ["samples1"] + [fmt_float(x) for x in pop.samples1]
-    return "\n".join(head + body) + "\n"
-
-
-def load_population(text: str) -> tuple:
-    """Inverse of :func:`save_population`.
-
-    Returns
-    -------
-    (Population, BinaryChannel, seed)
-    """
-    header = {}
-    samples = {"samples0": [], "samples1": []}
-    current = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line in samples:
-            current = line
-            continue
-        if current is None:
-            key, value = line.split()
-            header[key] = value
-        else:
-            samples[current].append(float(line))
-    c = BinaryChannel(p00=float(header["p00"]), p01=float(header["p01"]),
-                      p10=float(header["p10"]), p11=float(header["p11"]))
-    seed = int(header["seed"])
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    pop = Population(depth=int(header["depth"]),
-                     samples0=np.array(samples["samples0"]),
-                     samples1=np.array(samples["samples1"]), rng=rng)
-    if pop.size != int(header["n"]):
-        raise InvalidParameter("sample count does not match the recorded size")
-    return pop, c, seed
 
 
 def config_comment(config: dict) -> str:

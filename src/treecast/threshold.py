@@ -32,7 +32,8 @@ from .channels import (BinaryChannel, symmetric_channel, hardcore_channel,
                        w_of_lambda, lambda_of_w, kelly_threshold,
                        kesten_stigum_eps_c, brightwell_winkler_lower_w,
                        mossel_peres_lhs, geometric_mean_bound_lhs)
-from .evolution import PruningPolicy, deep_policy, base_pair, evolve, diagnostics
+from .evolution import (PruningPolicy, deep_policy, base_pair, evolve, diagnostics,
+                        trajectory)
 from .sampling import population_from_pair, population_evolve_anchored, estimate_diagnostics
 
 
@@ -134,28 +135,6 @@ def fitted_rate(curve, depth: int) -> float:
     return float(np.exp(slope))
 
 
-def _curve_exact(c: BinaryChannel, k: int, depth: int,
-                 policy: PruningPolicy, diagnostic: str) -> list:
-    values = []
-    pair = base_pair(c, k)
-    values.append(diagnostics(pair, c)[diagnostic])
-    for _ in range(depth - 1):
-        pair = evolve(pair, c, k, policy)
-        values.append(diagnostics(pair, c)[diagnostic])
-    return values
-
-
-def _curve_population(c: BinaryChannel, k: int, depth: int, pop_size: int,
-                      seed: int, diagnostic: str) -> list:
-    pair = base_pair(c, k)
-    pop = population_from_pair(pair, pop_size, seed)
-    values = [estimate_diagnostics(pop, c)[diagnostic]]
-    for _ in range(depth - 1):
-        pop = population_evolve_anchored(pop, c, k)
-        values.append(estimate_diagnostics(pop, c)[diagnostic])
-    return values
-
-
 def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
                           engine: str = "exact",
                           policy: PruningPolicy | None = None,
@@ -182,15 +161,19 @@ def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
     if engine not in ("exact", "population"):
         raise InvalidParameter(f"unknown engine {engine!r}")
     rule = rule or DecisionRule()
-    c = family.channel(param)
+    c, k = family.channel(param), family.k
+    first = base_pair(c, k)
     if engine == "exact":
-        curve = _curve_exact(c, family.k, depth, policy or deep_policy(),
-                             rule.diagnostic)
+        policy = policy or deep_policy()
+        step = lambda p: evolve(p, c, k, policy)
+        measure = diagnostics
         used_seed = None
     else:
-        curve = _curve_population(c, family.k, depth, pop_size, seed,
-                                  rule.diagnostic)
+        first = population_from_pair(first, pop_size, seed)
+        step = lambda p: population_evolve_anchored(p, c, k)
+        measure = estimate_diagnostics
         used_seed = seed
+    curve = [measure(s, c)[rule.diagnostic] for s in trajectory(first, step, depth)]
 
     stat = float(curve[-1])
     rate = fitted_rate(curve, depth)

@@ -137,6 +137,20 @@ def test_merge_keeps_infinite_atoms():
     assert abs(mw[0] - 0.1) < 1e-15 and abs(mw[-1] - 0.4) < 1e-15
 
 
+def test_merge_rejects_cells_beyond_int64():
+    """|value/tol| past 2**63 raises instead of wrapping into the -inf cell."""
+    w = np.full(5, 0.2)
+    with pytest.raises(InvalidParameter):
+        grid_merge(np.array([-2e7, -1.5e7, 1.0, 1.5e7, 2e7]), w, tol=1e-12)
+    for big in (2e7, -2e7, 1e300):
+        with pytest.raises(InvalidParameter):
+            grid_merge(np.array([big, 1.0]), np.array([0.5, 0.5]), tol=1e-12)
+    # the same atoms merge correctly on a grid they fit
+    mv, mw = grid_merge(np.array([-2e7, -1.5e7, 1.0, 1.5e7, 2e7]), w, tol=1e-6)
+    assert list(mv) == [-2e7, -1.5e7, 1.0, 1.5e7, 2e7]
+    assert np.array_equal(mw, w)
+
+
 def test_merge_joint_weight_vectors():
     """Parallel weight vectors are merged on one shared support."""
     v = np.array([1.0, 1.0 + 1e-14, 3.0])

@@ -1,8 +1,16 @@
 """Command-line interface tests: exit codes, output contracts, determinism."""
 
+import hashlib
+import importlib
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
+import pytest
+
+from treecast import cli
 from treecast.cli import main
 
 KS_EPS_K2 = 0.14644660940672624  # root of 2*(1-2*eps)**2 = 1 in (0, 1/2)
@@ -367,3 +375,87 @@ def test_bounds_rerun_byte_identical(tmp_path, capsys, monkeypatch):
     assert run_cli(argv, capsys)[0] == 0
     assert ((tmp_path / "run_a" / "report.json").read_bytes()
             == (tmp_path / "run_b" / "report.json").read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes: a change that moves any emitted number must update
+# the digest here and say which number moved and why
+
+PINNED_OUTPUTS = {
+    "bounds": (
+        ["bounds", "--hardcore", "--k", "2", "--out", "bounds.json"],
+        "9c17e400a6d725ad5dcc2751e900a4cf264f2e9556e5c35ca5bd20860f048cda"),
+    "hardcore-check": (
+        ["hardcore-check", "--hardcore-w", "1.0", "--k", "2", "--depth", "3",
+         "--pop-size", "5000", "--seed", "2", "--out", "hardcore.json"],
+        "aadfea5d1a3e4eba4ef6c7807b82a66057502de0a3144080855e3caf2b655c78"),
+    "evolve-exact": (
+        ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "5",
+         "--out", "evolve.csv"],
+        "d7901faf876e53224b0df450a421bf371f5b274b76cde8bcc82f445bb31ef8f3"),
+    "evolve-population": (
+        ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "4",
+         "--engine", "population", "--pop-size", "4000", "--seed", "9",
+         "--out", "pop.csv"],
+        "49db747b2fde728dc958efc0690c0ff2d4486a24cdc70b0b0fd0e861e9f6cce9"),
+    "couple-csv": (
+        ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
+         "--out", "coupling.csv"],
+        "88dd695a3994651282a23843f7725102707c15e922823e308833d41cfc08608c"),
+    "couple-json": (
+        ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
+         "--format", "json", "--out", "coupling.json"],
+        "0b8664669c0bb5ccac97a6a99b548b249030da63ac6966aa5ce49e20e67a1f70"),
+    "verify-suite": (
+        ["verify", "--out", "suite.json"],
+        "634b5e944063fceb6168886e6b97915724fc5493c4f53ef430d8fb121ff24e27"),
+    "verify-matrix": (
+        ["verify", "--matrix", "0.6", "0.3", "--out", "verify.json"],
+        "de41da4d2c9343ee31e0292804d4ecfe1363829dbaebfd9c19041d8a08e1fa90"),
+    "threshold-exact": (
+        ["threshold", "--symmetric", "--k", "2", "--engine", "exact",
+         "--depth", "4", "--tol", "0.1", "--bracket", "0.05", "0.45",
+         "--seed", "4", "--out", "threshold.json"],
+        "40f4886bc1bbf27cfa4d3ae2e00d22db6e39f93e6dfa502e45060260bec788b1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_output_bytes_pinned(name, tmp_path, capsys, monkeypatch):
+    argv, digest = PINNED_OUTPUTS[name]
+    monkeypatch.setenv("TREECAST_OUT_DIR", str(tmp_path))
+    assert run_cli(argv, capsys)[0] == 0
+    data = (tmp_path / argv[-1]).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# hooks the benchmark harness relies on
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the file executes
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    for home, attr, _layer, _counter in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(f"treecast.{home}"), attr)), \
+            (home, attr)
+    for name in tracer.MODULES:
+        importlib.import_module(f"treecast.{name}")
+
+
+def test_evolve_steps_through_cli_evolve(capsys, monkeypatch):
+    """The deep-curves workload collects pairs by wrapping ``cli.evolve``."""
+    real, calls = cli.evolve, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve", counting)
+    code, _, _ = run_cli(["evolve", "--symmetric", "0.2", "--depth", "4"], capsys)
+    assert code == 0
+    assert len(calls) == 3

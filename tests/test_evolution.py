@@ -19,7 +19,10 @@ from treecast import (
     hardcore_channel,
     make_channel,
     mean_gap,
+    population_evolve,
+    population_from_pair,
     symmetric_channel,
+    trajectory,
     w_of_lambda,
 )
 
@@ -159,9 +162,8 @@ def test_martingale_mean_through_depth():
 def test_tv_nonincreasing_subcritical():
     """Total variation decays monotonically below the threshold."""
     c = symmetric_channel(0.3)  # k*(1-2*eps)**2 = 0.32 < 1
-    tvs = []
-    evolve_to_depth(c, 2, 12, deep_policy(),
-                    collect=lambda p: tvs.append(diagnostics(p, c)["tv"]))
+    pairs = trajectory(base_pair(c, 2), lambda p: evolve(p, c, 2, deep_policy()), 12)
+    tvs = [diagnostics(p, c)["tv"] for p in pairs]
     assert len(tvs) == 12
     assert all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:]))
     assert tvs[-1] < tvs[0]
@@ -174,14 +176,13 @@ def test_mean_gap_contracts_when_kernel_slope_small():
                    (make_channel(0.62, 0.42), 2, 5)]
     for c, k, depth in exact_cases:
         assert k * gap_kernel_peak(c)[1] <= 1.0
-        gaps = []
-        evolve_to_depth(c, k, depth, exact_policy(),
-                        collect=lambda p: gaps.append(mean_gap(p)))
+        pairs = trajectory(base_pair(c, k), lambda p: evolve(p, c, k, exact_policy()), depth)
+        gaps = [mean_gap(p) for p in pairs]
         assert all(b <= a + 1e-10 for a, b in zip(gaps, gaps[1:]))
     # deeper horizon under the binned policy: same shape, merge-level slack
-    gaps = []
-    evolve_to_depth(symmetric_channel(0.33), 2, 10, deep_policy(),
-                    collect=lambda p: gaps.append(mean_gap(p)))
+    c = symmetric_channel(0.33)
+    pairs = trajectory(base_pair(c, 2), lambda p: evolve(p, c, 2, deep_policy()), 10)
+    gaps = [mean_gap(p) for p in pairs]
     assert all(b <= a + 1e-6 for a, b in zip(gaps, gaps[1:]))
 
 
@@ -250,6 +251,42 @@ def test_pair_budget_raises_before_allocation():
     with pytest.raises(AtomExplosion) as info:
         evolve_to_depth(c, 2, 4, policy)
     assert info.value.count > policy.pair_budget
+
+
+def test_trajectory_yields_one_state_per_depth():
+    c = symmetric_channel(0.2)
+    pairs = list(trajectory(base_pair(c, 2), lambda p: evolve(p, c, 2), 4))
+    assert [p.depth for p in pairs] == [1, 2, 3, 4]
+    last = evolve_to_depth(c, 2, 4)
+    assert np.array_equal(pairs[-1].values, last.values)
+    assert np.array_equal(pairs[-1].w0, last.w0)
+    pop = population_from_pair(base_pair(c, 2), 1000, seed=3)
+    pops = list(trajectory(pop, lambda p: population_evolve(p, c, 2), 3))
+    assert [p.depth for p in pops] == [1, 2, 3]
+    assert pops[0] is pop
+
+
+def test_trajectory_steps_lazily():
+    c = symmetric_channel(0.2)
+    calls = []
+
+    def step(p):
+        calls.append(p.depth)
+        return evolve(p, c, 2)
+
+    states = trajectory(base_pair(c, 2), step, 3)
+    assert calls == []
+    next(states)
+    assert calls == []
+    assert [p.depth for p in states] == [2, 3]
+    assert calls == [1, 2]
+
+
+def test_trajectory_rejects_depth_below_one():
+    pair = base_pair(symmetric_channel(0.2), 2)
+    for depth in (0, -1):
+        with pytest.raises(InvalidParameter):
+            trajectory(pair, lambda p: p, depth)
 
 
 def test_depth_validation():

@@ -12,6 +12,7 @@ from treecast import (
     bp_root_posterior,
     diagnostics,
     estimate_diagnostics,
+    evolve,
     evolve_to_depth,
     hardcore_channel,
     llr_from_posterior,
@@ -22,6 +23,7 @@ from treecast import (
     sample_broadcast,
     sample_broadcast_batch,
     symmetric_channel,
+    trajectory,
 )
 
 from _oracles import brute_root_posterior
@@ -200,9 +202,8 @@ def test_estimates_match_exact_small_depths():
     from treecast import exact_policy
     c = symmetric_channel(0.25)
     n = 100_000
-    refs = []
-    evolve_to_depth(c, 2, 6, exact_policy(),
-                    collect=lambda p: refs.append(diagnostics(p, c)))
+    pairs = trajectory(base_pair(c, 2), lambda p: evolve(p, c, 2, exact_policy()), 6)
+    refs = [diagnostics(p, c) for p in pairs]
     pop = population_from_pair(base_pair(c, 2), n, seed=18)
     for depth in range(2, 7):
         pop = population_evolve(pop, c, 2)

@@ -6,23 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from treecast import ConditionalPair, InvalidParameter, base_pair, hardcore_channel, symmetric_channel
+from treecast import InvalidParameter, base_pair, symmetric_channel
 from treecast.serialize import (
     canonical_json,
     config_comment,
     coupling_csv,
     curve_csv,
     fmt_float,
-    load_distribution,
-    load_pair,
-    load_population,
     report_json,
-    save_distribution,
-    save_pair,
-    save_population,
 )
-
-from _oracles import genuine_pair_arrays
 
 
 # ------------------------------------------------------------------- floats
@@ -71,84 +63,6 @@ def test_canonical_json_nonfinite_as_strings():
 def test_canonical_json_rejects_unknown_types():
     with pytest.raises(InvalidParameter):
         canonical_json({"x": object()})
-
-
-# ------------------------------------------------------------ distributions
-
-def test_distribution_roundtrip():
-    rng = np.random.default_rng(62)
-    v = np.sort(rng.normal(size=20))
-    w = rng.dirichlet(np.ones(20))
-    from treecast import AtomicDistribution
-    d = AtomicDistribution(v, w)
-    d2 = load_distribution(save_distribution(d))
-    assert np.array_equal(d2.values, d.values)
-    assert np.array_equal(d2.weights, d.weights)
-
-
-def test_distribution_roundtrip_with_infinities():
-    from treecast import AtomicDistribution
-    d = AtomicDistribution(np.array([-math.inf, 0.5, math.inf]),
-                           np.array([0.25, 0.5, 0.25]))
-    d2 = load_distribution(save_distribution(d))
-    assert np.array_equal(d2.values, d.values)
-
-
-def test_distribution_load_tolerates_comments():
-    d = load_distribution("# header\n0.5 0.5\n\n1.5 0.5  # tail\n")
-    assert list(d.values) == [0.5, 1.5]
-    with pytest.raises(InvalidParameter):
-        load_distribution("0.5 0.5 0.5\n")
-
-
-# -------------------------------------------------------------------- pairs
-
-def test_pair_roundtrip_shared_support():
-    rng = np.random.default_rng(63)
-    for _ in range(20):
-        v, q, r = genuine_pair_arrays(rng, n=10)
-        pair = ConditionalPair(depth=3, values=v, w0=q, w1=r)
-        back = load_pair(save_pair(pair))
-        assert back.depth == 3
-        assert np.array_equal(back.values, pair.values)
-        assert np.array_equal(back.w0, pair.w0)
-        assert np.array_equal(back.w1, pair.w1)
-
-
-def test_pair_roundtrip_disjoint_atoms():
-    """Atoms exclusive to one law survive the save/load support rebuild."""
-    c, _ = hardcore_channel(1.0, 2)
-    pair = base_pair(c, 2)  # law1 misses the +inf atom
-    back = load_pair(save_pair(pair))
-    assert np.array_equal(back.values, pair.values)
-    assert np.array_equal(back.w0, pair.w0)
-    assert np.array_equal(back.w1, pair.w1)
-
-
-def test_pair_load_validation():
-    with pytest.raises(InvalidParameter):
-        load_pair("law0 1\n0.0 1.0\n")
-    with pytest.raises(InvalidParameter):
-        load_pair("depth 2\nlaw1 0\nlaw0 0\n")
-
-
-# -------------------------------------------------------------- populations
-
-def test_population_roundtrip():
-    from treecast import population_from_pair
-    c = symmetric_channel(0.2)
-    pop = population_from_pair(base_pair(c, 2), 200, seed=7)
-    pop2, c2, seed = load_population(save_population(pop, c, seed=7))
-    assert seed == 7 and pop2.depth == pop.depth
-    assert np.array_equal(pop2.samples0, pop.samples0)
-    assert np.array_equal(pop2.samples1, pop.samples1)
-    assert c2 == c
-
-
-def test_population_load_checks_size():
-    text = "n 3\ndepth 1\nseed 0\np00 0.8\np01 0.2\np10 0.2\np11 0.8\nsamples0\n1.0\nsamples1\n1.0\n"
-    with pytest.raises(InvalidParameter):
-        load_population(text)
 
 
 # ---------------------------------------------------------------- documents
