@@ -205,17 +205,20 @@ def grid_merge(values: np.ndarray, *weight_vectors: np.ndarray, tol: float):
     gid = np.cumsum(boundary) - 1
     n_groups = int(gid[-1]) + 1 if len(cs) else 0
 
-    merged_w = [np.bincount(gid, weights=np.asarray(w, dtype=np.float64)[order],
-                            minlength=n_groups)
-                for w in weight_vectors]
+    # gather each weight vector once, for its cell sums and the per-atom total
+    merged_w = []
     total = np.zeros(n_groups)
-    for w in merged_w:
-        total += w
+    combined = np.zeros(len(cs))
+    for w in weight_vectors:
+        ws = np.asarray(w, dtype=np.float64)[order]
+        merged_w.append(np.bincount(gid, weights=ws, minlength=n_groups))
+        total += merged_w[-1]
+        combined += ws
+        del ws  # at most one gathered copy is alive at a time
     vs = v[order]
     finite_s = finite[order]
     # weighted mean of finite values; groups are sign-pure so no cancellation
     wsafe = np.where(total > 0, total, 1.0)
-    combined = sum(np.asarray(w, dtype=np.float64)[order] for w in weight_vectors)
     num = np.bincount(gid, weights=np.where(finite_s, vs, 0.0) * combined,
                       minlength=n_groups)
     mv = num / wsafe

@@ -25,6 +25,7 @@ bisection bracket.  The only environment variable honored is
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import os
 import sys
@@ -236,15 +237,7 @@ def cmd_threshold(args) -> int:
                                 pop_size=args.pop_size)
     config = _run_config(args, desc, depth=estimate.depth,
                          engine=estimate.engine, fmt="json")
-    payload = {"config": config, "estimate": {
-        "family_kind": estimate.family_kind, "k": estimate.k,
-        "depth": estimate.depth, "engine": estimate.engine,
-        "diagnostic": estimate.diagnostic, "estimate": estimate.estimate,
-        "bracket_initial": list(estimate.bracket_initial),
-        "bracket_final": list(estimate.bracket_final), "tol": estimate.tol,
-        "seed": estimate.seed, "pop_size": estimate.pop_size,
-        "inconclusive_count": estimate.inconclusive_count,
-        "history": list(estimate.history)}}
+    payload = {"config": config, "estimate": dataclasses.asdict(estimate)}
     _emit(args, serialize.report_json(payload))
     return 0
 

@@ -33,7 +33,7 @@ class AtomExplosion(TreecastError):
     budget it is the number of atom pairs the next convolution fold would
     have formed, raised before that fold allocates anything (it can exceed
     the size of the finished law by orders of magnitude).  The usual
-    remedy is the population engine or a coarser policy.
+    remedy is the population engine or ``deep_policy()``.
     """
 
     def __init__(self, message: str, count: int = 0):

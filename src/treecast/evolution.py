@@ -8,12 +8,13 @@ convolution, and the constant ``k*ln(p00/p10)`` is added.  All arithmetic
 stays in log-likelihood coordinates; products of likelihoods never appear.
 
 Atom growth is the only obstacle: a convolution of ``m``-atom laws has up
-to ``C(m+k-1, k)`` atoms.  A :class:`PruningPolicy` bounds the blowup with
-a merge tolerance, a weight floor, and an atom cap.  Policies with
-``span_bins`` set fall back to a coarser span-proportional grid instead of
-failing, which is how depth-12 curves for k up to 5 stay affordable; the
-grid stays anchored at 0 so the sign of every atom (and hence the total
-variation between the laws) survives coarsening.
+to ``C(m+k-1, k)`` atoms.  Each step first merges on a fine grid of width
+:data:`MERGE_TOL`, refusing laws above the policy's atom cap or folds
+above :data:`PAIR_BUDGET` pairs.  A :class:`PruningPolicy` with
+``span_bins`` set then retries once on a coarse span-proportional grid
+instead of failing, which is how depth-12 curves for k up to 5 stay
+affordable; the grid stays anchored at 0 so the sign of every atom (and
+hence the total variation between the laws) survives coarsening.
 """
 
 from __future__ import annotations
@@ -30,45 +31,42 @@ from .channels import BinaryChannel, llr_step, gap_kernel
 from .atoms import ConditionalPair, grid_merge, posterior_from_llr
 
 
+MERGE_TOL = 1e-12  # fine grid width: merges only atoms equal up to rounding
+PAIR_BUDGET = 1 << 25  # most atom pairs one convolution fold may form
+
+
 @dataclass(frozen=True)
 class PruningPolicy:
     """Knobs bounding the size of an exact evolution step.
 
     Parameters
     ----------
-    merge_tol : float
-        Grid-cell width for combining nearby atoms (anchored at 0).
     weight_floor : float
         Atoms whose weight falls below this on one conditional law are
         zeroed there (and dropped once both laws agree they are gone);
         weights are renormalized.  0 disables flooring.
     atom_cap : int
         Maximum atom count after merging.
-    pair_budget : int
-        Maximum intermediate convolution size (product of atom counts).
     span_bins : int or None
-        When set, a cap/budget overflow retries on a coarser grid whose
-        cell width is ``span * k / span_bins`` (halving ``span_bins`` on
-        each further retry); when None the overflow raises
+        When set, a step that overflows on the fine grid is recomputed once
+        on a grid of width ``span * k / span_bins`` (``span`` the range of
+        the finite child contributions); when None the overflow raises
         :class:`~treecast.errors.AtomExplosion`.
     """
 
-    merge_tol: float = 1e-12
-    weight_floor: float = 1e-15
-    atom_cap: int = 200_000
-    pair_budget: int = 1 << 25
-    span_bins: int | None = None
+    weight_floor: float
+    atom_cap: int
+    span_bins: int | None
 
 
 def exact_policy() -> PruningPolicy:
     """Policy for oracle-grade runs: dedup-only merging, no weight floor."""
-    return PruningPolicy(merge_tol=1e-12, weight_floor=0.0,
-                         atom_cap=20_000_000, pair_budget=1 << 25, span_bins=None)
+    return PruningPolicy(weight_floor=0.0, atom_cap=20_000_000, span_bins=None)
 
 
 def deep_policy() -> PruningPolicy:
-    """Policy for deep runs: escalate to a span-proportional grid on overflow."""
-    return PruningPolicy(span_bins=2048)
+    """Policy for deep runs: fall back to a span-proportional grid on overflow."""
+    return PruningPolicy(weight_floor=1e-15, atom_cap=200_000, span_bins=2048)
 
 
 def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
@@ -119,7 +117,7 @@ def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
         values[n1] = term0 + term1
     values, w0, w1 = values[keep], w0[keep], w1[keep]
 
-    values, w0, w1 = grid_merge(values, w0, w1, tol=1e-12)
+    values, w0, w1 = grid_merge(values, w0, w1, tol=MERGE_TOL)
     w0 = w0 / w0.sum()
     w1 = w1 / w1.sum()
     return ConditionalPair(depth=1, values=values, w0=w0, w1=w1)
@@ -139,7 +137,7 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
     k : int
         Branching number.
     policy : PruningPolicy, optional
-        Defaults to :class:`PruningPolicy`'s defaults.
+        Defaults to :func:`deep_policy`.
 
     Returns
     -------
@@ -151,12 +149,12 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
     ------
     AtomExplosion
         If the atom count or intermediate pair count exceeds the policy
-        and no coarser grid is allowed (or coarsening bottomed out).
+        on the fine grid and the policy allows no coarse grid.
     UndefinedLimit
         If an atom sits at ``-inf`` while ``p11 = 0``.
     """
     if policy is None:
-        policy = PruningPolicy()
+        policy = deep_policy()
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise InvalidParameter(f"k must be a positive integer, got {k!r}")
     k = int(k)
@@ -164,27 +162,24 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
     # child mixtures share the pair's support: only weights mix
     mix0 = c.p00 * pair.w0 + c.p01 * pair.w1
     mix1 = c.p10 * pair.w0 + c.p11 * pair.w1
-    g_vals = llr_step(c, pair.values)  # may raise UndefinedLimit
+    g_arr = llr_step(c, pair.values)  # may raise UndefinedLimit
     const = k * math.log(c.p00 / c.p10)
 
-    g_arr = np.asarray(g_vals, dtype=np.float64)
-    finite = g_arr[np.isfinite(g_arr)]
-    span = float(finite.max() - finite.min()) if len(finite) else 0.0
+    try:
+        values, w0, w1 = _convolve(g_arr, mix0, mix1, k, const, MERGE_TOL, policy.atom_cap)
+    except AtomExplosion:
+        if policy.span_bins is None:
+            raise
+        # One coarse attempt always fits: a width-W interval holds at most
+        # W/eff + 2 cells and every j-fold partial sum lies in j*[gmin, gmax],
+        # so the law keeps at most span_bins + 3 atoms (one at -inf when
+        # p01 = 0) and no fold forms more than ~2.1M pairs, far below the cap
+        # and PAIR_BUDGET.  The fine attempt fails only when k*span/MERGE_TOL
+        # exceeds ~5.8e3, so eff = span*k/span_bins always exceeds MERGE_TOL.
+        finite = g_arr[np.isfinite(g_arr)]
+        eff = float(finite.max() - finite.min()) * k / policy.span_bins
+        values, w0, w1 = _convolve(g_arr, mix0, mix1, k, const, eff, policy.atom_cap)
 
-    bins = policy.span_bins
-    eff = policy.merge_tol
-    while True:
-        try:
-            out = _convolve(g_arr, mix0, mix1, k, const, eff, policy)
-            break
-        except AtomExplosion:
-            # escalate to a coarser span-proportional grid if allowed
-            if bins is None or bins < 16 or span == 0.0:
-                raise
-            eff = max(policy.merge_tol, span * k / bins)
-            bins //= 2
-
-    values, w0, w1 = out
     if policy.weight_floor > 0:
         w0 = np.where(w0 >= policy.weight_floor, w0, 0.0)
         w1 = np.where(w1 >= policy.weight_floor, w1, 0.0)
@@ -195,28 +190,28 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
     return ConditionalPair(depth=pair.depth + 1, values=values, w0=w0, w1=w1)
 
 
-def _convolve(g_arr, mix0, mix1, k, const, eff, policy):
+def _convolve(g_arr, mix0, mix1, k, const, eff, atom_cap):
     """k-fold i.i.d. sum of the g-image plus the depth constant."""
     y, m0, m1 = grid_merge(g_arr, mix0, mix1, tol=eff)
     s, sw0, sw1 = y, m0, m1
     for _ in range(k - 1):
         n_pairs = len(s) * len(y)
-        if n_pairs > policy.pair_budget:
+        if n_pairs > PAIR_BUDGET:
             raise AtomExplosion(
                 f"convolution needs {n_pairs} atom pairs "
-                f"(budget {policy.pair_budget})", count=n_pairs)
+                f"(budget {PAIR_BUDGET})", count=n_pairs)
         total = (s[:, None] + y[None, :]).ravel()
         t0 = (sw0[:, None] * m0[None, :]).ravel()
         t1 = (sw1[:, None] * m1[None, :]).ravel()
         s, sw0, sw1 = grid_merge(total, t0, t1, tol=eff)
-        if len(s) > policy.atom_cap:
+        if len(s) > atom_cap:
             raise AtomExplosion(
-                f"law has {len(s)} atoms (cap {policy.atom_cap})", count=len(s))
+                f"law has {len(s)} atoms (cap {atom_cap})", count=len(s))
     s = s + const
     s, sw0, sw1 = grid_merge(s, sw0, sw1, tol=eff)
-    if len(s) > policy.atom_cap:
+    if len(s) > atom_cap:
         raise AtomExplosion(
-            f"law has {len(s)} atoms (cap {policy.atom_cap})", count=len(s))
+            f"law has {len(s)} atoms (cap {atom_cap})", count=len(s))
     return s, sw0, sw1
 
 

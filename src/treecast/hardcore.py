@@ -69,30 +69,6 @@ class FiniteGraph:
             adj[v].append(u)
         return [sorted(a) for a in adj]
 
-    @classmethod
-    def from_edge_list(cls, text: str, n: int | None = None) -> "FiniteGraph":
-        """Parse the one-''u v''-pair-per-line edge-list format.
-
-        Blank lines and ``#`` comments are ignored; ``n`` defaults to one
-        past the largest node index mentioned.
-        """
-        edges = []
-        top = -1
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise InvalidParameter(f"bad edge line: {line!r}")
-            u, v = int(parts[0]), int(parts[1])
-            top = max(top, u, v)
-            edges.append((u, v))
-        return cls(n=(top + 1 if n is None else n), edges=tuple(edges))
-
-    def to_edge_list(self) -> str:
-        return "\n".join(f"{u} {v}" for u, v in self.edges) + ("\n" if self.edges else "")
-
 
 def enumerate_independent_sets(g: FiniteGraph) -> list:
     """All independent sets of ``g`` including the empty set.

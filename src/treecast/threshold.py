@@ -32,8 +32,7 @@ from .channels import (BinaryChannel, symmetric_channel, hardcore_channel,
                        w_of_lambda, lambda_of_w, kelly_threshold,
                        kesten_stigum_eps_c, brightwell_winkler_lower_w,
                        mossel_peres_lhs, geometric_mean_bound_lhs)
-from .evolution import (PruningPolicy, deep_policy, base_pair, evolve, diagnostics,
-                        trajectory)
+from .evolution import deep_policy, base_pair, evolve, diagnostics, trajectory
 from .sampling import population_from_pair, population_evolve_anchored, estimate_diagnostics
 
 
@@ -137,7 +136,6 @@ def fitted_rate(curve, depth: int) -> float:
 
 def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
                           engine: str = "exact",
-                          policy: PruningPolicy | None = None,
                           pop_size: int = 100_000, seed: int = 0,
                           rule: DecisionRule | None = None,
                           on_inconclusive: str = "report") -> Decision:
@@ -146,7 +144,7 @@ def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
     Parameters
     ----------
     engine : str
-        "exact" (atom convolution with the deep policy by default) or
+        "exact" (atom convolution with the deep policy) or
         "population" (anchored population dynamics of size ``pop_size``).
     on_inconclusive : str
         "report" returns the verdict as data; "raise" raises
@@ -164,8 +162,7 @@ def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
     c, k = family.channel(param), family.k
     first = base_pair(c, k)
     if engine == "exact":
-        policy = policy or deep_policy()
-        step = lambda p: evolve(p, c, k, policy)
+        step = lambda p: evolve(p, c, k, deep_policy())
         measure = diagnostics
         used_seed = None
     else:
@@ -214,7 +211,6 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
                      engine: str | None = None, tol: float | None = None,
                      seed: int = 0, bracket: tuple | None = None,
                      pop_size: int = 100_000,
-                     policy: PruningPolicy | None = None,
                      rule: DecisionRule | None = None) -> ThresholdEstimate:
     """Bracket the reconstruction transition of a monotone family.
 
@@ -231,6 +227,10 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
 
     Raises
     ------
+    InvalidParameter
+        If ``tol`` is not finite or is below the float spacing of the
+        bracket (zero and negative values included), where the halving
+        would never stop.
     BadBracket
         If the endpoint verdicts agree, or disagree with the family's
         monotone orientation.
@@ -246,6 +246,10 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BadBracket(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
+    # a bracket narrower than one float spacing cannot be halved any further
+    if not (math.isfinite(tol) and tol >= math.ulp(max(abs(lo), abs(hi)))):
+        raise InvalidParameter(
+            f"tol must be finite and at least the bracket's float spacing, got {tol}")
     rule = rule or DecisionRule()
 
     history = []
@@ -254,8 +258,7 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
     def eval_point(param: float) -> bool:
         nonlocal inconclusive
         d = decide_reconstruction(family, param, depth, engine=engine,
-                                  policy=policy, pop_size=pop_size, seed=seed,
-                                  rule=rule)
+                                  pop_size=pop_size, seed=seed, rule=rule)
         if d.verdict == "inconclusive":
             inconclusive += 1
         history.append({"param": param, "verdict": d.verdict,

@@ -14,8 +14,8 @@ from treecast.channels import (make_channel, symmetric_channel,
                                hardcore_channel, w_of_lambda, lambda_of_w,
                                kelly_threshold, gap_kernel_peak,
                                mossel_peres_lhs, geometric_mean_bound_lhs)
-from treecast.evolution import (base_pair, evolve, exact_policy, deep_policy,
-                                diagnostics, gap_identity_residual)
+from treecast.evolution import (PAIR_BUDGET, base_pair, evolve, exact_policy,
+                                deep_policy, diagnostics, gap_identity_residual)
 from treecast.conditioning import build_coupling, verify_sandwich
 from treecast.sampling import bp_root_posterior
 from treecast.hardcore import (HardCoreParams, gibbs_conditional_sweep,
@@ -101,7 +101,7 @@ def test_criterion_04_finite_depth_identity(capsys):
     # refusal counts only if its pair count exceeds the budget and does not
     # exceed C(m+1,2)*m, the collision-free pair count of the last fold.
     rng = np.random.default_rng(40)
-    budget = exact_policy().pair_budget
+    budget = PAIR_BUDGET
     worst = 0.0
     computed = {}
     refused = {}  # (k, depth) -> [(count, size of the input support)]

@@ -298,6 +298,15 @@ def test_threshold_degenerate_bracket_exits_4(capsys):
     assert "error:" in err
 
 
+def test_threshold_bad_tol_exits_2(capsys):
+    for tol in ("0", "-1", "nan"):
+        code, _, err = run_cli(
+            ["threshold", "--symmetric", "--k", "2", "--engine", "exact",
+             "--depth", "6", "--tol", tol], capsys)
+        assert code == 2, tol
+        assert "tol" in err
+
+
 def test_threshold_agreeing_bracket_exits_4(capsys):
     # both endpoints read as decaying at this shallow exact depth
     code, _, _ = run_cli(
@@ -393,6 +402,11 @@ PINNED_OUTPUTS = {
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "5",
          "--out", "evolve.csv"],
         "d7901faf876e53224b0df450a421bf371f5b274b76cde8bcc82f445bb31ef8f3"),
+    # k=3 at depth 4 is the one pin whose last step runs on the coarse grid
+    "evolve-exact-coarse": (
+        ["evolve", "--symmetric", "0.2", "--k", "3", "--depth", "4",
+         "--out", "evolve_k3_d4.csv"],
+        "9ef5132ff1bd2a8a4992436a41efdb526dd6c5e7bf0a455ac9c748dc6e898836"),
     "evolve-population": (
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "4",
          "--engine", "population", "--pop-size", "4000", "--seed", "9",

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from treecast import evolution
 from treecast import (
     AtomExplosion,
+    ConditionalPair,
     InvalidParameter,
     PruningPolicy,
     base_pair,
@@ -236,21 +238,37 @@ def test_diagnostics_positive_when_informative():
 # ----------------------------------------------------------- resource caps
 
 def test_atom_cap_raises():
-    policy = PruningPolicy(merge_tol=1e-15, weight_floor=0.0,
-                           atom_cap=10, pair_budget=1 << 25)
+    policy = PruningPolicy(weight_floor=0.0, atom_cap=10, span_bins=None)
     c = make_channel(0.81, 0.27)
     with pytest.raises(AtomExplosion) as info:
         evolve_to_depth(c, 2, 4, policy)
     assert info.value.count > policy.atom_cap
 
 
-def test_pair_budget_raises_before_allocation():
-    policy = PruningPolicy(merge_tol=1e-15, weight_floor=0.0,
-                           atom_cap=1 << 40, pair_budget=50)
+def test_pair_budget_raises_before_allocation(monkeypatch):
+    monkeypatch.setattr(evolution, "PAIR_BUDGET", 50)
+    policy = PruningPolicy(weight_floor=0.0, atom_cap=1 << 40, span_bins=None)
     c = make_channel(0.81, 0.27)
     with pytest.raises(AtomExplosion) as info:
         evolve_to_depth(c, 2, 4, policy)
-    assert info.value.count > policy.pair_budget
+    assert info.value.count > 50
+
+
+def test_coarse_fallback_fits():
+    """A law too wide for the fine grid fits in one coarse attempt."""
+    n = 6000
+    pair = ConditionalPair(depth=3, values=np.linspace(-5.0, 5.0, n),
+                           w0=np.full(n, 1.0 / n),
+                           w1=np.linspace(1.0, 2.0, n) / (1.5 * n))
+    c = symmetric_channel(0.2)
+    policy = deep_policy()
+    for k in (2, 3, 4, 5):
+        with pytest.raises(AtomExplosion):
+            evolve(pair, c, k, exact_policy())
+        nxt = evolve(pair, c, k, policy)
+        assert nxt.depth == 4
+        assert len(nxt.values) <= policy.span_bins + 3, k
+        assert abs(nxt.w0.sum() - 1.0) < 1e-12 and abs(nxt.w1.sum() - 1.0) < 1e-12
 
 
 def test_trajectory_yields_one_state_per_depth():

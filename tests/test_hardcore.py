@@ -42,16 +42,6 @@ def test_graph_normalizes_edges():
     assert g.neighbors[1] == [3]
 
 
-def test_edge_list_roundtrip():
-    g = FiniteGraph(n=5, edges=((0, 1), (1, 2), (3, 4)))
-    assert FiniteGraph.from_edge_list(g.to_edge_list(), n=5) == g
-    text = "# a comment\n0 1\n\n1 2  # trailing\n"
-    g2 = FiniteGraph.from_edge_list(text)
-    assert g2.n == 3 and g2.edges == ((0, 1), (1, 2))
-    with pytest.raises(InvalidParameter):
-        FiniteGraph.from_edge_list("0 1 2\n")
-
-
 # --------------------------------------------------------------- enumeration
 
 def test_enumeration_examples():

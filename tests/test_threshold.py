@@ -175,7 +175,7 @@ def test_bisect_rejects_agreeing_endpoints():
 
 
 def fake_decider(split, inconclusive_below=None):
-    def fake(family, param, depth, engine="exact", policy=None,
+    def fake(family, param, depth, engine="exact",
              pop_size=100_000, seed=0, rule=None, on_inconclusive="report"):
         if inconclusive_below is not None and param < inconclusive_below:
             verdict = "inconclusive"
@@ -221,6 +221,18 @@ def test_bisect_converges_to_planted_split(monkeypatch):
     assert abs(est.estimate - 0.2173) <= 0.001
     lo, hi = est.bracket_final
     assert hi - lo <= 0.001
+
+
+def test_bisect_rejects_tol_that_cannot_stop(monkeypatch):
+    """A tolerance below the bracket's float spacing would halve forever, a
+    NaN one would return the initial midpoint."""
+    monkeypatch.setattr(threshold_mod, "decide_reconstruction",
+                        fake_decider(split=0.2173))
+    fam = ChannelFamily(kind="symmetric", k=2)
+    for tol in (0.0, -1.0, 1e-20, math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            threshold_mod.bisect_threshold(fam, depth=6, tol=tol,
+                                           bracket=(0.02, 0.48))
 
 
 # ------------------------------------------------------------ bound reports
