@@ -11,7 +11,7 @@ the hard-core occupancy model as the central worked example.
 from .errors import (TreecastError, DegenerateChannel, InvalidParameter,
                      UndefinedLimit, AtomExplosion, DominanceViolation,
                      PreconditionViolation, DegenerateEvent, NotInterior,
-                     ResourceLimit, BadBracket, Inconclusive)
+                     ResourceLimit, BadBracket)
 from .channels import (BinaryChannel, HardCoreParams, make_channel,
                        symmetric_channel, hardcore_channel, lambda_of_w,
                        w_of_lambda, mossel_peres_lhs, geometric_mean_bound_lhs,
@@ -34,7 +34,7 @@ from .hardcore import (FiniteGraph, enumerate_independent_sets,
                        truncated_tree, gibbs_conditional_check,
                        gibbs_conditional_sweep, IndependenceVerdict,
                        brw_independence_check)
-from .threshold import (ChannelFamily, DecisionRule, Decision, fitted_rate,
+from .threshold import (ChannelFamily, Decision, fitted_rate,
                         decide_reconstruction, ThresholdEstimate,
                         bisect_threshold, restricted_bound_crossover,
                         BoundsReport, bounds_report)
@@ -46,7 +46,6 @@ __all__ = [
     "TreecastError", "DegenerateChannel", "InvalidParameter", "UndefinedLimit",
     "AtomExplosion", "DominanceViolation", "PreconditionViolation",
     "DegenerateEvent", "NotInterior", "ResourceLimit", "BadBracket",
-    "Inconclusive",
     "BinaryChannel", "HardCoreParams", "make_channel", "symmetric_channel",
     "hardcore_channel", "lambda_of_w", "w_of_lambda", "mossel_peres_lhs",
     "geometric_mean_bound_lhs", "kesten_stigum_symmetric",
@@ -65,7 +64,7 @@ __all__ = [
     "hardcore_measure", "TreeIndex", "truncated_tree",
     "gibbs_conditional_check", "gibbs_conditional_sweep",
     "IndependenceVerdict", "brw_independence_check",
-    "ChannelFamily", "DecisionRule", "Decision", "fitted_rate",
+    "ChannelFamily", "Decision", "fitted_rate",
     "decide_reconstruction", "ThresholdEstimate", "bisect_threshold",
     "restricted_bound_crossover", "BoundsReport", "bounds_report",
     "serialize",

@@ -74,17 +74,22 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--matrix", nargs=2, type=float, metavar=("P00", "P10"),
                         help="explicit channel from its first column")
 
-    def add_run_flags(sp, depth_default=None):
+    def add_run_flags(sp, *read, depth_default=None):
+        """Add the flags every run config echoes, plus those of ``--depth``,
+        ``--engine`` and ``--format`` that the handler named in ``read``."""
         sp.add_argument("--k", type=int, default=2, help="branching number")
-        sp.add_argument("--depth", type=int, default=depth_default)
-        sp.add_argument("--engine", choices=["exact", "population"], default=None)
+        if "depth" in read:
+            sp.add_argument("--depth", type=int, default=depth_default)
+        if "engine" in read:
+            sp.add_argument("--engine", choices=["exact", "population"], default=None)
         sp.add_argument("--pop-size", type=int, default=100_000,
                         help="population size / sample count")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None,
                         help="output path ('-' or omitted: stdout); relative "
                              "paths resolve under $TREECAST_OUT_DIR")
-        sp.add_argument("--format", choices=["json", "csv"], default=None)
+        if "format" in read:
+            sp.add_argument("--format", choices=["json", "csv"], default=None)
 
     sp = sub.add_parser("bounds", help="closed-form bound report for a family")
     add_channel_flags(sp)
@@ -92,22 +97,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("evolve", help="diagnostic-vs-depth curve")
     add_channel_flags(sp)
-    add_run_flags(sp, depth_default=8)
+    add_run_flags(sp, "depth", "engine", "format", depth_default=8)
 
     sp = sub.add_parser("threshold", help="bisection threshold estimate")
     add_channel_flags(sp)
-    add_run_flags(sp)
+    add_run_flags(sp, "depth", "engine")
     sp.add_argument("--bracket", nargs=2, type=float, metavar=("LO", "HI"))
     sp.add_argument("--tol", type=float, default=None)
 
     sp = sub.add_parser("couple", help="emit the coupling at a depth")
     add_channel_flags(sp)
-    add_run_flags(sp, depth_default=4)
+    add_run_flags(sp, "depth", "format", depth_default=4)
 
     sp = sub.add_parser("hardcore-check",
                         help="single-site conditionals and occupancy scan")
     add_channel_flags(sp)
-    add_run_flags(sp, depth_default=3)
+    add_run_flags(sp, "depth", depth_default=3)
 
     sp = sub.add_parser("verify", help="run the built-in invariant suite")
     add_channel_flags(sp)
@@ -187,8 +192,6 @@ def cmd_bounds(args) -> int:
     desc, _ = _parse_channel(args, args.k, allow_family_only=True)
     if desc["kind"] not in ("symmetric", "hardcore"):
         raise InvalidParameter("bounds requires a family (--symmetric or --hardcore)")
-    if args.format == "csv":
-        raise InvalidParameter("bounds only supports --format json")
     if desc["kind"] == "hardcore" and args.k < 2:
         raise InvalidParameter(
             "kelly_threshold requires k >= 2; the hard-core bound report "
@@ -390,13 +393,13 @@ def _verify_suite(seed: int) -> list:
     return checks
 
 
-def _verify_channel(c: BinaryChannel) -> list:
-    """Channel-specific checks for ``verify --matrix``."""
+def _verify_channel(c: BinaryChannel, k: int) -> list:
+    """Channel-specific checks for ``verify`` with a channel flag."""
     checks = []
-    pair1, pair2, pair3 = trajectory(base_pair(c, 2),
-                                     lambda p: evolve(p, c, 2, exact_policy()), 3)
-    res = max(gap_identity_residual(pair2, pair1, c, 2),
-              gap_identity_residual(pair3, pair2, c, 2))
+    pair1, pair2, pair3 = trajectory(base_pair(c, k),
+                                     lambda p: evolve(p, c, k, exact_policy()), 3)
+    res = max(gap_identity_residual(pair2, pair1, c, k),
+              gap_identity_residual(pair3, pair2, c, k))
     checks.append({"name": "mean_gap_identity", "residual": float(res),
                    "passed": bool(res <= 1e-9)})
     coupling = build_coupling(pair3, c)
@@ -424,7 +427,8 @@ def cmd_verify(args) -> int:
     if any_flag:
         desc, channel = _parse_channel(args, args.k, allow_family_only=False)
     config = _run_config(args, desc, depth=None, engine=None, fmt="json")
-    checks = _verify_channel(channel) if channel is not None else _verify_suite(args.seed)
+    checks = (_verify_channel(channel, args.k) if channel is not None
+              else _verify_suite(args.seed))
     ok = all(chk["passed"] for chk in checks)
     payload = {"config": config, "checks": checks, "all_passed": ok}
     _emit(args, serialize.report_json(payload))

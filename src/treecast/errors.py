@@ -3,7 +3,9 @@
 All errors derive from :class:`TreecastError` so callers can catch the
 package's failures with a single except clause while still distinguishing
 validation problems (bad inputs), resource problems (state-space blowup),
-and numerical problems (limits that do not exist).
+and numerical problems (limits that do not exist).  An inconclusive
+reconstruction decision is not an error: it is the ``"inconclusive"``
+verdict of a :class:`~treecast.threshold.Decision`.
 """
 
 
@@ -66,11 +68,3 @@ class ResourceLimit(TreecastError):
 
 class BadBracket(TreecastError):
     """Both bisection endpoints produced the same verdict."""
-
-
-class Inconclusive(TreecastError):
-    """A decay decision fell inside the ambiguity band of the decision rule.
-
-    Only raised when the caller asks for strict resolution; by default the
-    verdict is reported as data rather than raised.
-    """

@@ -180,16 +180,14 @@ def truncated_tree(k: int, depth: int, center_root: bool = False) -> TreeIndex:
     root_degree = k + 1 if center_root else k
     parent = [-1]
     frontier = [0]
-    first = True
-    for _ in range(depth):
-        width = root_degree if first else k
+    for level in range(depth):
+        width = root_degree if level == 0 else k
         nxt = []
         for node in frontier:
-            for _ in range(width if node == 0 and first else k):
+            for _ in range(width):
                 parent.append(node)
                 nxt.append(len(parent) - 1)
         frontier = nxt
-        first = False
     children = [[] for _ in parent]
     for i, p in enumerate(parent):
         if p != -1:

@@ -31,6 +31,12 @@ from .errors import InvalidParameter, ResourceLimit
 from .channels import BinaryChannel, llr_step
 from .atoms import ConditionalPair, posterior_from_llr
 
+# Cap on the nodes of one broadcast batch (samples x nodes per sample).  A
+# k=2 batch at the cap peaks near 1.4 GB, mostly in the two float64
+# temporaries of its last level; as k grows the last level approaches the
+# whole batch and the peak about 2.4 GB.
+NODE_CAP = 2 ** 27
+
 
 @dataclass(frozen=True)
 class BroadcastSample:
@@ -62,8 +68,7 @@ def _level_streams(seed: int, depth: int) -> list:
 
 
 def sample_broadcast_batch(c: BinaryChannel, k: int, depth: int, n: int,
-                           root_value: int | None = None, seed: int = 0,
-                           node_cap: int = 5_000_000) -> list:
+                           root_value: int | None = None, seed: int = 0) -> list:
     """Sample ``n`` independent broadcasts, vectorized level by level.
 
     Parameters
@@ -71,20 +76,24 @@ def sample_broadcast_batch(c: BinaryChannel, k: int, depth: int, n: int,
     root_value : int or None
         Fixed root value, or None to draw each root from the stationary
         law.
-    node_cap : int
-        Upper bound on nodes per broadcast; exceeding it raises
-        :class:`~treecast.errors.ResourceLimit`.
 
     Returns
     -------
     list of ndarray
         ``levels[l]`` has shape ``(n, k**l)`` and dtype int8.
+
+    Raises
+    ------
+    ResourceLimit
+        If the batch holds more than ``NODE_CAP`` nodes in all; checked
+        before anything is allocated.
     """
     if depth < 0:
         raise InvalidParameter(f"depth must be >= 0, got {depth}")
-    total = sum(k ** ell for ell in range(depth + 1))
-    if total > node_cap:
-        raise ResourceLimit(f"broadcast needs {total} nodes per sample (cap {node_cap})")
+    total = n * sum(k ** ell for ell in range(depth + 1))
+    if total > NODE_CAP:
+        raise ResourceLimit(
+            f"broadcast batch needs {total} nodes ({n} samples; cap {NODE_CAP})")
     streams = _level_streams(seed, depth)
     if root_value is None:
         root = (streams[0].random(n) < c.pi1).astype(np.int8)
@@ -101,11 +110,9 @@ def sample_broadcast_batch(c: BinaryChannel, k: int, depth: int, n: int,
 
 
 def sample_broadcast(c: BinaryChannel, k: int, depth: int,
-                     root_value: int | None = None, seed: int = 0,
-                     node_cap: int = 5_000_000) -> BroadcastSample:
+                     root_value: int | None = None, seed: int = 0) -> BroadcastSample:
     """Sample one broadcast configuration; deterministic in ``seed``."""
-    levels = sample_broadcast_batch(c, k, depth, 1, root_value=root_value,
-                                    seed=seed, node_cap=node_cap)
+    levels = sample_broadcast_batch(c, k, depth, 1, root_value=root_value, seed=seed)
     flat = [lvl[0].copy() for lvl in levels]
     return BroadcastSample(k=k, depth=depth, levels=flat,
                            root_value=int(flat[0][0]), seed=seed)

@@ -2,14 +2,15 @@
 
 A decision point runs density evolution (exact or population engine) to a
 chosen depth, collects the total-variation curve between the two
-conditional laws, and classifies its tail: collapsed below an absolute
-floor or fitting a geometric rate below the decay band means the root
-information dies out; a fitted rate above the non-decay band means it
-persists; rates inside the band are reported as inconclusive rather than
-silently resolved.  Bisection over a monotone one-parameter family then
-brackets the transition; inconclusive midpoints are counted as
-non-decaying so the bracket always keeps its decaying portion, which
-keeps the estimate on the conservative side of the ambiguity band.
+conditional laws, and classifies its tail with one fixed rule: a last
+value below ``FLOOR`` or a fitted geometric rate below ``DECAY_RATE``
+means the root information dies out; a fitted rate above
+``NONDECAY_RATE`` means it persists; rates inside the band are reported
+as inconclusive data rather than silently resolved.  Bisection over a
+monotone one-parameter family then brackets the transition;
+inconclusive midpoints are counted as non-decaying so the bracket
+always keeps its decaying portion, which keeps the estimate on the
+conservative side of the ambiguity band.
 
 ``bounds_report`` collects every closed-form comparison value for a
 family: the symmetric-channel critical flip probability, the hard-core
@@ -27,13 +28,21 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import BadBracket, Inconclusive, InvalidParameter
+from .errors import BadBracket, InvalidParameter
 from .channels import (BinaryChannel, symmetric_channel, hardcore_channel,
                        w_of_lambda, lambda_of_w, kelly_threshold,
                        kesten_stigum_eps_c, brightwell_winkler_lower_w,
                        mossel_peres_lhs, geometric_mean_bound_lhs)
 from .evolution import deep_policy, base_pair, evolve, diagnostics, trajectory
 from .sampling import population_from_pair, population_evolve_anchored, estimate_diagnostics
+
+# The decision rule.  Below FLOOR the TV statistic counts as fully decayed
+# whatever its fitted rate (deep-collapsed populations sit at float-residual
+# values whose fitted rate reads exactly 1); fitted rates between
+# DECAY_RATE and NONDECAY_RATE are inconclusive.
+FLOOR = 1e-10
+DECAY_RATE = 0.985
+NONDECAY_RATE = 0.995
 
 
 @dataclass(frozen=True)
@@ -69,31 +78,6 @@ class ChannelFamily:
     def decaying_side(self) -> str:
         """Which end of the parameter axis loses the root information."""
         return "high" if self.kind == "symmetric" else "low"
-
-
-@dataclass(frozen=True)
-class DecisionRule:
-    """Classifier applied to the diagnostic curve.
-
-    ``floor``: absolute value below which the statistic counts as fully
-    decayed regardless of the fitted rate (deep-collapsed populations sit
-    at float-residual values whose fitted rate reads exactly 1).
-    ``decay_rate`` / ``nondecay_rate``: fitted-rate bands; rates in
-    between are inconclusive.
-    """
-
-    diagnostic: str = "tv"
-    floor: float = 1e-10
-    decay_rate: float = 0.985
-    nondecay_rate: float = 0.995
-
-    def __post_init__(self):
-        if self.diagnostic not in ("tv", "var_A"):
-            raise InvalidParameter(f"unsupported diagnostic {self.diagnostic!r}")
-        if not 0 < self.decay_rate < self.nondecay_rate:
-            raise InvalidParameter("need 0 < decay_rate < nondecay_rate")
-        if not (math.isfinite(self.floor) and self.floor >= 0):
-            raise InvalidParameter(f"floor must be a finite non-negative value, got {self.floor}")
 
 
 @dataclass(frozen=True)
@@ -136,9 +120,7 @@ def fitted_rate(curve, depth: int) -> float:
 
 def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
                           engine: str = "exact",
-                          pop_size: int = 100_000, seed: int = 0,
-                          rule: DecisionRule | None = None,
-                          on_inconclusive: str = "report") -> Decision:
+                          pop_size: int = 100_000, seed: int = 0) -> Decision:
     """Classify one family point as decaying / non-decaying / inconclusive.
 
     Parameters
@@ -146,9 +128,6 @@ def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
     engine : str
         "exact" (atom convolution with the deep policy) or
         "population" (anchored population dynamics of size ``pop_size``).
-    on_inconclusive : str
-        "report" returns the verdict as data; "raise" raises
-        :class:`~treecast.errors.Inconclusive`.
 
     Returns
     -------
@@ -158,7 +137,6 @@ def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
         raise InvalidParameter(f"depth must be >= 2, got {depth}")
     if engine not in ("exact", "population"):
         raise InvalidParameter(f"unknown engine {engine!r}")
-    rule = rule or DecisionRule()
     c, k = family.channel(param), family.k
     first = base_pair(c, k)
     if engine == "exact":
@@ -170,20 +148,16 @@ def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
         step = lambda p: population_evolve_anchored(p, c, k)
         measure = estimate_diagnostics
         used_seed = seed
-    curve = [measure(s, c)[rule.diagnostic] for s in trajectory(first, step, depth)]
+    curve = [measure(s, c)["tv"] for s in trajectory(first, step, depth)]
 
     stat = float(curve[-1])
     rate = fitted_rate(curve, depth)
-    if stat < rule.floor or rate < rule.decay_rate:
+    if stat < FLOOR or rate < DECAY_RATE:
         verdict = "decaying"
-    elif rate > rule.nondecay_rate:
+    elif rate > NONDECAY_RATE:
         verdict = "non-decaying"
     else:
         verdict = "inconclusive"
-        if on_inconclusive == "raise":
-            raise Inconclusive(
-                f"fitted rate {rate:.6f} inside [{rule.decay_rate}, {rule.nondecay_rate}] "
-                f"at parameter {param}")
     return Decision(param=param, depth=depth, engine=engine, statistic=stat,
                     rate=rate, verdict=verdict, curve=tuple(curve), seed=used_seed)
 
@@ -210,8 +184,7 @@ class ThresholdEstimate:
 def bisect_threshold(family: ChannelFamily, depth: int | None = None,
                      engine: str | None = None, tol: float | None = None,
                      seed: int = 0, bracket: tuple | None = None,
-                     pop_size: int = 100_000,
-                     rule: DecisionRule | None = None) -> ThresholdEstimate:
+                     pop_size: int = 100_000) -> ThresholdEstimate:
     """Bracket the reconstruction transition of a monotone family.
 
     Inconclusive verdicts count as non-decaying, so the bracket always
@@ -250,7 +223,6 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
     if not (math.isfinite(tol) and tol >= math.ulp(max(abs(lo), abs(hi)))):
         raise InvalidParameter(
             f"tol must be finite and at least the bracket's float spacing, got {tol}")
-    rule = rule or DecisionRule()
 
     history = []
     inconclusive = 0
@@ -258,7 +230,7 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
     def eval_point(param: float) -> bool:
         nonlocal inconclusive
         d = decide_reconstruction(family, param, depth, engine=engine,
-                                  pop_size=pop_size, seed=seed, rule=rule)
+                                  pop_size=pop_size, seed=seed)
         if d.verdict == "inconclusive":
             inconclusive += 1
         history.append({"param": param, "verdict": d.verdict,
@@ -286,7 +258,7 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
 
     return ThresholdEstimate(
         family_kind=family.kind, k=family.k, depth=depth, engine=engine,
-        diagnostic=rule.diagnostic, estimate=0.5 * (lo + hi),
+        diagnostic="tv", estimate=0.5 * (lo + hi),
         bracket_initial=(float(bracket[0]), float(bracket[1])),
         bracket_final=(lo, hi), tol=tol, seed=seed,
         pop_size=pop_size if engine == "population" else None,

@@ -1,9 +1,11 @@
 """Atomic distributions, shared-support pairs, merging, posterior maps."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecast import (
     AtomicDistribution,
@@ -149,6 +151,43 @@ def test_merge_rejects_cells_beyond_int64():
     mv, mw = grid_merge(np.array([-2e7, -1.5e7, 1.0, 1.5e7, 2e7]), w, tol=1e-6)
     assert list(mv) == [-2e7, -1.5e7, 1.0, 1.5e7, 2e7]
     assert np.array_equal(mw, w)
+
+
+# finite values keep |v| >= 1e-9 (or exactly 0) so that no merged mean lands
+# inside the 1e-12 snap-to-zero band from the negative side
+MERGE_VALUES = st.one_of(
+    st.just(0.0), st.just(math.inf), st.just(-math.inf),
+    st.builds(operator.mul, st.sampled_from([-1.0, 1.0]), st.floats(1e-9, 1e3)))
+
+
+@st.composite
+def merge_inputs(draw):
+    values = np.array(draw(st.lists(MERGE_VALUES, min_size=1, max_size=40)))
+    weight_list = st.lists(st.floats(0.0, 1.0), min_size=len(values),
+                           max_size=len(values))
+    weights = [np.array(draw(weight_list)) for _ in range(draw(st.integers(1, 2)))]
+    tol = 10.0 ** draw(st.floats(-12.0, 0.0))
+    return values, weights, tol
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(merge_inputs())
+def test_merge_properties(case):
+    values, weights, tol = case
+    mv, *merged = grid_merge(values, *weights, tol=tol)
+    assert np.all(mv[1:] > mv[:-1])
+    for w, mw in zip(weights, merged):
+        assert math.isclose(mw.sum(), w.sum(), rel_tol=1e-12, abs_tol=1e-300)
+        for inf in (math.inf, -math.inf):
+            at = values == inf
+            assert np.count_nonzero(mv == inf) == int(at.any())
+            if at.any():
+                assert math.isclose(mw[mv == inf][0], w[at].sum(), rel_tol=1e-12)
+    # no atom mixes signs: merging each side alone gives the same atoms
+    sides = [grid_merge(values[side], *(w[side] for w in weights), tol=tol)
+             for side in (values < 0, values >= 0)]
+    for got, neg_part, nonneg_part in zip((mv, *merged), *sides):
+        np.testing.assert_array_equal(got, np.concatenate([neg_part, nonneg_part]))
 
 
 def test_merge_joint_weight_vectors():

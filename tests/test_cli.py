@@ -59,6 +59,36 @@ def test_unknown_flag_exits_2(capsys):
     assert code == 2
 
 
+# each subcommand takes only the run flags its handler reads; the base argv
+# is a valid, cheap call, so only the extra flag can make it fail
+DROPPED_FLAG_BASE = {
+    "bounds": ["bounds", "--symmetric", "--k", "2"],
+    "threshold": ["threshold", "--symmetric", "--engine", "exact", "--depth", "4",
+                  "--tol", "0.1", "--bracket", "0.05", "0.45"],
+    "couple": ["couple", "--symmetric", "0.2", "--depth", "2"],
+    "hardcore-check": ["hardcore-check", "--hardcore-w", "1.0", "--depth", "2",
+                       "--pop-size", "100"],
+    "verify": ["verify", "--matrix", "0.6", "0.3"],
+}
+DROPPED_FLAGS = [
+    ("bounds", "--depth", "3"), ("bounds", "--engine", "exact"),
+    ("bounds", "--format", "json"),
+    ("threshold", "--format", "json"),
+    ("couple", "--engine", "population"),
+    ("hardcore-check", "--engine", "exact"), ("hardcore-check", "--format", "json"),
+    ("verify", "--depth", "9"), ("verify", "--engine", "exact"),
+    ("verify", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", DROPPED_FLAGS)
+def test_flag_the_handler_ignores_exits_2(command, flag, value, capsys):
+    code, out, err = run_cli(DROPPED_FLAG_BASE[command] + [flag, value], capsys)
+    assert code == 2
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert out == ""
+
+
 def test_no_channel_spec_exits_2(capsys):
     code, _, err = run_cli(["evolve", "--k", "2", "--depth", "3"], capsys)
     assert code == 2
@@ -246,11 +276,14 @@ def test_hardcore_check_wrong_family_exits_2(capsys):
 
 
 def test_hardcore_check_oversized_depth_exits_3_with_hint(capsys):
-    code, _, err = run_cli(
-        ["hardcore-check", "--hardcore-w", "1.0", "--k", "2",
-         "--depth", "25"], capsys)
-    assert code == 3
-    assert "hint: the population engine (--engine population)" in err
+    """The node cap bounds the whole batch: at depth 12 one sample has only
+    8191 nodes, but the default 1e5 samples exceed it."""
+    for depth in ("25", "12"):
+        code, _, err = run_cli(
+            ["hardcore-check", "--hardcore-w", "1.0", "--k", "2",
+             "--depth", depth], capsys)
+        assert code == 3, depth
+        assert "hint: the population engine (--engine population)" in err
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +311,20 @@ def test_verify_rows_equal_matrix_reports_zero_gap(capsys):
     gap_check = by_name["rows_equal_mean_gap"]
     assert gap_check["residual"] <= 1e-12
     assert gap_check["passed"] is True
+
+
+def test_verify_channel_uses_k(capsys, monkeypatch):
+    real, ks = cli.base_pair, []
+
+    def recording(c, k):
+        ks.append(k)
+        return real(c, k)
+
+    monkeypatch.setattr(cli, "base_pair", recording)
+    code, out, _ = run_cli(["verify", "--matrix", "0.6", "0.3", "--k", "3"], capsys)
+    assert code == 0
+    assert ks == [3]
+    assert json.loads(out)["config"]["k"] == 3
 
 
 def test_verify_broken_channel_exits_2(capsys):

@@ -1,6 +1,7 @@
 """Forward tree sampling, exact root posterior, population dynamics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,8 +87,17 @@ def test_sampler_stationary_root():
 
 
 def test_sampler_node_cap():
-    with pytest.raises(ResourceLimit):
-        sample_broadcast_batch(symmetric_channel(0.3), 2, 25, 10, seed=0)
+    """The cap bounds the batch, not one sample (depth 12 has only 8191
+    nodes per sample), and refuses before any array is built."""
+    for depth, n in ((25, 10), (12, 100_000)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit):
+                sample_broadcast_batch(symmetric_channel(0.3), 2, depth, n, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, (depth, n)
 
 
 # ----------------------------------------------------------- root posterior

@@ -10,8 +10,6 @@ from treecast import (
     BadBracket,
     ChannelFamily,
     Decision,
-    DecisionRule,
-    Inconclusive,
     InvalidParameter,
     bisect_threshold,
     bounds_report,
@@ -65,15 +63,6 @@ def test_fitted_rate_collapsed_curve():
         fitted_rate([0.5], 1)
 
 
-def test_decision_rule_validation():
-    with pytest.raises(InvalidParameter):
-        DecisionRule(diagnostic="entropy")
-    with pytest.raises(InvalidParameter):
-        DecisionRule(decay_rate=0.99, nondecay_rate=0.98)
-    with pytest.raises(InvalidParameter):
-        DecisionRule(floor=-1.0)
-
-
 # ---------------------------------------------------------------- decisions
 
 def test_decide_subcritical_symmetric():
@@ -106,15 +95,14 @@ def test_decide_validation():
         decide_reconstruction(fam, 0.3, depth=6, engine="quantum")
 
 
-def test_decide_inconclusive_band():
-    """Custom bands force the inconclusive path in both reporting modes."""
+def test_decide_inconclusive_band(monkeypatch):
+    """A band covering every rate forces the inconclusive verdict, which is
+    reported as data."""
+    monkeypatch.setattr(threshold_mod, "DECAY_RATE", 1e-9)
+    monkeypatch.setattr(threshold_mod, "NONDECAY_RATE", 1.5)
     fam = ChannelFamily(kind="symmetric", k=2)
-    rule = DecisionRule(decay_rate=1e-9, nondecay_rate=1.5)
-    d = decide_reconstruction(fam, 0.3, depth=6, rule=rule)
+    d = decide_reconstruction(fam, 0.3, depth=6)
     assert d.verdict == "inconclusive" and d.decaying is None
-    with pytest.raises(Inconclusive):
-        decide_reconstruction(fam, 0.3, depth=6, rule=rule,
-                              on_inconclusive="raise")
 
 
 def test_decide_population_deterministic():
@@ -176,7 +164,7 @@ def test_bisect_rejects_agreeing_endpoints():
 
 def fake_decider(split, inconclusive_below=None):
     def fake(family, param, depth, engine="exact",
-             pop_size=100_000, seed=0, rule=None, on_inconclusive="report"):
+             pop_size=100_000, seed=0):
         if inconclusive_below is not None and param < inconclusive_below:
             verdict = "inconclusive"
         else:
