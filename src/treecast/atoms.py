@@ -131,11 +131,14 @@ class ConditionalPair:
 
         The posterior of root value 0 is a bounded function of the LLR, so
         this is finite even with infinite atoms; it should vanish at every
-        depth (the estimator is unbiased for the prior).
+        depth (the estimator is unbiased for the prior).  Only atoms with
+        positive mixture weight count: where a stationary weight vanishes,
+        the posterior at the opposite infinite atom is undefined.
         """
-        a = posterior_from_llr(self.values, c)
         mix = c.pi0 * self.w0 + c.pi1 * self.w1
-        return abs(float(a @ mix) - c.pi0)
+        live = mix > 0
+        a = posterior_from_llr(self.values[live], c)
+        return abs(float(a @ mix[live]) - c.pi0)
 
     def dominance_violation(self) -> float:
         """Largest violation of the one-sided weight ordering.

@@ -272,7 +272,8 @@ def llr_step(c: BinaryChannel, x):
     arr = np.asarray(x, dtype=np.float64)
     if c.c1 == 0.0 and np.any(np.isneginf(arr)):
         raise UndefinedLimit("llr_step at -inf is undefined when p11 = 0")
-    with np.errstate(over="ignore"):
+    # exp may overflow to +inf (g -> 0); log1p(-1) = -inf is g(-inf) when c0 = 0
+    with np.errstate(over="ignore", divide="ignore"):
         out = np.log1p((c.c0 - c.c1) / (np.exp(arr) + c.c1))
     out = np.where(np.isposinf(arr), 0.0, out)
     if np.ndim(x) == 0:

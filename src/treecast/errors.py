@@ -35,7 +35,11 @@ class AtomExplosion(TreecastError):
     budget it is the number of atom pairs the next convolution fold would
     have formed, raised before that fold allocates anything (it can exceed
     the size of the finished law by orders of magnitude).  The usual
-    remedy is the population engine or ``deep_policy()``.
+    remedy is ``deep_policy()``: its lattice step (width
+    ``LATTICE_WIDTH``) has no atom cap and returns an upper law whose TV
+    is at least the exact one.  When even a lattice fold is over the
+    pair budget (near-deterministic channels, whose contributions span
+    more cells than the budget allows), the population engine remains.
     """
 
     def __init__(self, message: str, count: int = 0):

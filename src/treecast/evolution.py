@@ -1,20 +1,24 @@
-"""Exact density evolution of the conditional root-LLR laws.
+"""Density evolution of the conditional root-LLR laws.
 
 One evolution step takes the depth-``d`` pair of conditional laws to depth
 ``d+1``: each of the ``k`` children contributes an independent draw from
 the appropriate mixture of the two laws, the draw is passed through the
-one-child update ``g``, the ``k`` contributions are summed by exact atom
-convolution, and the constant ``k*ln(p00/p10)`` is added.  All arithmetic
-stays in log-likelihood coordinates; products of likelihoods never appear.
+one-child update ``g``, the ``k`` contributions are summed, and the
+constant ``k*ln(p00/p10)`` is added.  All arithmetic stays in
+log-likelihood coordinates; products of likelihoods never appear.
 
-Atom growth is the only obstacle: a convolution of ``m``-atom laws has up
-to ``C(m+k-1, k)`` atoms.  Each step first merges on a fine grid of width
-:data:`MERGE_TOL`, refusing laws above the policy's atom cap or folds
-above :data:`PAIR_BUDGET` pairs.  A :class:`PruningPolicy` with
-``span_bins`` set then retries once on a coarse span-proportional grid
-instead of failing, which is how depth-12 curves for k up to 5 stay
-affordable; the grid stays anchored at 0 so the sign of every atom (and
-hence the total variation between the laws) survives coarsening.
+Two presets choose how the sum is formed.  :func:`exact_policy` convolves
+atoms and merges only those equal up to rounding (:data:`MERGE_TOL`),
+refusing laws above its atom cap or folds above :data:`PAIR_BUDGET` pairs;
+a convolution of ``m``-atom laws has up to ``C(m+k-1, k)`` atoms, so this
+is for shallow, oracle-grade runs.  :func:`deep_policy` splits each child
+contribution onto the lattice of width :data:`LATTICE_WIDTH` anchored at 0
+and takes the k-fold convolution power of the lattice vector.  The split
+keeps both conditional masses and the per-atom identity
+``w1 = w0 * exp(-value)``; the true child law is a degraded version of the
+split one (Tal & Vardy's upgrading quantizer), so the lattice law is an
+*upper law*: its total variation, at every depth, is at least that of the
+exact law, and exceeds it by O(``LATTICE_WIDTH``).
 """
 
 from __future__ import annotations
@@ -32,41 +36,35 @@ from .atoms import ConditionalPair, grid_merge, posterior_from_llr
 
 
 MERGE_TOL = 1e-12  # fine grid width: merges only atoms equal up to rounding
+LATTICE_WIDTH = 2e-3  # lattice spacing of the deep step's upper law
 PAIR_BUDGET = 1 << 25  # most atom pairs one convolution fold may form
 
 
 @dataclass(frozen=True)
 class PruningPolicy:
-    """Knobs bounding the size of an exact evolution step.
+    """How an evolution step keeps its law small.
 
     Parameters
     ----------
-    weight_floor : float
-        Atoms whose weight falls below this on one conditional law are
-        zeroed there (and dropped once both laws agree they are gone);
-        weights are renormalized.  0 disables flooring.
-    atom_cap : int
-        Maximum atom count after merging.
-    span_bins : int or None
-        When set, a step that overflows on the fine grid is recomputed once
-        on a grid of width ``span * k / span_bins`` (``span`` the range of
-        the finite child contributions); when None the overflow raises
-        :class:`~treecast.errors.AtomExplosion`.
+    atom_cap : int or None
+        An int selects the exact step: atoms are merged only on the
+        :data:`MERGE_TOL` grid and a law above ``atom_cap`` atoms raises
+        :class:`~treecast.errors.AtomExplosion`.  None selects the lattice
+        step: an upper law on the :data:`LATTICE_WIDTH` lattice, whose
+        size only the fold pair budget bounds.
     """
 
-    weight_floor: float
-    atom_cap: int
-    span_bins: int | None
+    atom_cap: int | None
 
 
 def exact_policy() -> PruningPolicy:
-    """Policy for oracle-grade runs: dedup-only merging, no weight floor."""
-    return PruningPolicy(weight_floor=0.0, atom_cap=20_000_000, span_bins=None)
+    """Policy for oracle-grade runs: dedup-only merging, exact laws."""
+    return PruningPolicy(atom_cap=20_000_000)
 
 
 def deep_policy() -> PruningPolicy:
-    """Policy for deep runs: fall back to a span-proportional grid on overflow."""
-    return PruningPolicy(weight_floor=1e-15, atom_cap=200_000, span_bins=2048)
+    """Policy for deep runs: the lattice step, an upper law at any depth."""
+    return PruningPolicy(atom_cap=None)
 
 
 def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
@@ -125,7 +123,7 @@ def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
 
 def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
            policy: PruningPolicy | None = None) -> ConditionalPair:
-    """One exact density-evolution step: depth ``d`` to depth ``d+1``.
+    """One density-evolution step: depth ``d`` to depth ``d+1``.
 
     Parameters
     ----------
@@ -137,24 +135,25 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
     k : int
         Branching number.
     policy : PruningPolicy, optional
-        Defaults to :func:`deep_policy`.
+        Defaults to :func:`exact_policy`; :func:`deep_policy` gives the
+        lattice upper law.
 
     Returns
     -------
     ConditionalPair
-        Pair at depth ``d+1``; support is fully finite (the update maps
-        ``+-inf`` children to finite contributions).
+        Pair at depth ``d+1``; the support is finite except for a ``-inf``
+        atom when ``p01 = 0`` (a 1 anywhere below rules out root value 0).
 
     Raises
     ------
     AtomExplosion
-        If the atom count or intermediate pair count exceeds the policy
-        on the fine grid and the policy allows no coarse grid.
+        If the exact step's atom count exceeds the policy's cap, or a
+        convolution fold would form more than :data:`PAIR_BUDGET` pairs.
     UndefinedLimit
         If an atom sits at ``-inf`` while ``p11 = 0``.
     """
     if policy is None:
-        policy = deep_policy()
+        policy = exact_policy()
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise InvalidParameter(f"k must be a positive integer, got {k!r}")
     k = int(k)
@@ -163,52 +162,83 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
     mix0 = c.p00 * pair.w0 + c.p01 * pair.w1
     mix1 = c.p10 * pair.w0 + c.p11 * pair.w1
     g_arr = llr_step(c, pair.values)  # may raise UndefinedLimit
-    const = k * math.log(c.p00 / c.p10)
-
-    try:
-        values, w0, w1 = _convolve(g_arr, mix0, mix1, k, const, MERGE_TOL, policy.atom_cap)
-    except AtomExplosion:
-        if policy.span_bins is None:
-            raise
-        # One coarse attempt always fits: a width-W interval holds at most
-        # W/eff + 2 cells and every j-fold partial sum lies in j*[gmin, gmax],
-        # so the law keeps at most span_bins + 3 atoms (one at -inf when
-        # p01 = 0) and no fold forms more than ~2.1M pairs, far below the cap
-        # and PAIR_BUDGET.  The fine attempt fails only when k*span/MERGE_TOL
-        # exceeds ~5.8e3, so eff = span*k/span_bins always exceeds MERGE_TOL.
-        finite = g_arr[np.isfinite(g_arr)]
-        eff = float(finite.max() - finite.min()) * k / policy.span_bins
-        values, w0, w1 = _convolve(g_arr, mix0, mix1, k, const, eff, policy.atom_cap)
-
-    if policy.weight_floor > 0:
-        w0 = np.where(w0 >= policy.weight_floor, w0, 0.0)
-        w1 = np.where(w1 >= policy.weight_floor, w1, 0.0)
-        keep = (w0 > 0) | (w1 > 0)
-        values, w0, w1 = values[keep], w0[keep], w1[keep]
-        w0 = w0 / w0.sum()
-        w1 = w1 / w1.sum()
+    child_const = math.log(c.p00 / c.p10)
+    if policy.atom_cap is None:
+        values, w0, w1 = _lattice_power(g_arr + child_const, mix0, mix1, k)
+    else:
+        values, w0, w1 = _convolve(g_arr, mix0, mix1, k, k * child_const, policy.atom_cap)
     return ConditionalPair(depth=pair.depth + 1, values=values, w0=w0, w1=w1)
 
 
-def _convolve(g_arr, mix0, mix1, k, const, eff, atom_cap):
+def _fold_budget(n_pairs: int) -> None:
+    """Refuse a convolution fold before it forms more than PAIR_BUDGET pairs."""
+    if n_pairs > PAIR_BUDGET:
+        raise AtomExplosion(
+            f"convolution needs {n_pairs} atom pairs (budget {PAIR_BUDGET})",
+            count=n_pairs)
+
+
+def _lattice_power(h, m0, m1, k):
+    """k-fold i.i.d. sum of child contributions split onto the lattice.
+
+    ``h`` holds the whole per-child contributions (``g`` plus
+    ``ln(p00/p10)``) with child weights ``m0``, ``m1``.  Each finite atom
+    moves to the two lattice points around it, ``beta0`` of its root-0
+    weight up and the rest down, with ``beta0`` chosen so its root-1 weight
+    ``m1`` is kept too.  Every lattice law then has root-1 weights
+    ``w0 * exp(-value)``, which is how they are formed, so only the root-0
+    vector is convolved.  Contributions at ``-inf`` (only when ``p01 = 0``)
+    carry no root-0 weight and stay off the lattice: a sum is ``-inf`` with
+    root-1 probability ``1 - (1 - q)**k``.
+    """
+    t = LATTICE_WIDTH
+    sure = np.isneginf(h)  # g is finite except g(-inf) = -inf when p01 = 0
+    q = float(m1[sure].sum())
+    h, m0, m1 = h[~sure], m0[~sure], m1[~sure]
+    cell = np.floor(h / t)
+    # beta0 = (m0*exp(-a) - m1) / (exp(-a) - exp(-a-t)) at a = cell*t; m1
+    # stands in for m0*exp(-h), which rounding in h would move by ~1e-14
+    up = np.clip((m0 - m1 * np.exp(cell * t)) / -math.expm1(-t), 0.0, m0)
+    cell = cell.astype(np.int64)
+    low = int(cell.min())
+    size = int(cell.max()) - low + 2
+    f = (np.bincount(cell - low, m0 - up, minlength=size)
+         + np.bincount(cell - low + 1, up, minlength=size))
+    s = f
+    for _ in range(k - 1):
+        _fold_budget(len(s) * len(f))
+        s = np.convolve(s, f)
+    live = np.flatnonzero(s > 0)
+    values = (live + k * low) * t
+    # both masses are reset to their exact totals each step: fed back
+    # through the child mixtures, a rounding error in either total would
+    # grow by a factor of up to k per depth
+    log_finite1 = k * math.log1p(-q)  # root-1 mass (1 - q)**k off -inf
+    w0 = s[live] / s[live].sum()
+    w1 = w0 * np.exp(-values)
+    w1 *= math.exp(log_finite1) / w1.sum()
+    if q > 0:
+        values = np.concatenate(([-np.inf], values))
+        w0 = np.concatenate(([0.0], w0))
+        w1 = np.concatenate(([-math.expm1(log_finite1)], w1))
+    return values, w0, w1
+
+
+def _convolve(g_arr, mix0, mix1, k, const, atom_cap):
     """k-fold i.i.d. sum of the g-image plus the depth constant."""
-    y, m0, m1 = grid_merge(g_arr, mix0, mix1, tol=eff)
+    y, m0, m1 = grid_merge(g_arr, mix0, mix1, tol=MERGE_TOL)
     s, sw0, sw1 = y, m0, m1
     for _ in range(k - 1):
-        n_pairs = len(s) * len(y)
-        if n_pairs > PAIR_BUDGET:
-            raise AtomExplosion(
-                f"convolution needs {n_pairs} atom pairs "
-                f"(budget {PAIR_BUDGET})", count=n_pairs)
+        _fold_budget(len(s) * len(y))
         total = (s[:, None] + y[None, :]).ravel()
         t0 = (sw0[:, None] * m0[None, :]).ravel()
         t1 = (sw1[:, None] * m1[None, :]).ravel()
-        s, sw0, sw1 = grid_merge(total, t0, t1, tol=eff)
+        s, sw0, sw1 = grid_merge(total, t0, t1, tol=MERGE_TOL)
         if len(s) > atom_cap:
             raise AtomExplosion(
                 f"law has {len(s)} atoms (cap {atom_cap})", count=len(s))
     s = s + const
-    s, sw0, sw1 = grid_merge(s, sw0, sw1, tol=eff)
+    s, sw0, sw1 = grid_merge(s, sw0, sw1, tol=MERGE_TOL)
     if len(s) > atom_cap:
         raise AtomExplosion(
             f"law has {len(s)} atoms (cap {atom_cap})", count=len(s))
@@ -260,13 +290,16 @@ def diagnostics(pair: ConditionalPair, c: BinaryChannel) -> dict:
         ``tv``: total variation distance between the laws (exact on the
         shared support); ``mean_gap``: see :func:`mean_gap`; ``var_A``:
         variance of the root posterior under the stationary mixture.
-        All three decay to 0 exactly when the laws merge.
+        All three decay to 0 exactly when the laws merge.  ``var_A`` sums
+        over atoms of positive mixture weight only, so an atom the mixture
+        never reaches (``-inf`` when ``pi1 = 0``) cannot make it NaN.
     """
     tv = 0.5 * float(np.abs(pair.w0 - pair.w1).sum())
-    a = posterior_from_llr(pair.values, c)
     mix = c.pi0 * pair.w0 + c.pi1 * pair.w1
-    mean_a = float(a @ mix)
-    var_a = float((a - mean_a) ** 2 @ mix)
+    live = mix > 0
+    a = posterior_from_llr(pair.values[live], c)
+    mean_a = float(a @ mix[live])
+    var_a = float((a - mean_a) ** 2 @ mix[live])
     return {"tv": tv, "mean_gap": mean_gap(pair), "var_A": var_a}
 
 

@@ -219,10 +219,28 @@ def gibbs_conditional_check(params: HardCoreParams, depth: int, node: int,
         truncation (the root qualifies only in the ``center_root``
         variant).
     """
-    c, _ = hardcore_channel(params.w, params.k)
     tree = truncated_tree(params.k, depth, center_root=center_root)
     if node not in tree.interior_nodes():
         raise NotInterior(f"node {node} lacks a full neighborhood at depth {depth}")
+    return _node_residual(params, tree, node)
+
+
+def gibbs_conditional_sweep(params: HardCoreParams, depth: int,
+                            center_root: bool = False) -> float:
+    """Largest :func:`gibbs_conditional_check` residual over all interior nodes.
+
+    The tree and its interior are built once for the whole sweep.
+    """
+    tree = truncated_tree(params.k, depth, center_root=center_root)
+    nodes = tree.interior_nodes()
+    if not nodes:
+        raise NotInterior(f"no interior nodes at depth {depth}")
+    return max(_node_residual(params, tree, node) for node in nodes)
+
+
+def _node_residual(params: HardCoreParams, tree: TreeIndex, node: int) -> float:
+    """Single-site conditional residual at an interior ``node`` of ``tree``."""
+    c, _ = hardcore_channel(params.w, params.k)
     lam_cond = params.lam / (1.0 + params.lam)
 
     row = [[c.p00, c.p01], [c.p10, c.p11]]
@@ -247,17 +265,6 @@ def gibbs_conditional_check(params: HardCoreParams, depth: int, node: int,
         expected = lam_cond if all(b == 0 for b in bits) else 0.0
         worst = max(worst, abs(conditional - expected))
     return worst
-
-
-def gibbs_conditional_sweep(params: HardCoreParams, depth: int,
-                            center_root: bool = False) -> float:
-    """Largest :func:`gibbs_conditional_check` residual over all interior nodes."""
-    tree = truncated_tree(params.k, depth, center_root=center_root)
-    nodes = tree.interior_nodes()
-    if not nodes:
-        raise NotInterior(f"no interior nodes at depth {depth}")
-    return max(gibbs_conditional_check(params, depth, node, center_root=center_root)
-               for node in nodes)
 
 
 @dataclass(frozen=True)

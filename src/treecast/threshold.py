@@ -126,7 +126,7 @@ def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
     Parameters
     ----------
     engine : str
-        "exact" (atom convolution with the deep policy) or
+        "exact" (the lattice upper law of ``deep_policy()``) or
         "population" (anchored population dynamics of size ``pop_size``).
 
     Returns
@@ -197,6 +197,14 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
     depth 12 for the hard-core family; bracket (0.02, 0.48) with tol
     0.005 for the symmetric family, (1.0, 100.0) with tol 0.5 for the
     hard-core family.
+
+    The exact engine steps with ``deep_policy()``, the lattice upper law
+    of width ``LATTICE_WIDTH``: every TV on its curve is at least the
+    exact law's, by O(``LATTICE_WIDTH``).  So a "decaying" verdict from
+    a last value below ``FLOOR`` holds for the exact curve too; a fitted
+    rate has no such direction, and near the crossing a verdict can move
+    with the width (the hard-core k=2 default gives 78.15 at widths 2e-3
+    and 1e-3 alike).
 
     Raises
     ------

@@ -180,6 +180,20 @@ def test_evolve_hardcore_exact_tv_positive_decreasing(tmp_path, capsys):
     assert all(b < a for a, b in zip(tv, tv[1:]))
 
 
+def test_evolve_vanishing_stationary_weight_has_finite_var_a(tmp_path, capsys):
+    """p01 = 0 puts a -inf atom where pi1 = 0: var_A is 0, not NaN."""
+    out = tmp_path / "p01zero.csv"
+    code, _, _ = run_cli(
+        ["evolve", "--matrix", "1.0", "0.3", "--k", "2", "--depth", "4",
+         "--out", str(out)], capsys)
+    assert code == 0
+    _, header, rows = read_csv(out)
+    var_a = column(header, rows, "var_A")
+    assert len(var_a) == 4
+    assert all(0.0 <= value <= 1e-15 for value in var_a)
+    assert all(value == math.inf for value in column(header, rows, "mean_gap"))
+
+
 def test_evolve_population_csv_has_se_columns(tmp_path, capsys):
     out = tmp_path / "pop.csv"
     code, _, _ = run_cli(
@@ -448,12 +462,13 @@ PINNED_OUTPUTS = {
     "evolve-exact": (
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "5",
          "--out", "evolve.csv"],
-        "d7901faf876e53224b0df450a421bf371f5b274b76cde8bcc82f445bb31ef8f3"),
-    # k=3 at depth 4 is the one pin whose last step runs on the coarse grid
-    "evolve-exact-coarse": (
+        "2c8f531b3690c96915daf1e5119d175cce1b041228f6c7529dc877c04cdb6e6b"),
+    # k=3 at depth 4: a law the exact engine refuses (its last fold is
+    # above PAIR_BUDGET), so only the lattice step computes this curve
+    "evolve-exact-k3": (
         ["evolve", "--symmetric", "0.2", "--k", "3", "--depth", "4",
          "--out", "evolve_k3_d4.csv"],
-        "9ef5132ff1bd2a8a4992436a41efdb526dd6c5e7bf0a455ac9c748dc6e898836"),
+        "4f84cc1f452437617b1a9b0c9f658ae8012cb043ea8e6ff17513ac5727d74113"),
     "evolve-population": (
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "4",
          "--engine", "population", "--pop-size", "4000", "--seed", "9",
@@ -462,14 +477,14 @@ PINNED_OUTPUTS = {
     "couple-csv": (
         ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
          "--out", "coupling.csv"],
-        "88dd695a3994651282a23843f7725102707c15e922823e308833d41cfc08608c"),
+        "97127132949517ceffab44d4de9f6099ea8247468e1ee69a2cd69975679e110a"),
     "couple-json": (
         ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
          "--format", "json", "--out", "coupling.json"],
-        "0b8664669c0bb5ccac97a6a99b548b249030da63ac6966aa5ce49e20e67a1f70"),
+        "8bb29d3e15da6c89ba9a2b30eec7677f42dab8d8c2749cb6056d6fffea08f92a"),
     "verify-suite": (
         ["verify", "--out", "suite.json"],
-        "634b5e944063fceb6168886e6b97915724fc5493c4f53ef430d8fb121ff24e27"),
+        "62d989590cdd3cb259d094dcd35739850f3b9460590a1e37fa44ea246166f40b"),
     "verify-matrix": (
         ["verify", "--matrix", "0.6", "0.3", "--out", "verify.json"],
         "de41da4d2c9343ee31e0292804d4ecfe1363829dbaebfd9c19041d8a08e1fa90"),
@@ -477,7 +492,7 @@ PINNED_OUTPUTS = {
         ["threshold", "--symmetric", "--k", "2", "--engine", "exact",
          "--depth", "4", "--tol", "0.1", "--bracket", "0.05", "0.45",
          "--seed", "4", "--out", "threshold.json"],
-        "40f4886bc1bbf27cfa4d3ae2e00d22db6e39f93e6dfa502e45060260bec788b1"),
+        "e692245e7b3dc8212d8338e5336e6fc348e015a29a50b3ccc5f85342f4c42606"),
 }
 
 

@@ -1,6 +1,8 @@
-"""Exact density evolution of the conditional root-LLR laws."""
+"""Density evolution of the conditional root-LLR laws."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,7 +240,7 @@ def test_diagnostics_positive_when_informative():
 # ----------------------------------------------------------- resource caps
 
 def test_atom_cap_raises():
-    policy = PruningPolicy(weight_floor=0.0, atom_cap=10, span_bins=None)
+    policy = PruningPolicy(atom_cap=10)
     c = make_channel(0.81, 0.27)
     with pytest.raises(AtomExplosion) as info:
         evolve_to_depth(c, 2, 4, policy)
@@ -247,28 +249,88 @@ def test_atom_cap_raises():
 
 def test_pair_budget_raises_before_allocation(monkeypatch):
     monkeypatch.setattr(evolution, "PAIR_BUDGET", 50)
-    policy = PruningPolicy(weight_floor=0.0, atom_cap=1 << 40, span_bins=None)
+    policy = PruningPolicy(atom_cap=1 << 40)
     c = make_channel(0.81, 0.27)
     with pytest.raises(AtomExplosion) as info:
         evolve_to_depth(c, 2, 4, policy)
     assert info.value.count > 50
 
 
-def test_coarse_fallback_fits():
-    """A law too wide for the fine grid fits in one coarse attempt."""
-    n = 6000
-    pair = ConditionalPair(depth=3, values=np.linspace(-5.0, 5.0, n),
-                           w0=np.full(n, 1.0 / n),
-                           w1=np.linspace(1.0, 2.0, n) / (1.5 * n))
+# ------------------------------------------------------------ lattice step
+
+def lattice_identity_residual(pair):
+    """Largest |w1 - w0*exp(-v)| over the finite atoms."""
+    finite = np.isfinite(pair.values)
+    v = pair.values[finite]
+    return float(np.max(np.abs(pair.w1[finite] - pair.w0[finite] * np.exp(-v))))
+
+
+def test_lattice_tv_bounds_exact_tv_from_above():
+    """The lattice law is an upper law wherever the exact engine computes."""
+    channels = [symmetric_channel(0.1), symmetric_channel(0.25),
+                make_channel(0.81, 0.27), make_channel(0.6, 0.15),
+                hardcore_channel(w_of_lambda(1.0, 2), 2)[0],
+                hardcore_channel(w_of_lambda(30.0, 2), 2)[0]]
+    checked = 0
+    for c in channels:
+        for k in (1, 2, 3):
+            exact = upper = base_pair(c, k)
+            for _ in range(2, 6):
+                upper = evolve(upper, c, k, deep_policy())
+                try:
+                    exact = evolve(exact, c, k, exact_policy())
+                except AtomExplosion:
+                    break
+                tv_exact = diagnostics(exact, c)["tv"]
+                tv_upper = diagnostics(upper, c)["tv"]
+                assert tv_upper >= tv_exact - 1e-12, (c, k, exact.depth)
+                # the excess is a lattice-width effect, not a different law
+                assert tv_upper - tv_exact < 10 * evolution.LATTICE_WIDTH
+                checked += 1
+    assert checked >= 40
+
+
+def test_lattice_identity_and_posterior_mean_through_depth_12():
+    for c, k in [(symmetric_channel(0.15), 2), (symmetric_channel(0.2), 5),
+                 (make_channel(0.81, 0.27), 3),
+                 (hardcore_channel(w_of_lambda(78.0, 2), 2)[0], 2)]:
+        pairs = trajectory(base_pair(c, k), lambda p: evolve(p, c, k, deep_policy()), 12)
+        for pair in itertools.islice(pairs, 1, None):
+            assert lattice_identity_residual(pair) <= 1e-15, (c, k, pair.depth)
+            assert pair.posterior_mean_residual(c) <= 1e-12, (c, k, pair.depth)
+            steps = pair.values / evolution.LATTICE_WIDTH
+            assert np.max(np.abs(steps - np.round(steps))) < 1e-9, "off the 0-anchored lattice"
+        assert pair.depth == 12
+
+
+def test_lattice_keeps_minus_inf_atom_without_warnings():
+    """p01 = 0: a 1 anywhere below rules out root 0, mass 1 - (1 - q)**k."""
+    c = make_channel(1.0, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = evolve(base_pair(c, 2), c, 2, exact_policy())
+        pairs = list(trajectory(base_pair(c, 2),
+                                lambda p: evolve(p, c, 2, deep_policy()), 6))
+        diag = [diagnostics(p, c) for p in pairs]
+    for prev, pair in itertools.pairwise(pairs):
+        assert pair.values[0] == -math.inf and pair.w0[0] == 0.0
+        assert np.all(np.isfinite(pair.values[1:]))
+        q = c.p11 * prev.w1[0]  # root-1 mass of a child at -inf
+        assert abs(pair.w1[0] - (1.0 - (1.0 - q) ** 2)) < 1e-15
+        assert lattice_identity_residual(pair) <= 1e-15
+        assert pair.posterior_mean_residual(c) <= 1e-12
+    assert abs(pairs[1].w1[0] - exact.w1[0]) < 1e-15
+    # pi1 = 0: every atom the mixture reaches has posterior 1
+    assert all(0.0 <= d["var_A"] <= 1e-15 and d["mean_gap"] == math.inf for d in diag)
+
+
+def test_lattice_fold_refused_above_pair_budget(monkeypatch):
+    monkeypatch.setattr(evolution, "PAIR_BUDGET", 1000)
     c = symmetric_channel(0.2)
-    policy = deep_policy()
-    for k in (2, 3, 4, 5):
-        with pytest.raises(AtomExplosion):
-            evolve(pair, c, k, exact_policy())
-        nxt = evolve(pair, c, k, policy)
-        assert nxt.depth == 4
-        assert len(nxt.values) <= policy.span_bins + 3, k
-        assert abs(nxt.w0.sum() - 1.0) < 1e-12 and abs(nxt.w1.sum() - 1.0) < 1e-12
+    pair = evolve(base_pair(c, 2), c, 2, exact_policy())
+    with pytest.raises(AtomExplosion) as info:
+        evolve(pair, c, 2, deep_policy())
+    assert info.value.count > 1000
 
 
 def test_trajectory_yields_one_state_per_depth():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from treecast import hardcore
 from treecast import (
     FiniteGraph,
     InvalidParameter,
@@ -171,6 +172,26 @@ def test_gibbs_sweep_center_variant():
     assert gibbs_conditional_sweep(params, 3, center_root=True) < 1e-12
     _, params = hardcore_channel(0.7, 3)
     assert gibbs_conditional_sweep(params, 2, center_root=True) < 1e-12
+
+
+def test_gibbs_sweep_builds_tree_once(monkeypatch):
+    """One tree per sweep; the residual is the per-node check's maximum."""
+    real, calls = hardcore.truncated_tree, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for w, k, depth, center in ((0.7, 3, 3, False), (2.0, 2, 5, True)):
+        _, params = hardcore_channel(w, k)
+        nodes = real(k, depth, center_root=center).interior_nodes()
+        per_node = max(gibbs_conditional_check(params, depth, node, center_root=center)
+                       for node in nodes)
+        calls.clear()
+        monkeypatch.setattr(hardcore, "truncated_tree", counting)
+        assert gibbs_conditional_sweep(params, depth, center_root=center) == per_node
+        assert len(calls) == 1
+        monkeypatch.setattr(hardcore, "truncated_tree", real)
 
 
 def test_gibbs_non_interior_node_rejected():
