@@ -16,8 +16,8 @@ import argparse
 
 from treecast.channels import symmetric_channel, kesten_stigum_eps_c
 from treecast.evolution import base_pair, trajectory
-from treecast.sampling import (population_from_pair, population_evolve,
-                               estimate_diagnostics)
+from treecast.sampling import (population_from_pair,
+                               population_evolve_anchored, estimate_diagnostics)
 from treecast.threshold import ChannelFamily, bisect_threshold
 
 
@@ -36,7 +36,8 @@ def main():
         c = symmetric_channel(eps)
         first = population_from_pair(base_pair(c, args.k), args.pop_size,
                                      args.seed)
-        for pop in trajectory(first, lambda p: population_evolve(p, c, args.k),
+        for pop in trajectory(first,
+                              lambda p: population_evolve_anchored(p, c, args.k),
                               args.depth):
             pass
         est = estimate_diagnostics(pop, c)

@@ -20,15 +20,15 @@ from .channels import (BinaryChannel, HardCoreParams, make_channel,
                        hardcore_contraction, brightwell_winkler_lower_w)
 from .atoms import (AtomicDistribution, ConditionalPair, grid_merge,
                     posterior_from_llr, llr_from_posterior)
-from .evolution import (PruningPolicy, exact_policy, deep_policy, base_pair,
+from .evolution import (exact_policy, deep_policy, base_pair,
                         evolve, trajectory, evolve_to_depth, mean_gap,
                         diagnostics, gap_identity_residual)
 from .conditioning import (Coupling, build_coupling, SandwichVerdict,
                            verify_sandwich)
 from .sampling import (BroadcastSample, sample_broadcast,
                        sample_broadcast_batch, bp_root_posterior, Population,
-                       population_from_pair, population_evolve,
-                       population_evolve_anchored, estimate_diagnostics)
+                       population_from_pair, population_evolve_anchored,
+                       estimate_diagnostics)
 from .hardcore import (FiniteGraph, enumerate_independent_sets,
                        HardCoreMeasure, hardcore_measure, TreeIndex,
                        truncated_tree, gibbs_conditional_check,
@@ -53,13 +53,13 @@ __all__ = [
     "gap_kernel_peak", "hardcore_contraction", "brightwell_winkler_lower_w",
     "AtomicDistribution", "ConditionalPair", "grid_merge",
     "posterior_from_llr", "llr_from_posterior",
-    "PruningPolicy", "exact_policy", "deep_policy", "base_pair", "evolve",
+    "exact_policy", "deep_policy", "base_pair", "evolve",
     "trajectory", "evolve_to_depth", "mean_gap", "diagnostics",
     "gap_identity_residual",
     "Coupling", "build_coupling", "SandwichVerdict", "verify_sandwich",
     "BroadcastSample", "sample_broadcast", "sample_broadcast_batch",
     "bp_root_posterior", "Population", "population_from_pair",
-    "population_evolve", "population_evolve_anchored", "estimate_diagnostics",
+    "population_evolve_anchored", "estimate_diagnostics",
     "FiniteGraph", "enumerate_independent_sets", "HardCoreMeasure",
     "hardcore_measure", "TreeIndex", "truncated_tree",
     "gibbs_conditional_check", "gibbs_conditional_sweep",

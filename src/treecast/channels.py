@@ -25,6 +25,7 @@ from scipy.optimize import brentq
 from .errors import DegenerateChannel, InvalidParameter, UndefinedLimit
 
 _ROW_TOL = 1e-12
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,10 @@ def lambda_of_w(w: float, k: int) -> float:
     """Activity ``w*(1+w)**k``, evaluated in log space to avoid overflow."""
     if w <= 0:
         raise InvalidParameter(f"w must be positive, got {w}")
-    return math.exp(math.log(w) + k * math.log1p(w))
+    log_lam = math.log(w) + k * math.log1p(w)
+    if log_lam > _LOG_FLOAT_MAX:
+        raise InvalidParameter(f"activity w*(1+w)**k overflows float64 (w={w}, k={k})")
+    return math.exp(log_lam)
 
 
 def w_of_lambda(lam: float, k: int) -> float:
@@ -182,10 +186,14 @@ def w_of_lambda(lam: float, k: int) -> float:
     """
     if not (isinstance(lam, (int, float)) and lam > 0 and math.isfinite(lam)):
         raise InvalidParameter(f"lambda must be positive and finite, got {lam!r}")
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise InvalidParameter(f"k must be a positive integer, got {k!r}")
     target = math.log(lam)
 
     def h(t: float) -> float:
-        return t + k * math.log1p(math.exp(t)) - target
+        # ln(1 + e^t), written so e^t cannot overflow where it would
+        soft = math.log1p(math.exp(t)) if t < 700.0 else t + math.log1p(math.exp(-t))
+        return t + k * soft - target
 
     lo, hi = -745.0, max(1.0, target) + 1.0
     # h(lo) < 0 for any representable lam; widen hi if needed
@@ -266,6 +274,12 @@ def llr_step(c: BinaryChannel, x):
         When ``x = -inf`` and ``c1 = 0`` (the update diverges).
     InvalidParameter
         When ``p00 = 0`` or ``p10 = 0`` (the coefficients are infinite).
+    DegenerateChannel
+        When a value leaves float64 although ``g`` is finite there: it
+        overflows to ``+inf`` (``c0/exp(x)`` above ~1.8e308), or it rounds
+        to ``-inf`` although ``c0 > 0`` keeps ``g`` above ``ln(c0/c1)``
+        (``c0/c1`` below ~1e-16), where it would pose as a ``p01 = 0``
+        certainty.
     """
     if c.p00 <= 0.0 or c.p10 <= 0.0:
         raise InvalidParameter("llr_step requires p00 > 0 and p10 > 0")
@@ -276,6 +290,11 @@ def llr_step(c: BinaryChannel, x):
     with np.errstate(over="ignore", divide="ignore"):
         out = np.log1p((c.c0 - c.c1) / (np.exp(arr) + c.c1))
     out = np.where(np.isposinf(arr), 0.0, out)
+    # g is finite at finite x, and g(-inf) = ln(c0/c1) is -inf only when c0 = 0
+    if np.any(np.isposinf(out) if c.c0 == 0.0 else np.isinf(out)):
+        raise DegenerateChannel(
+            f"llr_step leaves float64 (c0 = {c.c0:.3g}, c1 = {c.c1:.3g}): the "
+            "channel is too close to deterministic")
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -312,7 +331,9 @@ def gap_kernel_peak(c: BinaryChannel) -> tuple[float, float]:
     """
     if min(c.p00, c.p01, c.p10, c.p11) <= 0.0:
         raise InvalidParameter("gap_kernel_peak requires all entries positive")
-    argmax = 0.5 * (math.log(c.p01 * c.p11) - math.log(c.p00 * c.p10))
+    # a log per entry: a product of two entries may underflow to 0
+    argmax = 0.5 * (math.log(c.p01) + math.log(c.p11)
+                    - math.log(c.p00) - math.log(c.p10))
     return argmax, geometric_mean_bound_lhs(c)
 
 

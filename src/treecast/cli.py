@@ -43,7 +43,7 @@ from .evolution import (deep_policy, exact_policy, base_pair, evolve,
                         evolve_to_depth, trajectory, diagnostics, mean_gap,
                         gap_identity_residual)
 from .conditioning import build_coupling, verify_sandwich
-from .sampling import (population_from_pair, population_evolve,
+from .sampling import (population_from_pair, population_evolve_anchored,
                        estimate_diagnostics)
 from .hardcore import (HardCoreParams, gibbs_conditional_sweep,
                        brw_independence_check)
@@ -218,7 +218,7 @@ def cmd_evolve(args) -> int:
         measure = diagnostics
     else:
         first = population_from_pair(first, args.pop_size, args.seed)
-        step = lambda p: population_evolve(p, c, args.k)
+        step = lambda p: population_evolve_anchored(p, c, args.k)
         measure = estimate_diagnostics
     rows = [{"depth": s.depth, **measure(s, c)} for s in trajectory(first, step, depth)]
 
@@ -435,6 +435,20 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+# what to change after a resource limit (exit 3), by subcommand and error:
+# an atom or pair count comes from the exact engine, a ResourceLimit from
+# the population engine or the sampler
+_POPULATION_HINT = "the population engine (--engine population) sidesteps atom blowup"
+_HINTS = {
+    ("evolve", AtomExplosion): _POPULATION_HINT,
+    ("threshold", AtomExplosion): _POPULATION_HINT,
+    ("evolve", ResourceLimit): "raise --pop-size",
+    ("threshold", ResourceLimit): "raise --pop-size",
+    ("couple", AtomExplosion): "lower --depth or --k",
+    ("hardcore-check", ResourceLimit): "lower --pop-size or --depth",
+    ("verify", AtomExplosion): "lower --k",
+}
+
 _DISPATCH = {
     "bounds": cmd_bounds,
     "evolve": cmd_evolve,
@@ -459,8 +473,9 @@ def main(argv=None) -> int:
         return 2
     except (AtomExplosion, ResourceLimit) as err:
         print(f"error: {err}", file=sys.stderr)
-        print("hint: the population engine (--engine population) sidesteps "
-              "atom blowup", file=sys.stderr)
+        hint = _HINTS.get((args.command, type(err)))
+        if hint:
+            print(f"hint: {hint}", file=sys.stderr)
         return 3
     except BadBracket as err:
         print(f"error: {err}", file=sys.stderr)

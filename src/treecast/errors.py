@@ -28,18 +28,21 @@ class UndefinedLimit(TreecastError):
 
 
 class AtomExplosion(TreecastError):
-    """Exact density evolution exceeded the configured atom or pair budget.
+    """Density evolution exceeded the atom cap or the fold pair budget.
 
     Carries ``count``, whose meaning depends on the guard that fired: for
-    the atom cap it is the atom count of the merged law; for the pair
-    budget it is the number of atom pairs the next convolution fold would
-    have formed, raised before that fold allocates anything (it can exceed
-    the size of the finished law by orders of magnitude).  The usual
-    remedy is ``deep_policy()``: its lattice step (width
-    ``LATTICE_WIDTH``) has no atom cap and returns an upper law whose TV
-    is at least the exact one.  When even a lattice fold is over the
-    pair budget (near-deterministic channels, whose contributions span
-    more cells than the budget allows), the population engine remains.
+    the exact step's ``ATOM_CAP`` it is the atom count of the merged law;
+    for ``PAIR_BUDGET`` it is the number of atom pairs a convolution fold
+    would have formed, raised before that fold allocates anything (it can
+    exceed the size of the finished law by orders of magnitude).  The
+    exact step checks each fold as it comes; the lattice step checks its
+    last and largest fold, ``((k-1)*(L-1) + 1) * L`` pairs for an
+    ``L``-point lattice vector, before the first.  The usual remedy is
+    ``deep_policy()``: its lattice step (width ``LATTICE_WIDTH``) has no
+    atom cap and returns an upper law whose TV is at least the exact one.
+    When even the lattice folds are over the pair budget
+    (near-deterministic channels, whose contributions span more cells
+    than the budget allows), the population engine remains.
     """
 
     def __init__(self, message: str, count: int = 0):

@@ -7,11 +7,13 @@ one-child update ``g``, the ``k`` contributions are summed, and the
 constant ``k*ln(p00/p10)`` is added.  All arithmetic stays in
 log-likelihood coordinates; products of likelihoods never appear.
 
-Two presets choose how the sum is formed.  :func:`exact_policy` convolves
-atoms and merges only those equal up to rounding (:data:`MERGE_TOL`),
-refusing laws above its atom cap or folds above :data:`PAIR_BUDGET` pairs;
-a convolution of ``m``-atom laws has up to ``C(m+k-1, k)`` atoms, so this
-is for shallow, oracle-grade runs.  :func:`deep_policy` splits each child
+Two step functions form the sum, and :func:`evolve` calls the one it is
+given.  :func:`exact_policy` returns the exact one, which convolves atoms
+and merges only those equal up to rounding (:data:`MERGE_TOL`), refusing
+laws above :data:`ATOM_CAP` atoms or folds above :data:`PAIR_BUDGET`
+pairs; a convolution of ``m``-atom laws has up to ``C(m+k-1, k)`` atoms,
+so this is for shallow, oracle-grade runs.  :func:`deep_policy` returns
+the lattice one, which splits each child
 contribution onto the lattice of width :data:`LATTICE_WIDTH` anchored at 0
 and takes the k-fold convolution power of the lattice vector.  The split
 keeps both conditional masses and the per-atom identity
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import binom
@@ -38,33 +39,17 @@ from .atoms import ConditionalPair, grid_merge, posterior_from_llr
 MERGE_TOL = 1e-12  # fine grid width: merges only atoms equal up to rounding
 LATTICE_WIDTH = 2e-3  # lattice spacing of the deep step's upper law
 PAIR_BUDGET = 1 << 25  # most atom pairs one convolution fold may form
+ATOM_CAP = 20_000_000  # most atoms an exact law may hold
 
 
-@dataclass(frozen=True)
-class PruningPolicy:
-    """How an evolution step keeps its law small.
-
-    Parameters
-    ----------
-    atom_cap : int or None
-        An int selects the exact step: atoms are merged only on the
-        :data:`MERGE_TOL` grid and a law above ``atom_cap`` atoms raises
-        :class:`~treecast.errors.AtomExplosion`.  None selects the lattice
-        step: an upper law on the :data:`LATTICE_WIDTH` lattice, whose
-        size only the fold pair budget bounds.
-    """
-
-    atom_cap: int | None
+def exact_policy():
+    """The exact step, for oracle-grade runs: dedup-only merging, exact laws."""
+    return _convolve
 
 
-def exact_policy() -> PruningPolicy:
-    """Policy for oracle-grade runs: dedup-only merging, exact laws."""
-    return PruningPolicy(atom_cap=20_000_000)
-
-
-def deep_policy() -> PruningPolicy:
-    """Policy for deep runs: the lattice step, an upper law at any depth."""
-    return PruningPolicy(atom_cap=None)
+def deep_policy():
+    """The lattice step, for deep runs: an upper law at any depth."""
+    return _lattice_power
 
 
 def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
@@ -122,7 +107,7 @@ def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
 
 
 def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
-           policy: PruningPolicy | None = None) -> ConditionalPair:
+           policy=None) -> ConditionalPair:
     """One density-evolution step: depth ``d`` to depth ``d+1``.
 
     Parameters
@@ -134,7 +119,8 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
         ``g`` need both).
     k : int
         Branching number.
-    policy : PruningPolicy, optional
+    policy : callable, optional
+        The step's k-fold sum, ``policy(g, m0, m1, k, child_const)``.
         Defaults to :func:`exact_policy`; :func:`deep_policy` gives the
         lattice upper law.
 
@@ -147,7 +133,7 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
     Raises
     ------
     AtomExplosion
-        If the exact step's atom count exceeds the policy's cap, or a
+        If the exact step's atom count exceeds :data:`ATOM_CAP`, or a
         convolution fold would form more than :data:`PAIR_BUDGET` pairs.
     UndefinedLimit
         If an atom sits at ``-inf`` while ``p11 = 0``.
@@ -163,10 +149,7 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
     mix1 = c.p10 * pair.w0 + c.p11 * pair.w1
     g_arr = llr_step(c, pair.values)  # may raise UndefinedLimit
     child_const = math.log(c.p00 / c.p10)
-    if policy.atom_cap is None:
-        values, w0, w1 = _lattice_power(g_arr + child_const, mix0, mix1, k)
-    else:
-        values, w0, w1 = _convolve(g_arr, mix0, mix1, k, k * child_const, policy.atom_cap)
+    values, w0, w1 = policy(g_arr, mix0, mix1, k, child_const)
     return ConditionalPair(depth=pair.depth + 1, values=values, w0=w0, w1=w1)
 
 
@@ -178,22 +161,26 @@ def _fold_budget(n_pairs: int) -> None:
             count=n_pairs)
 
 
-def _lattice_power(h, m0, m1, k):
+def _lattice_power(g_arr, m0, m1, k, child_const):
     """k-fold i.i.d. sum of child contributions split onto the lattice.
 
-    ``h`` holds the whole per-child contributions (``g`` plus
-    ``ln(p00/p10)``) with child weights ``m0``, ``m1``.  Each finite atom
+    The per-child contributions ``h = g + child_const`` (``child_const``
+    is ``ln(p00/p10)``) have child weights ``m0``, ``m1``.  Each finite atom
     moves to the two lattice points around it, ``beta0`` of its root-0
     weight up and the rest down, with ``beta0`` chosen so its root-1 weight
     ``m1`` is kept too.  Every lattice law then has root-1 weights
     ``w0 * exp(-value)``, which is how they are formed, so only the root-0
     vector is convolved.  Contributions at ``-inf`` (only when ``p01 = 0``)
     carry no root-0 weight and stay off the lattice: a sum is ``-inf`` with
-    root-1 probability ``1 - (1 - q)**k``.
+    root-1 probability ``1 - (1 - q)**k``, which is 1 when ``q`` is.
+    The whole fold chain is checked against :data:`PAIR_BUDGET` before the
+    first fold: fold ``j`` forms ``(j*(L-1) + 1) * L`` pairs for an
+    ``L``-point lattice vector, so the last fold decides.
     """
     t = LATTICE_WIDTH
+    h = g_arr + child_const
     sure = np.isneginf(h)  # g is finite except g(-inf) = -inf when p01 = 0
-    q = float(m1[sure].sum())
+    q = min(float(m1[sure].sum()), 1.0)
     h, m0, m1 = h[~sure], m0[~sure], m1[~sure]
     cell = np.floor(h / t)
     # beta0 = (m0*exp(-a) - m1) / (exp(-a) - exp(-a-t)) at a = cell*t; m1
@@ -204,16 +191,18 @@ def _lattice_power(h, m0, m1, k):
     size = int(cell.max()) - low + 2
     f = (np.bincount(cell - low, m0 - up, minlength=size)
          + np.bincount(cell - low + 1, up, minlength=size))
+    if k > 1:
+        _fold_budget(((k - 1) * (size - 1) + 1) * size)
     s = f
     for _ in range(k - 1):
-        _fold_budget(len(s) * len(f))
         s = np.convolve(s, f)
     live = np.flatnonzero(s > 0)
     values = (live + k * low) * t
     # both masses are reset to their exact totals each step: fed back
     # through the child mixtures, a rounding error in either total would
     # grow by a factor of up to k per depth
-    log_finite1 = k * math.log1p(-q)  # root-1 mass (1 - q)**k off -inf
+    # root-1 mass (1 - q)**k off -inf; none when q = 1
+    log_finite1 = k * math.log1p(-q) if q < 1 else -math.inf
     w0 = s[live] / s[live].sum()
     w1 = w0 * np.exp(-values)
     w1 *= math.exp(log_finite1) / w1.sum()
@@ -224,8 +213,12 @@ def _lattice_power(h, m0, m1, k):
     return values, w0, w1
 
 
-def _convolve(g_arr, mix0, mix1, k, const, atom_cap):
-    """k-fold i.i.d. sum of the g-image plus the depth constant."""
+def _convolve(g_arr, mix0, mix1, k, child_const):
+    """k-fold i.i.d. sum of the g-image plus the depth constant, exactly.
+
+    Atoms merge only on the :data:`MERGE_TOL` grid; a law above
+    :data:`ATOM_CAP` atoms raises :class:`~treecast.errors.AtomExplosion`.
+    """
     y, m0, m1 = grid_merge(g_arr, mix0, mix1, tol=MERGE_TOL)
     s, sw0, sw1 = y, m0, m1
     for _ in range(k - 1):
@@ -234,15 +227,16 @@ def _convolve(g_arr, mix0, mix1, k, const, atom_cap):
         t0 = (sw0[:, None] * m0[None, :]).ravel()
         t1 = (sw1[:, None] * m1[None, :]).ravel()
         s, sw0, sw1 = grid_merge(total, t0, t1, tol=MERGE_TOL)
-        if len(s) > atom_cap:
-            raise AtomExplosion(
-                f"law has {len(s)} atoms (cap {atom_cap})", count=len(s))
-    s = s + const
+        _atom_budget(len(s))
+    s = s + k * child_const
     s, sw0, sw1 = grid_merge(s, sw0, sw1, tol=MERGE_TOL)
-    if len(s) > atom_cap:
-        raise AtomExplosion(
-            f"law has {len(s)} atoms (cap {atom_cap})", count=len(s))
+    _atom_budget(len(s))
     return s, sw0, sw1
+
+
+def _atom_budget(n_atoms: int) -> None:
+    if n_atoms > ATOM_CAP:
+        raise AtomExplosion(f"law has {n_atoms} atoms (cap {ATOM_CAP})", count=n_atoms)
 
 
 def trajectory(state, step, depth: int):
@@ -261,7 +255,7 @@ def trajectory(state, step, depth: int):
 
 
 def evolve_to_depth(c: BinaryChannel, k: int, depth: int,
-                    policy: PruningPolicy | None = None) -> ConditionalPair:
+                    policy=None) -> ConditionalPair:
     """Run :func:`base_pair` then :func:`evolve` up to ``depth``."""
     for pair in trajectory(base_pair(c, k), lambda p: evolve(p, c, k, policy), depth):
         pass

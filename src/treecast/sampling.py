@@ -5,18 +5,18 @@ already-running population stream) and uses the counter-based Philox
 generator.  Level-wise streams are derived by ``SeedSequence.spawn`` so a
 broadcast can be generated level-parallel and still reproduce exactly.
 
-Two population steps are provided.  ``population_evolve`` is the plain
-scheme: each conditional sample array advances independently by drawing
-child values from its own channel row and child LLRs uniformly from the
-matching array.  It is unbiased but the pair of empirical laws is only
-weakly tied together, and near criticality the coupled fluctuation mode
-grows by about ``k * |1 - 2*eps|`` per level, so deep runs drift to
-spurious attractors.  ``population_evolve_anchored`` removes that mode:
-the root-1 children are drawn from the root-0 array reweighted by
-``exp(-L)`` (the exact density ratio between the two conditional laws),
-and each new level is shifted so the empirical mean of ``exp(-L)`` is 1,
-a constraint the true law satisfies at every depth.  The anchored step is
-what the threshold engine uses for depth-40 bisection.
+One population step is provided, ``population_evolve_anchored``
+(Mezard & Montanari, J. Stat. Phys. 2006).  The plain scheme, in which
+each conditional array advances on its own by drawing child LLRs from the
+array matching the child's value, ties the two empirical laws together
+only weakly: near criticality their coupled fluctuation mode grows by
+about ``k * |1 - 2*eps|`` per level, and deep runs drift to spurious
+attractors.  The anchored step removes that mode: the root-1 children are
+drawn from the root-0 array reweighted by ``exp(-L)`` (the exact density
+ratio between the two conditional laws), and each new level is shifted so
+the empirical mean of ``exp(-L)`` is 1, a constraint the true law
+satisfies at every depth when ``p01 > 0``.  The CLI and the threshold
+engine both step with it.
 """
 
 from __future__ import annotations
@@ -208,29 +208,6 @@ def population_from_pair(pair: ConditionalPair, n: int, seed: int) -> Population
     return Population(depth=pair.depth, samples0=s0, samples1=s1, rng=rng)
 
 
-def population_evolve(pop: Population, c: BinaryChannel, k: int) -> Population:
-    """Plain population-dynamics step (independent conditional arrays).
-
-    Each new conditional-0 sample draws k child values from the first
-    channel row, an LLR for each child uniformly from the array matching
-    the child's value, and applies the depth recursion; conditional-1
-    samples use the second row.  Consumes the population's own stream.
-    """
-    if pop.size < 1000:
-        raise InvalidParameter(f"population size must be >= 1000, got {pop.size}")
-    rng = pop.rng
-    n = pop.size
-    const = k * math.log(c.p00 / c.p10)
-
-    new = []
-    for p_one in (c.p01, c.p11):
-        ones = rng.random((n, k)) < p_one
-        idx = rng.integers(0, n, size=(n, k))
-        child = np.where(ones, pop.samples1[idx], pop.samples0[idx])
-        new.append(const + llr_step(c, child).sum(axis=1))
-    return Population(depth=pop.depth + 1, samples0=new[0], samples1=new[1], rng=rng)
-
-
 def _project_unit_mean(s: np.ndarray) -> np.ndarray:
     """Shift samples so the empirical mean of exp(-L) equals 1 exactly."""
     finite = np.isfinite(s)
@@ -241,20 +218,25 @@ def _project_unit_mean(s: np.ndarray) -> np.ndarray:
 
 
 def population_evolve_anchored(pop: Population, c: BinaryChannel, k: int) -> Population:
-    """Stabilized population step for deep runs.
+    """Population-dynamics step: depth ``d`` to depth ``d+1``.
 
-    Identical in expectation to :func:`population_evolve`, but the
-    conditional-1 child draws come from the conditional-0 array reweighted
-    by ``exp(-L)`` (the exact density ratio between the two laws), and the
-    new level is shifted so the empirical mean of ``exp(-L)`` is 1.  Both
-    devices remove the slow noise mode that otherwise grows by a factor of
-    about ``k * |1-2*eps|`` per level and derails depth-40 runs.
+    Each new conditional-0 sample draws k child values from the first
+    channel row; a 0-child takes an LLR drawn uniformly from the
+    conditional-0 array, a 1-child one drawn from that array reweighted by
+    ``exp(-L)`` (the exact density ratio between the two laws).  The new
+    level is shifted so the empirical mean of ``exp(-L)`` is 1, and the
+    conditional-1 array is its tilted resample.  Both devices remove the
+    slow noise mode that otherwise grows by a factor of about
+    ``k * |1-2*eps|`` per level and derails deep runs.  When ``p01 = 0`` no
+    child of a root-0 node is 1, so the conditional-0 array is left
+    unshifted, and the conditional-1 array puts the share
+    ``1 - mean(exp(-L))`` it loses on ``-inf``.  Consumes the population's
+    own stream.
     """
     if pop.size < 1000:
         raise InvalidParameter(f"population size must be >= 1000, got {pop.size}")
     rng = pop.rng
     n = pop.size
-    const = k * math.log(c.p00 / c.p10)
 
     s = pop.samples0
     tilt = _tilt_weights(s)
@@ -262,9 +244,17 @@ def population_evolve_anchored(pop: Population, c: BinaryChannel, k: int) -> Pop
     idx_plain = rng.integers(0, n, size=(n, k))
     idx_tilt = rng.choice(n, size=(n, k), p=tilt)
     child = np.where(ones, s[idx_tilt], s[idx_plain])
-    s_new = _project_unit_mean(const + llr_step(c, child).sum(axis=1))
+    g_sum = llr_step(c, child).sum(axis=1)  # rejects p00 = 0 or p10 = 0
+    s_new = k * math.log(c.p00 / c.p10) + g_sum
+    if c.p01 > 0:
+        s_new = _project_unit_mean(s_new)
     # slaved conditional-1 array: tilted resample of the new level
     s1_new = s_new[rng.choice(n, size=n, p=_tilt_weights(s_new))]
+    if c.p01 == 0:
+        # the root-0 leaves are all 0, so L >= 0 and exp(-L) <= 1
+        sure = 1.0 - float(np.mean(np.exp(-s_new)))
+        if sure > 0:
+            s1_new[rng.random(n) < sure] = -np.inf
     return Population(depth=pop.depth + 1, samples0=s_new, samples1=s1_new, rng=rng)
 
 
@@ -277,7 +267,10 @@ def _tilt_weights(s: np.ndarray) -> np.ndarray:
         return w / w.sum()
     finite = np.isfinite(s)
     if not finite.any():
-        return np.full(len(s), 1.0 / len(s))
+        # every sample is +inf, where the root-1 law has no mass
+        raise ResourceLimit(
+            f"no sample of {len(s)} is finite, so the population holds no "
+            "sample of the root-1 law")
     t = -s
     peak = t[finite].max()
     w = np.exp(np.clip(t - peak, -745.0, 0.0))
@@ -314,41 +307,41 @@ def estimate_diagnostics(pop: Population, c: BinaryChannel) -> dict:
         gap = float(s0.mean() - s1.mean())
         se_gap = float(math.sqrt(s0.var(ddof=1) / n + s1.var(ddof=1) / n))
 
-    a0 = np.asarray(posterior_from_llr(s0, c))
-    a1 = np.asarray(posterior_from_llr(s1, c))
-    var_a, se_var = _mixture_variance_jackknife(a0, a1, c.pi0)
+    # a component of stationary weight 0 is dropped, as in ``diagnostics``
+    parts = [(np.asarray(posterior_from_llr(s, c)), weight)
+             for s, weight in ((s0, c.pi0), (s1, c.pi1)) if weight > 0]
+    var_a, se_var = _mixture_variance_jackknife(parts)
     return {"tv": tv, "se_tv": se_tv, "mean_gap": gap, "se_mean_gap": se_gap,
             "var_A": var_a, "se_var_A": se_var,
             "inf_mass0": inf0, "inf_mass1": inf1}
 
 
-def _mixture_variance_jackknife(a0: np.ndarray, a1: np.ndarray,
-                                pi0: float) -> tuple[float, float]:
-    """Variance of the two-component mixture and its delete-one jackknife SE.
+def _mixture_variance_jackknife(parts) -> tuple[float, float]:
+    """Variance of a mixture and its delete-one jackknife SE.
 
-    The statistic is smooth in the four moments (two means, two second
-    moments), so the leave-one-out values have a closed form and the
-    jackknife runs in linear time over each array.
+    ``parts`` holds one ``(samples, weight)`` pair per component, all
+    arrays of one length and the weights summing to 1.  The statistic is
+    smooth in each component's mean and second moment, so the
+    leave-one-out values have a closed form and the jackknife runs in
+    linear time over each array.
     """
-    pi1 = 1.0 - pi0
-    n = len(a0)
+    n = len(parts[0][0])
+    weights = [w for _, w in parts]
 
-    def stat(m0, q0, m1, q1):
-        mean = pi0 * m0 + pi1 * m1
-        return pi0 * q0 + pi1 * q1 - mean ** 2
+    def stat(moments):
+        mean = sum(w * m for w, (m, _) in zip(weights, moments))
+        return sum(w * q for w, (_, q) in zip(weights, moments)) - mean ** 2
 
-    m0, q0 = float(a0.mean()), float((a0 ** 2).mean())
-    m1, q1 = float(a1.mean()), float((a1 ** 2).mean())
-    value = stat(m0, q0, m1, q1)
+    moments = [(float(a.mean()), float((a ** 2).mean())) for a, _ in parts]
+    value = stat(moments)
     if n < 2:
         return value, math.inf
 
-    loo_m0 = (n * m0 - a0) / (n - 1)
-    loo_q0 = (n * q0 - a0 ** 2) / (n - 1)
-    t0 = stat(loo_m0, loo_q0, m1, q1)
-    loo_m1 = (n * m1 - a1) / (n - 1)
-    loo_q1 = (n * q1 - a1 ** 2) / (n - 1)
-    t1 = stat(m0, q0, loo_m1, loo_q1)
-    var_total = (n - 1) / n * (float(((t0 - t0.mean()) ** 2).sum())
-                               + float(((t1 - t1.mean()) ** 2).sum()))
-    return value, math.sqrt(var_total)
+    spread = 0.0
+    for i, (a, _) in enumerate(parts):
+        m, q = moments[i]
+        loo = list(moments)
+        loo[i] = ((n * m - a) / (n - 1), (n * q - a ** 2) / (n - 1))
+        t = stat(loo)
+        spread += float(((t - t.mean()) ** 2).sum())
+    return value, math.sqrt((n - 1) / n * spread)

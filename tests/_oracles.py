@@ -2,13 +2,16 @@
 
 Everything here works from first principles: exhaustive enumeration over
 binary tree configurations, finite differences on dense grids, or direct
-formula evaluation.  None of it calls the recursive machinery under test,
-so a library bug cannot leak into its own reference values.
+formula evaluation.  None of it calls the recursive machinery under test
+(the plain population step borrows only the ``Population`` container), so
+a library bug cannot leak into its own reference values.
 """
 
 import math
 
 import numpy as np
+
+from treecast.sampling import Population
 
 
 def bfs_tree(k, depth, root_degree=None):
@@ -245,3 +248,33 @@ def genuine_pair_arrays(rng, n=12):
     v, q, r = v[order], q[order], r[order]
     keep = np.concatenate([[True], np.diff(v) > 0])
     return v[keep], q[keep], r[keep]
+
+
+def population_evolve(pop, c, k):
+    """Plain population-dynamics step: two independent conditional arrays.
+
+    The reference sampler for shallow depths.  Each new conditional-0
+    sample draws k child values from the first channel row, an LLR for
+    each child uniformly from the array matching the child's value, and
+    applies the depth recursion; conditional-1 samples use the second row.
+    The one-child update is evaluated here from the channel entries.  It
+    is unbiased, but the two arrays are tied together only weakly, so its
+    error grows with depth near the threshold; the library steps with the
+    anchored scheme instead.  Consumes the population's own stream.
+    """
+    rng = pop.rng
+    n = pop.size
+    c0 = c.p01 / c.p00
+    c1 = c.p11 / c.p10
+    const = k * math.log(c.p00 / c.p10)
+
+    new = []
+    for p_one in (c.p01, c.p11):
+        ones = rng.random((n, k)) < p_one
+        idx = rng.integers(0, n, size=(n, k))
+        child = np.where(ones, pop.samples1[idx], pop.samples0[idx])
+        with np.errstate(over="ignore", divide="ignore"):
+            g = np.log1p((c0 - c1) / (np.exp(child) + c1))
+        g = np.where(np.isposinf(child), 0.0, g)
+        new.append(const + g.sum(axis=1))
+    return Population(depth=pop.depth + 1, samples0=new[0], samples1=new[1], rng=rng)

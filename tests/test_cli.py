@@ -1,16 +1,19 @@
 """Command-line interface tests: exit codes, output contracts, determinism."""
 
+import contextlib
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import math
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from treecast import cli
+from treecast import cli, deep_policy, evolve_to_depth, diagnostics, make_channel
 from treecast.cli import main
 
 KS_EPS_K2 = 0.14644660940672624  # root of 2*(1-2*eps)**2 = 1 in (0, 1/2)
@@ -182,16 +185,19 @@ def test_evolve_hardcore_exact_tv_positive_decreasing(tmp_path, capsys):
 
 def test_evolve_vanishing_stationary_weight_has_finite_var_a(tmp_path, capsys):
     """p01 = 0 puts a -inf atom where pi1 = 0: var_A is 0, not NaN."""
-    out = tmp_path / "p01zero.csv"
-    code, _, _ = run_cli(
-        ["evolve", "--matrix", "1.0", "0.3", "--k", "2", "--depth", "4",
-         "--out", str(out)], capsys)
-    assert code == 0
-    _, header, rows = read_csv(out)
-    var_a = column(header, rows, "var_A")
-    assert len(var_a) == 4
-    assert all(0.0 <= value <= 1e-15 for value in var_a)
-    assert all(value == math.inf for value in column(header, rows, "mean_gap"))
+    for engine in ("exact", "population"):
+        out = tmp_path / f"p01zero-{engine}.csv"
+        code, _, _ = run_cli(
+            ["evolve", "--matrix", "1.0", "0.3", "--k", "2", "--depth", "4",
+             "--engine", engine, "--pop-size", "2000", "--out", str(out)], capsys)
+        assert code == 0
+        _, header, rows = read_csv(out)
+        var_a = column(header, rows, "var_A")
+        assert len(var_a) == 4
+        assert all(0.0 <= value <= 1e-15 for value in var_a), engine
+        assert all(value == math.inf for value in column(header, rows, "mean_gap"))
+        if engine == "population":
+            assert column(header, rows, "se_var_A") == [0.0] * 4
 
 
 def test_evolve_population_csv_has_se_columns(tmp_path, capsys):
@@ -207,6 +213,31 @@ def test_evolve_population_csv_has_se_columns(tmp_path, capsys):
     assert config["engine"] == "population"
     assert config["seed"] == 5
     assert all(se >= 0.0 for se in column(header, rows, "se_tv"))
+
+
+def evolve_rows(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["evolve", *argv, "--format", "json"]) == 0
+    return json.loads(buf.getvalue())["rows"]
+
+
+@pytest.mark.parametrize("flags,every_depth", [
+    (["--symmetric", "0.13", "--depth", "30"], False),
+    (["--hardcore-lambda", "30", "--depth", "12"], False),
+    (["--matrix", "0.6", "0.15", "--k", "5", "--depth", "10"], False),
+    # p01 = 0: the root-0 law is one atom, so the population is exact
+    (["--matrix", "1.0", "0.3", "--depth", "8"], True),
+])
+def test_evolve_population_agrees_with_lattice_at_depth(flags, every_depth):
+    """The population curve stays within 4 jackknife SEs of the lattice
+    upper law, which is within ~LATTICE_WIDTH of the exact law."""
+    pop = evolve_rows([*flags, "--engine", "population", "--pop-size", "20000",
+                       "--seed", "7"])
+    lattice = evolve_rows(flags)
+    pairs = list(zip(pop, lattice)) if every_depth else [(pop[-1], lattice[-1])]
+    for p, ref in pairs:
+        assert abs(p["tv"] - ref["tv"]) <= 4 * p["se_tv"] + 1e-9, (p["depth"], p, ref)
 
 
 def test_evolve_json_format(capsys):
@@ -297,7 +328,18 @@ def test_hardcore_check_oversized_depth_exits_3_with_hint(capsys):
             ["hardcore-check", "--hardcore-w", "1.0", "--k", "2",
              "--depth", depth], capsys)
         assert code == 3, depth
-        assert "hint: the population engine (--engine population)" in err
+        assert "hint: lower --pop-size or --depth" in err
+
+
+def test_exit_3_hint_names_flags_the_subcommand_takes(capsys):
+    code, _, err = run_cli(["couple", "--symmetric", "0.2", "--k", "40",
+                            "--depth", "3"], capsys)
+    assert code == 3
+    assert "hint: lower --depth or --k" in err and "--engine" not in err
+    code, _, err = run_cli(["evolve", "--symmetric", "0.05", "--k", "5",
+                            "--depth", "12"], capsys)
+    assert code == 3
+    assert "hint: the population engine (--engine population)" in err
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +381,61 @@ def test_verify_channel_uses_k(capsys, monkeypatch):
     assert code == 0
     assert ks == [3]
     assert json.loads(out)["config"]["k"] == 3
+
+
+CLI_VALUES = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e-17, 1e-9,
+              0.3, 0.5, 1.0, 2.0, 1e308]
+CLI_CHANNELS = {"--symmetric": 1, "--hardcore-w": 1, "--hardcore-lambda": 1,
+                "--matrix": 2}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["evolve", "evolve-population", "couple",
+                                    "verify", "bounds"]))
+    flag = draw(st.sampled_from(sorted(CLI_CHANNELS)))
+    values = [repr(draw(st.sampled_from(CLI_VALUES)))
+              for _ in range(CLI_CHANNELS[flag])]
+    argv = [command.split("-")[0], flag, *values,
+            "--k", str(draw(st.integers(-1, 3))), "--pop-size", "1000"]
+    if command in ("evolve", "evolve-population", "couple"):
+        argv += ["--depth", str(draw(st.integers(-1, 3)))]
+    if command == "evolve-population":
+        argv += ["--engine", "population"]
+    return argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cli_argv())
+@example(["evolve", "--matrix", "1.0", "1e-20", "--depth", "3"])
+@example(["evolve", "--matrix", "0.5", "1e-17", "--depth", "3"])
+@example(["evolve", "--hardcore-lambda", "1e308", "--depth", "2"])
+def test_cli_never_leaks_a_python_exception(argv):
+    """Edge channels end in a documented exit code, never a traceback."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), argv
+
+
+def test_edge_channels_answer_or_refuse(capsys):
+    # the whole root-1 law sits at -inf from depth 2 on: TV is 1
+    assert [row["tv"] for row in evolve_rows(["--matrix", "1.0", "1e-20",
+                                              "--depth", "3"])] == [1.0] * 3
+    c = make_channel(1.0, 1e-20)
+    assert diagnostics(evolve_to_depth(c, 2, 3, deep_policy()), c)["tv"] == 1.0
+    # llr_step would round ln(c0/c1) = ln(1e-17) to -inf
+    for argv in (["evolve", "--matrix", "0.5", "1e-17", "--depth", "3"],
+                 ["verify", "--matrix", "0.5", "1e-17"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and "too close to deterministic" in err
+    # the exact law needs 1.3e11 pairs; no sample of root 0 is finite
+    code, _, err = run_cli(["evolve", "--hardcore-lambda", "1e308", "--depth", "2"],
+                           capsys)
+    assert code == 3 and "atom pairs" in err
+    code, _, err = run_cli(["evolve", "--hardcore-lambda", "1e308", "--depth", "2",
+                            "--engine", "population", "--pop-size", "1000"], capsys)
+    assert code == 3 and "hint: raise --pop-size" in err
 
 
 def test_verify_broken_channel_exits_2(capsys):
@@ -473,7 +570,7 @@ PINNED_OUTPUTS = {
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "4",
          "--engine", "population", "--pop-size", "4000", "--seed", "9",
          "--out", "pop.csv"],
-        "49db747b2fde728dc958efc0690c0ff2d4486a24cdc70b0b0fd0e861e9f6cce9"),
+        "9cbc4208a6c31a7ec86a40f5a2943acd4ff74c91eebd2e6a4bda07739a3fe5ca"),
     "couple-csv": (
         ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
          "--out", "coupling.csv"],

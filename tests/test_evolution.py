@@ -12,7 +12,6 @@ from treecast import (
     AtomExplosion,
     ConditionalPair,
     InvalidParameter,
-    PruningPolicy,
     base_pair,
     deep_policy,
     diagnostics,
@@ -23,7 +22,7 @@ from treecast import (
     hardcore_channel,
     make_channel,
     mean_gap,
-    population_evolve,
+    population_evolve_anchored,
     population_from_pair,
     symmetric_channel,
     trajectory,
@@ -239,20 +238,20 @@ def test_diagnostics_positive_when_informative():
 
 # ----------------------------------------------------------- resource caps
 
-def test_atom_cap_raises():
-    policy = PruningPolicy(atom_cap=10)
+def test_atom_cap_raises(monkeypatch):
+    monkeypatch.setattr(evolution, "ATOM_CAP", 10)
     c = make_channel(0.81, 0.27)
     with pytest.raises(AtomExplosion) as info:
-        evolve_to_depth(c, 2, 4, policy)
-    assert info.value.count > policy.atom_cap
+        evolve_to_depth(c, 2, 4, exact_policy())
+    assert info.value.count > evolution.ATOM_CAP
 
 
 def test_pair_budget_raises_before_allocation(monkeypatch):
     monkeypatch.setattr(evolution, "PAIR_BUDGET", 50)
-    policy = PruningPolicy(atom_cap=1 << 40)
+    monkeypatch.setattr(evolution, "ATOM_CAP", 1 << 40)
     c = make_channel(0.81, 0.27)
     with pytest.raises(AtomExplosion) as info:
-        evolve_to_depth(c, 2, 4, policy)
+        evolve_to_depth(c, 2, 4, exact_policy())
     assert info.value.count > 50
 
 
@@ -333,6 +332,31 @@ def test_lattice_fold_refused_above_pair_budget(monkeypatch):
     assert info.value.count > 1000
 
 
+def test_lattice_pair_budget_checked_once_before_the_first_fold(monkeypatch):
+    """Fold j forms (j*(L-1) + 1)*L pairs, so the last fold decides; a
+    refused step refuses before any fold runs."""
+    c, k = symmetric_channel(0.2), 3
+    pair = evolve(base_pair(c, k), c, k, exact_policy())
+    monkeypatch.setattr(evolution, "PAIR_BUDGET", 0)
+    with pytest.raises(AtomExplosion) as info:
+        evolve(pair, c, k, deep_policy())
+    last_fold = info.value.count
+    real, folds = np.convolve, []
+
+    def counting(a, v):
+        folds.append(len(a) * len(v))
+        return real(a, v)
+
+    monkeypatch.setattr(evolution.np, "convolve", counting)
+    monkeypatch.setattr(evolution, "PAIR_BUDGET", last_fold - 1)
+    with pytest.raises(AtomExplosion) as info:
+        evolve(pair, c, k, deep_policy())
+    assert info.value.count == last_fold and folds == []
+    monkeypatch.setattr(evolution, "PAIR_BUDGET", last_fold)
+    evolve(pair, c, k, deep_policy())
+    assert len(folds) == k - 1 and folds[-1] == last_fold
+
+
 def test_trajectory_yields_one_state_per_depth():
     c = symmetric_channel(0.2)
     pairs = list(trajectory(base_pair(c, 2), lambda p: evolve(p, c, 2), 4))
@@ -341,7 +365,7 @@ def test_trajectory_yields_one_state_per_depth():
     assert np.array_equal(pairs[-1].values, last.values)
     assert np.array_equal(pairs[-1].w0, last.w0)
     pop = population_from_pair(base_pair(c, 2), 1000, seed=3)
-    pops = list(trajectory(pop, lambda p: population_evolve(p, c, 2), 3))
+    pops = list(trajectory(pop, lambda p: population_evolve_anchored(p, c, 2), 3))
     assert [p.depth for p in pops] == [1, 2, 3]
     assert pops[0] is pop
 

@@ -11,13 +11,14 @@ from treecast import (
     ResourceLimit,
     base_pair,
     bp_root_posterior,
+    deep_policy,
     diagnostics,
     estimate_diagnostics,
     evolve,
     evolve_to_depth,
     hardcore_channel,
     llr_from_posterior,
-    population_evolve,
+    make_channel,
     population_evolve_anchored,
     population_from_pair,
     posterior_from_llr,
@@ -25,9 +26,10 @@ from treecast import (
     sample_broadcast_batch,
     symmetric_channel,
     trajectory,
+    w_of_lambda,
 )
 
-from _oracles import brute_root_posterior
+from _oracles import brute_root_posterior, population_evolve
 
 
 # ----------------------------------------------------------------- sampler
@@ -173,7 +175,7 @@ def test_population_uninformative_stays_at_zero():
     c = symmetric_channel(0.5)
     pop = population_from_pair(base_pair(c, 2), 2000, seed=14)
     for _ in range(3):
-        pop = population_evolve(pop, c, 2)
+        pop = population_evolve_anchored(pop, c, 2)
     assert np.all(pop.samples0 == 0.0) and np.all(pop.samples1 == 0.0)
 
 
@@ -181,15 +183,15 @@ def test_population_requires_minimum_size():
     c = symmetric_channel(0.2)
     pop = population_from_pair(base_pair(c, 2), 100, seed=15)
     with pytest.raises(InvalidParameter):
-        population_evolve(pop, c, 2)
+        population_evolve_anchored(pop, c, 2)
 
 
 def test_population_deterministic():
     c = symmetric_channel(0.2)
     a = population_from_pair(base_pair(c, 2), 2000, seed=16)
     b = population_from_pair(base_pair(c, 2), 2000, seed=16)
-    a = population_evolve(a, c, 2)
-    b = population_evolve(b, c, 2)
+    a = population_evolve_anchored(a, c, 2)
+    b = population_evolve_anchored(b, c, 2)
     assert np.array_equal(a.samples0, b.samples0)
     assert np.array_equal(a.samples1, b.samples1)
 
@@ -229,7 +231,7 @@ def test_estimates_match_exact_small_depths():
 def test_estimates_uninformative_exact_zero():
     c = symmetric_channel(0.5)
     pop = population_from_pair(base_pair(c, 2), 5000, seed=19)
-    pop = population_evolve(pop, c, 2)
+    pop = population_evolve_anchored(pop, c, 2)
     est = estimate_diagnostics(pop, c)
     assert est["tv"] == 0.0 and est["mean_gap"] == 0.0 and est["var_A"] == 0.0
 
@@ -252,6 +254,32 @@ def test_population_ks_against_exact_law():
         emp = np.searchsorted(a_samp, mids, side="right") / n
         ks = float(np.max(np.abs(emp - cdf[:-1])))
         assert ks < 1.628 / math.sqrt(n)
+
+
+def test_anchored_population_p01_zero_matches_lattice():
+    """p01 = 0: the root-0 law is one atom, so the population is exact, and
+    the root-1 array puts the share the tilt cannot reach on -inf."""
+    for c, k in ((make_channel(1.0, 0.3), 2), (make_channel(1.0, 0.05), 3),
+                 (make_channel(1.0, 0.6), 2)):
+        n = 20_000
+        pops = trajectory(population_from_pair(base_pair(c, k), n, seed=22),
+                          lambda p: population_evolve_anchored(p, c, k), 8)
+        pairs = trajectory(base_pair(c, k), lambda p: evolve(p, c, k, deep_policy()), 8)
+        for pop, pair in zip(pops, pairs):
+            est = estimate_diagnostics(pop, c)
+            assert abs(est["tv"] - diagnostics(pair, c)["tv"]) <= 1e-9, (c, pop.depth)
+            sure = pair.w1[0]  # the lattice's -inf atom
+            se = math.sqrt(sure * (1 - sure) / n)
+            assert abs(est["inf_mass1"] - sure) <= 4 * se + 1e-12
+
+
+def test_anchored_population_refuses_without_finite_sample():
+    """Every depth-1 sample at +inf leaves no sample of the root-1 law."""
+    c, _ = hardcore_channel(w_of_lambda(1e6, 3), 3)
+    pop = population_from_pair(base_pair(c, 3), 1000, seed=23)
+    assert np.all(np.isposinf(pop.samples0))
+    with pytest.raises(ResourceLimit):
+        population_evolve_anchored(pop, c, 3)
 
 
 def test_anchored_population_unit_mean_weights():
