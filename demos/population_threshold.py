@@ -3,8 +3,12 @@
 Runs the sampled-score population recursion for the symmetric family at
 a few noise levels, prints the estimated diagnostics with their standard
 errors, then bisects the decaying/non-decaying boundary and compares the
-estimate against the closed form.  Defaults are sized for a quick run;
-pass --pop-size 100000 --depth 40 for production-quality estimates.
+estimate against the closed form.  A standard error is the spread of the
+last generation only: in a deep run the error carried from earlier
+generations can be larger (eps = 0.1757 at the defaults prints tv 0.07981
++- 0.00074, above the lattice upper law 0.07686).  Defaults are sized for
+a quick run; pass --pop-size 100000 --depth 40 for production-quality
+estimates.
 
 Run
 ---
@@ -43,7 +47,9 @@ def main():
         est = estimate_diagnostics(pop, c)
         side = "above (reconstructable)" if eps < eps_c else "below (lost)"
         print(f"eps={eps:.4f} [{side}] at depth {args.depth}:")
-        print(f"  tv       = {est['tv']:.5f} +- {est['se_tv']:.5f}")
+        print(f"  tv       = {est['tv']:.5f} +- {est['se_tv']:.5f}"
+              "  (+- is the last generation's spread only, without the error"
+              " carried from earlier generations)")
         print(f"  mean_gap = {est['mean_gap']:.5f} +- {est['se_mean_gap']:.5f}")
         print(f"  var_A    = {est['var_A']:.6f} +- {est['se_var_A']:.6f}\n")
 

@@ -203,9 +203,39 @@ def population_from_pair(pair: ConditionalPair, n: int, seed: int) -> Population
         raise InvalidParameter(f"population size must be positive, got {n}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     law0, law1 = pair.law0, pair.law1
-    s0 = rng.choice(law0.values, size=n, p=law0.weights / law0.weights.sum())
-    s1 = rng.choice(law1.values, size=n, p=law1.weights / law1.weights.sum())
+    s0 = law0.values[_weighted_draw(rng, law0.weights / law0.weights.sum(), n)]
+    s1 = law1.values[_weighted_draw(rng, law1.weights / law1.weights.sum(), n)]
     return Population(depth=pair.depth, samples0=s0, samples1=s1, rng=rng)
+
+
+def _weighted_draw(rng: np.random.Generator, p: np.ndarray, shape) -> np.ndarray:
+    """Indices into ``p`` drawn with probabilities proportional to ``p``.
+
+    Returns exactly what ``rng.choice(len(p), size=shape, p=p)`` returns
+    and leaves ``rng`` in the same state: the same normalized cumulative
+    table, the same uniforms, the same right-side search.  Only the order
+    of the searches differs.  The uniforms are searched in sorted order,
+    so consecutive binary searches take nearly the same path instead of
+    mispredicting at random; each key's result is unique, so the order
+    cannot change it.  At N = 2e4 this halves the draw.
+
+    Raises
+    ------
+    InvalidParameter
+        If a weight is NaN or negative, or the total is not finite and
+        positive.
+    """
+    cdf = p.cumsum()
+    total = cdf[-1]
+    if not (np.isfinite(total) and total > 0) or (p < 0).any():
+        raise InvalidParameter(
+            "sampling weights must be non-negative with a finite positive total")
+    cdf /= total
+    u = rng.random(shape).ravel()
+    order = u.argsort()
+    idx = np.empty(u.size, dtype=np.intp)
+    idx[order] = cdf.searchsorted(u[order], side="right")
+    return idx.reshape(shape)
 
 
 def _project_unit_mean(s: np.ndarray) -> np.ndarray:
@@ -242,14 +272,14 @@ def population_evolve_anchored(pop: Population, c: BinaryChannel, k: int) -> Pop
     tilt = _tilt_weights(s)
     ones = rng.random((n, k)) < c.p01
     idx_plain = rng.integers(0, n, size=(n, k))
-    idx_tilt = rng.choice(n, size=(n, k), p=tilt)
+    idx_tilt = _weighted_draw(rng, tilt, (n, k))
     child = np.where(ones, s[idx_tilt], s[idx_plain])
     g_sum = llr_step(c, child).sum(axis=1)  # rejects p00 = 0 or p10 = 0
     s_new = k * math.log(c.p00 / c.p10) + g_sum
     if c.p01 > 0:
         s_new = _project_unit_mean(s_new)
     # slaved conditional-1 array: tilted resample of the new level
-    s1_new = s_new[rng.choice(n, size=n, p=_tilt_weights(s_new))]
+    s1_new = s_new[_weighted_draw(rng, _tilt_weights(s_new), n)]
     if c.p01 == 0:
         # the root-0 leaves are all 0, so L >= 0 and exp(-L) <= 1
         sure = 1.0 - float(np.mean(np.exp(-s_new)))
@@ -278,8 +308,26 @@ def _tilt_weights(s: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
+def _tv_terms(s0: np.ndarray) -> np.ndarray:
+    """Per-sample terms ``max(1 - exp(-L), 0)`` of the TV estimator."""
+    with np.errstate(over="ignore"):
+        return np.clip(1.0 - np.exp(-s0), 0.0, None)
+
+
+def population_tv(pop: Population) -> float:
+    """The ``tv`` of ``estimate_diagnostics`` alone, without its other statistics."""
+    return float(_tv_terms(pop.samples0).mean())
+
+
 def estimate_diagnostics(pop: Population, c: BinaryChannel) -> dict:
     """Plug-in diagnostics with jackknife standard errors.
+
+    Every standard error is the spread of the last generation's samples
+    alone.  It leaves out the error that earlier generations carried into
+    that sample, which in a deep run can be the larger part: at depth 20,
+    N = 2e4, seed 0, symmetric eps = 0.1757 and k = 2 give
+    ``tv`` = 0.07981 with ``se_tv`` = 0.00074, while the lattice upper
+    law, which the exact TV cannot exceed, is 0.07686, about 4 SE lower.
 
     Returns
     -------
@@ -296,8 +344,7 @@ def estimate_diagnostics(pop: Population, c: BinaryChannel) -> dict:
     inf0 = float(np.mean(~np.isfinite(s0)))
     inf1 = float(np.mean(~np.isfinite(s1)))
 
-    with np.errstate(over="ignore"):
-        t = np.clip(1.0 - np.exp(-s0), 0.0, None)
+    t = _tv_terms(s0)
     tv = float(t.mean())
     se_tv = float(t.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
 

@@ -34,7 +34,7 @@ from .channels import (BinaryChannel, symmetric_channel, hardcore_channel,
                        kesten_stigum_eps_c, brightwell_winkler_lower_w,
                        mossel_peres_lhs, geometric_mean_bound_lhs)
 from .evolution import deep_policy, base_pair, evolve, diagnostics, trajectory
-from .sampling import population_from_pair, population_evolve_anchored, estimate_diagnostics
+from .sampling import population_from_pair, population_evolve_anchored, population_tv
 
 # The decision rule.  Below FLOOR the TV statistic counts as fully decayed
 # whatever its fitted rate (deep-collapsed populations sit at float-residual
@@ -141,14 +141,14 @@ def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
     first = base_pair(c, k)
     if engine == "exact":
         step = lambda p: evolve(p, c, k, deep_policy())
-        measure = diagnostics
+        measure = lambda p: diagnostics(p, c)["tv"]
         used_seed = None
     else:
         first = population_from_pair(first, pop_size, seed)
         step = lambda p: population_evolve_anchored(p, c, k)
-        measure = estimate_diagnostics
+        measure = population_tv
         used_seed = seed
-    curve = [measure(s, c)["tv"] for s in trajectory(first, step, depth)]
+    curve = [measure(s) for s in trajectory(first, step, depth)]
 
     stat = float(curve[-1])
     rate = fitted_rate(curve, depth)

@@ -590,6 +590,12 @@ PINNED_OUTPUTS = {
          "--depth", "4", "--tol", "0.1", "--bracket", "0.05", "0.45",
          "--seed", "4", "--out", "threshold.json"],
         "e692245e7b3dc8212d8338e5336e6fc348e015a29a50b3ccc5f85342f4c42606"),
+    # the population bisection path: population draws, steps and TV curve
+    "threshold-population": (
+        ["threshold", "--symmetric", "--k", "2", "--pop-size", "2000",
+         "--depth", "12", "--tol", "0.05", "--seed", "3",
+         "--out", "threshold_pop.json"],
+        "a681a6a7577ae6e279990539f915210cc134fc195b4a5a0cf43828a5db346316"),
 }
 
 

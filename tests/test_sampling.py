@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from treecast import (
     InvalidParameter,
@@ -28,6 +29,8 @@ from treecast import (
     trajectory,
     w_of_lambda,
 )
+
+from treecast.sampling import _weighted_draw, population_tv
 
 from _oracles import brute_root_posterior, population_evolve
 
@@ -164,6 +167,49 @@ def test_posterior_consistent_with_sampler():
         assert abs(freq - pm) < 5 * se
 
 
+# ------------------------------------------------------- weighted draws
+
+@st.composite
+def draw_inputs(draw):
+    """Weights (zeros likely, a lone nonzero weight and n = 1 included),
+    a draw shape ``(m,)`` or ``(m, k)`` and a generator seed."""
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        w = np.zeros(n)
+        w[draw(st.integers(0, n - 1))] = draw(st.floats(1e-300, 1e300))
+    else:
+        w = np.array(draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=n, max_size=n)))
+    m = draw(st.integers(1, 300))
+    shape = draw(st.sampled_from([(m,), (m, draw(st.integers(1, 4)))]))
+    return w, shape, draw(st.integers(0, 2 ** 32))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(draw_inputs())
+@example((np.array([2.5]), (7,), 0))
+@example((np.array([0.0, 0.0, 1.0, 0.0]), (50, 3), 1))
+def test_weighted_draw_equals_rng_choice(case):
+    """The sorted-key draw returns ``rng.choice``'s indices and leaves the
+    generator where ``rng.choice`` leaves it."""
+    w, shape, seed = case
+    assume(w.sum() > 0)
+    p = w / w.sum()
+    ref = np.random.Generator(np.random.Philox(seed))
+    ours = np.random.Generator(np.random.Philox(seed))
+    expected = ref.choice(len(p), size=shape, p=p)
+    got = _weighted_draw(ours, p, shape)
+    assert got.shape == expected.shape and np.array_equal(got, expected)
+    assert ours.random() == ref.random()
+
+
+def test_weighted_draw_rejects_bad_weights():
+    rng = np.random.Generator(np.random.Philox(0))
+    for w in ([0.5, np.nan, 0.5], [0.5, -0.1, 0.6], [0.0, 0.0], [1.0, np.inf]):
+        with pytest.raises(InvalidParameter):
+            _weighted_draw(rng, np.array(w), (10,))
+
+
 # ------------------------------------------------------------- populations
 
 def test_population_from_pair_sizes():
@@ -280,6 +326,14 @@ def test_anchored_population_refuses_without_finite_sample():
     assert np.all(np.isposinf(pop.samples0))
     with pytest.raises(ResourceLimit):
         population_evolve_anchored(pop, c, 3)
+
+
+def test_population_tv_is_the_diagnostics_tv():
+    c = symmetric_channel(0.15)
+    pop = population_from_pair(base_pair(c, 2), 5000, seed=24)
+    for _ in range(3):
+        pop = population_evolve_anchored(pop, c, 2)
+        assert population_tv(pop) == estimate_diagnostics(pop, c)["tv"]
 
 
 def test_anchored_population_unit_mean_weights():
