@@ -18,8 +18,8 @@ from .channels import (BinaryChannel, HardCoreParams, make_channel,
                        kesten_stigum_symmetric, kesten_stigum_eps_c,
                        kelly_threshold, llr_step, gap_kernel, gap_kernel_peak,
                        hardcore_contraction, brightwell_winkler_lower_w)
-from .atoms import (AtomicDistribution, ConditionalPair, grid_merge,
-                    posterior_from_llr, llr_from_posterior)
+from .atoms import (ConditionalPair, grid_merge, posterior_from_llr,
+                    llr_from_posterior)
 from .evolution import (exact_policy, deep_policy, base_pair,
                         evolve, trajectory, evolve_to_depth, mean_gap,
                         diagnostics, gap_identity_residual)
@@ -51,8 +51,8 @@ __all__ = [
     "geometric_mean_bound_lhs", "kesten_stigum_symmetric",
     "kesten_stigum_eps_c", "kelly_threshold", "llr_step", "gap_kernel",
     "gap_kernel_peak", "hardcore_contraction", "brightwell_winkler_lower_w",
-    "AtomicDistribution", "ConditionalPair", "grid_merge",
-    "posterior_from_llr", "llr_from_posterior",
+    "ConditionalPair", "grid_merge", "posterior_from_llr",
+    "llr_from_posterior",
     "exact_policy", "deep_policy", "base_pair", "evolve",
     "trajectory", "evolve_to_depth", "mean_gap", "diagnostics",
     "gap_identity_residual",

@@ -1,12 +1,11 @@
-"""Finite atomic distributions on the extended real line.
+"""Finite atomic laws on the extended real line.
 
-The central objects are :class:`AtomicDistribution` (sorted atoms with
-positive weights) and :class:`ConditionalPair`, which stores the two
-conditional laws of the root log-likelihood ratio on one shared sorted
-support with two weight vectors.  The shared support is what makes exact
-density evolution cheap: mixtures and couplings become elementwise
-operations, and the per-atom identity ``w1 = w0 * exp(-value)`` ties the
-two weight vectors together.
+The central object is :class:`ConditionalPair`, the one exact-law type:
+it stores the two conditional laws of the root log-likelihood ratio on
+one shared sorted support with two weight vectors.  The shared support is
+what makes exact density evolution cheap: mixtures and couplings become
+elementwise operations, and the per-atom identity ``w1 = w0 * exp(-value)``
+ties the two weight vectors together.
 
 Merging nearby atoms uses a fixed grid anchored at 0: each value is mapped
 to cell ``floor(value/tol)``, and atoms sharing a cell are combined by
@@ -17,7 +16,6 @@ two conditional laws (only sign-straddling merges can destroy it).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,62 +29,12 @@ _NEG_CELL = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
-class AtomicDistribution:
-    """Sorted finite distribution on the extended reals.
-
-    Parameters
-    ----------
-    values : ndarray
-        Strictly increasing atom locations; at most one ``-inf`` and one
-        ``+inf``.
-    weights : ndarray
-        Strictly positive weights summing to 1 within 1e-10.
-    """
-
-    values: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "weights", w)
-        if v.shape != w.shape or v.ndim != 1:
-            raise InvalidParameter("values and weights must be 1-d arrays of equal length")
-        if len(v) == 0:
-            raise InvalidParameter("a distribution needs at least one atom")
-        if np.any(np.isnan(v)):
-            raise InvalidParameter("atom values must not be NaN")
-        if np.any(np.diff(v) <= 0):
-            raise InvalidParameter("atom values must be strictly increasing")
-        if np.any(w <= 0):
-            raise InvalidParameter("atom weights must be strictly positive")
-        if abs(float(w.sum()) - 1.0) > 1e-10:
-            raise InvalidParameter(f"weights sum to {w.sum()}, not 1")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def mean(self) -> float:
-        """Expected value; +-inf if an infinite atom carries weight, and
-        +inf if both signs of infinity do (the gap convention upstream)."""
-        has_pos = bool(np.isposinf(self.values[-1]))
-        has_neg = bool(np.isneginf(self.values[0]))
-        if has_pos:
-            return math.inf
-        if has_neg:
-            return -math.inf
-        return float(self.values @ self.weights)
-
-
-@dataclass(frozen=True)
 class ConditionalPair:
     """The two conditional root-LLR laws at one depth, on a shared support.
 
     ``w0[i]`` and ``w1[i]`` are the probabilities that the root LLR equals
     ``values[i]`` given root value 0 and 1 respectively.  Either vector may
-    contain zeros (an atom can be reachable from one root value only); the
-    :attr:`law0` / :attr:`law1` views drop them.
+    contain zeros: an atom can be reachable from one root value only.
     """
 
     depth: int
@@ -105,8 +53,8 @@ class ConditionalPair:
             raise InvalidParameter("values, w0, w1 must be 1-d arrays of equal length")
         if self.depth < 1:
             raise InvalidParameter(f"depth must be >= 1, got {self.depth}")
-        if np.any(np.diff(v) <= 0):
-            raise InvalidParameter("shared support must be strictly increasing")
+        if np.any(np.isnan(v)) or np.any(np.diff(v) <= 0):
+            raise InvalidParameter("shared support must be strictly increasing, without NaN")
         if np.any(a < 0) or np.any(b < 0):
             raise InvalidParameter("weights must be non-negative")
         for name, w in (("w0", a), ("w1", b)):
@@ -116,29 +64,27 @@ class ConditionalPair:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def law0(self) -> AtomicDistribution:
-        keep = self.w0 > 0
-        return AtomicDistribution(self.values[keep], self.w0[keep])
-
-    @property
-    def law1(self) -> AtomicDistribution:
-        keep = self.w1 > 0
-        return AtomicDistribution(self.values[keep], self.w1[keep])
-
     def posterior_mean_residual(self, c: BinaryChannel) -> float:
         """|E[posterior] - pi0| under the stationary mixture of the two laws.
 
         The posterior of root value 0 is a bounded function of the LLR, so
         this is finite even with infinite atoms; it should vanish at every
         depth (the estimator is unbiased for the prior).  Only atoms with
-        positive mixture weight count: where a stationary weight vanishes,
-        the posterior at the opposite infinite atom is undefined.
+        positive mixture weight count (see :meth:`posterior_mixture`).
+        """
+        a, mix = self.posterior_mixture(c)
+        return abs(float(a @ mix) - c.pi0)
+
+    def posterior_mixture(self, c: BinaryChannel) -> tuple[np.ndarray, np.ndarray]:
+        """Root-0 posteriors and stationary-mixture weights of the atoms.
+
+        Returns ``(a, mix)`` over the atoms of positive mixture weight only:
+        where a stationary weight vanishes, the posterior at the opposite
+        infinite atom is undefined.
         """
         mix = c.pi0 * self.w0 + c.pi1 * self.w1
         live = mix > 0
-        a = posterior_from_llr(self.values[live], c)
-        return abs(float(a @ mix[live]) - c.pi0)
+        return posterior_from_llr(self.values[live], c), mix[live]
 
     def dominance_violation(self) -> float:
         """Largest violation of the one-sided weight ordering.

@@ -17,8 +17,8 @@ verify
 
 Every output embeds the resolved run configuration including the seed, and
 re-running an emitted configuration reproduces the file byte for byte.
-Exit codes: 0 success, 2 validation error, 3 resource limit, 4 bad
-bisection bracket.  The only environment variable honored is
+Exit codes: 0 success, 2 validation or any other typed error, 3 resource
+limit, 4 bad bisection bracket.  The only environment variable honored is
 ``TREECAST_OUT_DIR``, the base directory for relative ``--out`` paths.
 """
 
@@ -33,8 +33,7 @@ import sys
 import numpy as np
 
 from .errors import (AtomExplosion, BadBracket, DegenerateChannel,
-                     DegenerateEvent, InvalidParameter, NotInterior,
-                     PreconditionViolation, ResourceLimit, UndefinedLimit)
+                     InvalidParameter, ResourceLimit, TreecastError)
 from .channels import (BinaryChannel, make_channel, symmetric_channel,
                        hardcore_channel, w_of_lambda, lambda_of_w,
                        gap_kernel, gap_kernel_peak,
@@ -52,6 +51,8 @@ from . import serialize
 
 # non-string sentinel: argparse type-converts a str const for nargs="?"
 _FAMILY_ONLY = object()
+# destinations of the channel flags; each is None unless its flag is given
+_CHANNEL_FLAGS = ("symmetric", "hardcore", "hardcore_w", "hardcore_lambda", "matrix")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--symmetric", nargs="?", type=float, const=_FAMILY_ONLY,
                         metavar="EPS", help="symmetric channel with flip "
                         "probability EPS (bare flag selects the family only)")
-        sp.add_argument("--hardcore", action="store_true",
+        sp.add_argument("--hardcore", action="store_true", default=None,
                         help="select the hard-core family without a parameter")
         sp.add_argument("--hardcore-w", type=float, metavar="W",
                         help="hard-core channel with occupation weight W")
@@ -127,22 +128,11 @@ def _parse_channel(args, k: int, allow_family_only: bool):
     description without a concrete channel (allowed only where a family
     suffices).
     """
-    given = []
-    if args.symmetric is not None:
-        given.append("symmetric")
-    if args.hardcore:
-        given.append("hardcore")
-    if args.hardcore_w is not None:
-        given.append("hardcore_w")
-    if args.hardcore_lambda is not None:
-        given.append("hardcore_lambda")
-    if args.matrix is not None:
-        given.append("matrix")
+    given = _given_channel_flags(args)
     if len(given) != 1:
+        flags = " | ".join("--" + name.replace("_", "-") for name in _CHANNEL_FLAGS)
         raise InvalidParameter(
-            "exactly one channel spec is required "
-            "(--symmetric | --hardcore | --hardcore-w | --hardcore-lambda | --matrix); "
-            f"got {len(given)}")
+            f"exactly one channel spec is required ({flags}); got {len(given)}")
 
     kind = given[0]
     if kind == "symmetric":
@@ -166,6 +156,10 @@ def _parse_channel(args, k: int, allow_family_only: bool):
         return {"kind": "hardcore", "w": params.w, "lambda": params.lam}, c
     p00, p10 = args.matrix
     return {"kind": "matrix", "p00": p00, "p10": p10}, make_channel(p00, p10)
+
+
+def _given_channel_flags(args) -> list:
+    return [name for name in _CHANNEL_FLAGS if getattr(args, name) is not None]
 
 
 def _run_config(args, channel_desc: dict, depth, engine, fmt) -> dict:
@@ -192,10 +186,6 @@ def cmd_bounds(args) -> int:
     desc, _ = _parse_channel(args, args.k, allow_family_only=True)
     if desc["kind"] not in ("symmetric", "hardcore"):
         raise InvalidParameter("bounds requires a family (--symmetric or --hardcore)")
-    if desc["kind"] == "hardcore" and args.k < 2:
-        raise InvalidParameter(
-            "kelly_threshold requires k >= 2; the hard-core bound report "
-            "is undefined at k = 1")
     report = bounds_report(args.k, desc["kind"])
     config = _run_config(args, desc, depth=None, engine=None, fmt="json")
     payload = {"config": config, "report": report.as_dict()}
@@ -421,10 +411,7 @@ def _verify_channel(c: BinaryChannel, k: int) -> list:
 def cmd_verify(args) -> int:
     channel = None
     desc: dict = {"kind": "suite"}
-    any_flag = (args.symmetric is not None or args.hardcore or
-                args.hardcore_w is not None or args.hardcore_lambda is not None or
-                args.matrix is not None)
-    if any_flag:
+    if _given_channel_flags(args):
         desc, channel = _parse_channel(args, args.k, allow_family_only=False)
     config = _run_config(args, desc, depth=None, engine=None, fmt="json")
     checks = (_verify_channel(channel, args.k) if channel is not None
@@ -467,10 +454,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _DISPATCH[args.command](args)
-    except (InvalidParameter, DegenerateChannel, UndefinedLimit,
-            PreconditionViolation, DegenerateEvent, NotInterior) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (AtomExplosion, ResourceLimit) as err:
         print(f"error: {err}", file=sys.stderr)
         hint = _HINTS.get((args.command, type(err)))
@@ -480,6 +463,9 @@ def main(argv=None) -> int:
     except BadBracket as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
+    except TreecastError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 def entrypoint():

@@ -29,6 +29,8 @@ from .errors import (DegenerateEvent, DominanceViolation, InvalidParameter,
 from .channels import BinaryChannel
 from .atoms import ConditionalPair
 
+DOMINANCE_TOL = 1e-10  # largest admissible violation of the weight ordering
+
 
 @dataclass(frozen=True)
 class Coupling:
@@ -89,20 +91,18 @@ def _project(points: np.ndarray, weights: np.ndarray, support: np.ndarray) -> np
     return np.bincount(idx, weights=weights, minlength=len(support))
 
 
-def build_coupling(pair: ConditionalPair, c: BinaryChannel,
-                   tolerance: float = 1e-10) -> Coupling:
+def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
     """Construct the diagonal-plus-crossing coupling of a conditional pair.
 
     Parameters
     ----------
     pair : ConditionalPair
-        Must satisfy the per-atom weight ordering up to ``tolerance``.
+        Must satisfy the per-atom weight ordering up to
+        :data:`DOMINANCE_TOL`.
     c : BinaryChannel
         Unused by the construction itself (the sign barrier sits at LLR 0
         in every coordinate system) but kept for interface symmetry and
         future posterior-coordinate output.
-    tolerance : float
-        Largest admissible violation of the weight ordering.
 
     Returns
     -------
@@ -114,13 +114,14 @@ def build_coupling(pair: ConditionalPair, c: BinaryChannel,
     Raises
     ------
     DominanceViolation
-        If the weight ordering fails beyond ``tolerance`` (an upstream
-        evolution bug, not a fixable input).
+        If the weight ordering fails beyond :data:`DOMINANCE_TOL` (an
+        upstream evolution bug, not a fixable input).
     """
     violation = pair.dominance_violation()
-    if violation > tolerance:
+    if violation > DOMINANCE_TOL:
         raise DominanceViolation(
-            f"per-atom weight ordering violated by {violation:.3e} (tolerance {tolerance:.1e})")
+            f"per-atom weight ordering violated by {violation:.3e} "
+            f"(tolerance {DOMINANCE_TOL:.1e})")
 
     v, w0, w1 = pair.values, pair.w0, pair.w1
     diag = np.minimum(w0, w1)

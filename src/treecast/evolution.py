@@ -33,7 +33,7 @@ from scipy.stats import binom
 
 from .errors import AtomExplosion, InvalidParameter
 from .channels import BinaryChannel, llr_step, gap_kernel
-from .atoms import ConditionalPair, grid_merge, posterior_from_llr
+from .atoms import ConditionalPair, grid_merge
 
 
 MERGE_TOL = 1e-12  # fine grid width: merges only atoms equal up to rounding
@@ -83,7 +83,7 @@ def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
             return -math.inf
         if num > 0 and den == 0:
             return math.inf
-        return math.nan  # 0/0: only reachable on zero-weight rows
+        return math.nan  # 0/0: only on rows of zero weight, never formed
 
     lr0 = log_ratio(c.p00, c.p10)  # per child with value 0
     lr1 = log_ratio(c.p01, c.p11)  # per child with value 1
@@ -91,14 +91,12 @@ def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
     counts = np.arange(k + 1)
     w0 = binom.pmf(counts, k, c.p01)
     w1 = binom.pmf(counts, k, c.p11)
-    keep = (w0 > 0) | (w1 > 0)
-    values = np.empty(k + 1)
-    for n1 in counts:
-        n0 = k - n1
-        term0 = 0.0 if n0 == 0 else n0 * lr0
-        term1 = 0.0 if n1 == 0 else n1 * lr1
-        values[n1] = term0 + term1
-    values, w0, w1 = values[keep], w0[keep], w1[keep]
+    # only rows of positive weight are formed: a row that neither root
+    # value reaches can add -inf to +inf
+    n1 = counts[(w0 > 0) | (w1 > 0)]
+    values = np.array([(0.0 if n == k else (k - n) * lr0) + (0.0 if n == 0 else n * lr1)
+                       for n in n1])
+    w0, w1 = w0[n1], w1[n1]
 
     values, w0, w1 = grid_merge(values, w0, w1, tol=MERGE_TOL)
     w0 = w0 / w0.sum()
@@ -289,11 +287,9 @@ def diagnostics(pair: ConditionalPair, c: BinaryChannel) -> dict:
         never reaches (``-inf`` when ``pi1 = 0``) cannot make it NaN.
     """
     tv = 0.5 * float(np.abs(pair.w0 - pair.w1).sum())
-    mix = c.pi0 * pair.w0 + c.pi1 * pair.w1
-    live = mix > 0
-    a = posterior_from_llr(pair.values[live], c)
-    mean_a = float(a @ mix[live])
-    var_a = float((a - mean_a) ** 2 @ mix[live])
+    a, mix = pair.posterior_mixture(c)
+    mean_a = float(a @ mix)
+    var_a = float((a - mean_a) ** 2 @ mix)
     return {"tv": tv, "mean_gap": mean_gap(pair), "var_A": var_a}
 
 

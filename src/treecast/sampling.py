@@ -198,14 +198,22 @@ class Population:
 
 
 def population_from_pair(pair: ConditionalPair, n: int, seed: int) -> Population:
-    """Initialize a population by sampling each conditional law of a pair."""
+    """Initialize a population by sampling each conditional law of a pair.
+
+    Each law is drawn from its atoms of positive weight only, so an atom
+    that one root value cannot reach (such as ``+inf`` under root value 1
+    of the hard-core channel) never enters that root value's samples.
+    """
     if n < 1:
         raise InvalidParameter(f"population size must be positive, got {n}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    law0, law1 = pair.law0, pair.law1
-    s0 = law0.values[_weighted_draw(rng, law0.weights / law0.weights.sum(), n)]
-    s1 = law1.values[_weighted_draw(rng, law1.weights / law1.weights.sum(), n)]
-    return Population(depth=pair.depth, samples0=s0, samples1=s1, rng=rng)
+
+    def draw(w):
+        keep = w > 0
+        return pair.values[keep][_weighted_draw(rng, w[keep] / w[keep].sum(), n)]
+
+    return Population(depth=pair.depth, samples0=draw(pair.w0),
+                      samples1=draw(pair.w1), rng=rng)
 
 
 def _weighted_draw(rng: np.random.Generator, p: np.ndarray, shape) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Atomic distributions, shared-support pairs, merging, posterior maps."""
+"""Shared-support pairs, merging, posterior maps."""
 
 import math
 import operator
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treecast import (
-    AtomicDistribution,
     ConditionalPair,
     InvalidParameter,
     grid_merge,
@@ -28,35 +27,7 @@ def genuine_pair(rng, n=12, depth=1):
     return ConditionalPair(depth=depth, values=v, w0=q, w1=r)
 
 
-# ----------------------------------------------------------- distributions
-
-def test_distribution_validation():
-    with pytest.raises(InvalidParameter):
-        AtomicDistribution(np.array([1.0, 0.5]), np.array([0.5, 0.5]))
-    with pytest.raises(InvalidParameter):
-        AtomicDistribution(np.array([0.0, 1.0]), np.array([1.5, -0.5]))
-    with pytest.raises(InvalidParameter):
-        AtomicDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.4]))
-    with pytest.raises(InvalidParameter):
-        AtomicDistribution(np.array([0.0, math.nan]), np.array([0.5, 0.5]))
-    with pytest.raises(InvalidParameter):
-        AtomicDistribution(np.array([]), np.array([]))
-    with pytest.raises(InvalidParameter):
-        AtomicDistribution(np.array([0.0, 1.0]), np.array([1.0]))
-
-
-def test_distribution_mean():
-    d = AtomicDistribution(np.array([-1.0, 3.0]), np.array([0.25, 0.75]))
-    assert abs(d.mean() - 2.0) < 1e-15
-    d = AtomicDistribution(np.array([0.0, math.inf]), np.array([0.9, 0.1]))
-    assert d.mean() == math.inf
-    d = AtomicDistribution(np.array([-math.inf, 0.0]), np.array([0.1, 0.9]))
-    assert d.mean() == -math.inf
-    d = AtomicDistribution(np.array([-math.inf, math.inf]), np.array([0.5, 0.5]))
-    assert d.mean() == math.inf
-
-
-# --------------------------------------------------------------- pair views
+# ------------------------------------------------------------------- pairs
 
 def test_pair_validation():
     v = np.array([-1.0, 1.0])
@@ -69,15 +40,10 @@ def test_pair_validation():
         ConditionalPair(depth=1, values=v, w0=np.array([1.2, -0.2]), w1=w)
     with pytest.raises(InvalidParameter):
         ConditionalPair(depth=1, values=v, w0=np.array([0.5, 0.4]), w1=w)
-
-
-def test_pair_views_drop_zero_weights():
-    pair = ConditionalPair(depth=1,
-                           values=np.array([-2.0, 0.0, 2.0]),
-                           w0=np.array([0.0, 0.5, 0.5]),
-                           w1=np.array([0.5, 0.5, 0.0]))
-    assert list(pair.law0.values) == [0.0, 2.0]
-    assert list(pair.law1.values) == [-2.0, 0.0]
+    with pytest.raises(InvalidParameter):
+        ConditionalPair(depth=1, values=np.array([0.0, math.nan]), w0=w, w1=w)
+    with pytest.raises(InvalidParameter):
+        ConditionalPair(depth=1, values=np.array([]), w0=np.array([]), w1=np.array([]))
 
 
 def test_genuine_pair_is_unbiased_and_dominant():

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treecast import cli, deep_policy, evolve_to_depth, diagnostics, make_channel
+from treecast import (DominanceViolation, cli, deep_policy, evolve_to_depth,
+                      diagnostics, make_channel)
 from treecast.cli import main
 
 KS_EPS_K2 = 0.14644660940672624  # root of 2*(1-2*eps)**2 = 1 in (0, 1/2)
@@ -410,12 +411,26 @@ def cli_argv(draw):
 @example(["evolve", "--matrix", "1.0", "1e-20", "--depth", "3"])
 @example(["evolve", "--matrix", "0.5", "1e-17", "--depth", "3"])
 @example(["evolve", "--hardcore-lambda", "1e308", "--depth", "2"])
+@example(["evolve", "--matrix", "0.0", "1.0", "--depth", "2"])
 def test_cli_never_leaks_a_python_exception(argv):
     """Edge channels end in a documented exit code, never a traceback."""
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3, 4), argv
+
+
+@pytest.mark.parametrize("command", ["couple", "verify"])
+def test_refused_coupling_exits_2(command, capsys, monkeypatch):
+    """Every typed error the handlers raise maps to an exit code, including
+    the DominanceViolation that build_coupling raises."""
+    def refuse(pair, c):
+        raise DominanceViolation("per-atom weight ordering violated")
+
+    monkeypatch.setattr(cli, "build_coupling", refuse)
+    code, out, err = run_cli([command, "--symmetric", "0.3"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: per-atom weight ordering violated\n"
 
 
 def test_edge_channels_answer_or_refuse(capsys):

@@ -96,7 +96,7 @@ def test_coupling_rejects_dominance_violation():
 
 
 def test_coupling_tolerates_tiny_violation():
-    d = 5e-11  # below the 1e-10 default tolerance
+    d = 5e-11  # below DOMINANCE_TOL = 1e-10
     pair = ConditionalPair(depth=1,
                            values=np.array([-1.0, 1.0]),
                            w0=np.array([0.5 + d, 0.5 - d]),

@@ -55,14 +55,24 @@ def test_base_pair_symmetric_single_child():
 
 
 def test_base_pair_hardcore_single_child():
-    """Occupied root forces an empty child: law1 is a point mass."""
+    """Occupied root forces an empty child: the root-1 law is a point mass."""
     c, _ = hardcore_channel(1.0, 1)
     pair = base_pair(c, 1)
-    law1 = pair.law1
-    assert len(law1) == 1
-    assert abs(law1.values[0] - math.log(0.5)) < 1e-12
+    support1 = pair.values[pair.w1 > 0]
+    assert len(support1) == 1
+    assert abs(support1[0] - math.log(0.5)) < 1e-12
     assert pair.values[-1] == math.inf
     assert abs(pair.w0[pair.values == math.inf][0] - 0.5) < 1e-15
+
+
+def test_base_pair_opposite_infinities_warn_nothing():
+    """p00 = p11 = 0: the mixed child counts, which would add -inf to +inf,
+    have zero weight and are never formed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = base_pair(make_channel(0.0, 1.0), 2)
+    assert list(pair.values) == [-math.inf, math.inf]
+    assert list(pair.w0) == [0.0, 1.0] and list(pair.w1) == [1.0, 0.0]
 
 
 def test_base_pair_uninformative_channel():

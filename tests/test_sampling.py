@@ -217,6 +217,17 @@ def test_population_from_pair_sizes():
     assert pop.size == 5000 and pop.depth == 1
 
 
+def test_population_from_pair_skips_zero_weight_atoms():
+    """The hard-core base pair has a +inf atom that root value 1 never
+    reaches: no root-1 sample lands on it, while root-0 samples do."""
+    c, _ = hardcore_channel(1.0, 2)
+    pair = base_pair(c, 2)
+    assert pair.values[-1] == math.inf and pair.w1[-1] == 0.0
+    pop = population_from_pair(pair, 5000, seed=13)
+    assert not np.any(np.isposinf(pop.samples1))
+    assert np.any(np.isposinf(pop.samples0))
+
+
 def test_population_uninformative_stays_at_zero():
     c = symmetric_channel(0.5)
     pop = population_from_pair(base_pair(c, 2), 2000, seed=14)
@@ -250,9 +261,9 @@ def test_population_mean_matches_exact_depth3():
     for _ in range(2):
         pop = population_evolve(pop, c, 2)
     exact = evolve_to_depth(c, 2, 3)
-    for samples, law in ((pop.samples0, exact.law0), (pop.samples1, exact.law1)):
+    for samples, w in ((pop.samples0, exact.w0), (pop.samples1, exact.w1)):
         se = float(np.std(samples)) / math.sqrt(n)
-        assert abs(float(np.mean(samples)) - law.mean()) < 4 * se
+        assert abs(float(np.mean(samples)) - float(exact.values @ w)) < 4 * se
 
 
 def test_estimates_match_exact_small_depths():
