@@ -135,15 +135,23 @@ def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
         d = diag[live] / diag[live].sum()
         return Coupling(y0=v[live], y1=v[live], weight=d)
 
-    # comonotone pairing via the union of the residual cumulative masses
+    # comonotone pairing on the union of the residual cumulative masses:
+    # a stable sort merges the two sorted runs, and the first occurrence of
+    # each mass m has before it exactly the entries of c0 and of c1 below m
     c0 = np.cumsum(r0[i0])
     c1 = np.cumsum(r1[i1])
-    grid = np.union1d(c0, c1)
+    merged = np.concatenate((c0, c1))
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    first = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+    grid = merged[first]
     seg = np.diff(np.concatenate(([0.0], grid)))
-    pos = np.searchsorted(c0, grid - 1e-300, side="left")
-    a_idx = i0[np.clip(pos, 0, len(i0) - 1)]
-    pos = np.searchsorted(c1, grid - 1e-300, side="left")
-    b_idx = i1[np.clip(pos, 0, len(i1) - 1)]
+    from0 = order < len(c0)
+    p0 = (np.cumsum(from0) - from0)[first]
+    # past the end of the shorter run (totals that differ by rounding),
+    # the last atom of that run takes the remainder
+    a_idx = i0[np.minimum(p0, len(i0) - 1)]
+    b_idx = i1[np.minimum(first - p0, len(i1) - 1)]
     keep = seg > 0
     off_y0 = v[a_idx[keep]]
     off_y1 = v[b_idx[keep]]

@@ -35,9 +35,12 @@ class AtomExplosion(TreecastError):
     for ``PAIR_BUDGET`` it is the number of atom pairs a convolution fold
     would have formed, raised before that fold allocates anything (it can
     exceed the size of the finished law by orders of magnitude).  The
-    exact step checks each fold as it comes; the lattice step checks its
-    last and largest fold, ``((k-1)*(L-1) + 1) * L`` pairs for an
-    ``L``-point lattice vector, before the first.  The usual remedy is
+    exact step checks each fold as it comes: its first fold adds the
+    ``m``-atom child law to itself and forms ``m(m+1)/2`` unordered pairs,
+    and each later fold forms ``m`` pairs per atom of the partial sum.  The
+    lattice step checks its last and largest fold,
+    ``((k-1)*(L-1) + 1) * L`` pairs for an ``L``-point lattice vector,
+    before the first.  The usual remedy is
     ``deep_policy()``: its lattice step (width ``LATTICE_WIDTH``) has no
     atom cap and returns an upper law whose TV is at least the exact one.
     When even the lattice folds are over the pair budget

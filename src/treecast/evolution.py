@@ -214,12 +214,19 @@ def _lattice_power(g_arr, m0, m1, k, child_const):
 def _convolve(g_arr, mix0, mix1, k, child_const):
     """k-fold i.i.d. sum of the g-image plus the depth constant, exactly.
 
-    Atoms merge only on the :data:`MERGE_TOL` grid; a law above
-    :data:`ATOM_CAP` atoms raises :class:`~treecast.errors.AtomExplosion`.
+    The first fold adds the law to itself, so it forms each unordered
+    pair ``i <= j`` once, ``m(m+1)/2`` pairs for an ``m``-atom law, with
+    the weight of an off-diagonal pair doubled; later folds add one more
+    copy as a full outer product.  Atoms merge only on the
+    :data:`MERGE_TOL` grid; a law above :data:`ATOM_CAP` atoms raises
+    :class:`~treecast.errors.AtomExplosion`.
     """
     y, m0, m1 = grid_merge(g_arr, mix0, mix1, tol=MERGE_TOL)
     s, sw0, sw1 = y, m0, m1
-    for _ in range(k - 1):
+    if k > 1:
+        s, sw0, sw1 = grid_merge(*_self_pairs(y, m0, m1), tol=MERGE_TOL)
+        _atom_budget(len(s))
+    for _ in range(k - 2):
         _fold_budget(len(s) * len(y))
         total = (s[:, None] + y[None, :]).ravel()
         t0 = (sw0[:, None] * m0[None, :]).ravel()
@@ -230,6 +237,30 @@ def _convolve(g_arr, mix0, mix1, k, child_const):
     s, sw0, sw1 = grid_merge(s, sw0, sw1, tol=MERGE_TOL)
     _atom_budget(len(s))
     return s, sw0, sw1
+
+
+def _self_pairs(y, m0, m1):
+    """Sums and weights of the unordered atom pairs ``i <= j`` of one law.
+
+    The pair ``(i, j)`` with ``i < j`` stands for both ordered pairs:
+    ``y[i] + y[j]`` is bitwise ``y[j] + y[i]``, and its doubled weight is
+    bitwise ``m[i]*m[j] + m[j]*m[i]``.  Built row by row, so no ``m x m``
+    array is ever allocated.
+    """
+    m = len(y)
+    n_pairs = m * (m + 1) // 2
+    _fold_budget(n_pairs)
+    total, t0, t1 = np.empty(n_pairs), np.empty(n_pairs), np.empty(n_pairs)
+    start = 0
+    for i in range(m):
+        row = slice(start, start + m - i)
+        np.add(y[i], y[i:], out=total[row])
+        np.multiply(m0[i], m0[i:], out=t0[row])
+        np.multiply(m1[i], m1[i:], out=t1[row])
+        start = row.stop
+        t0[row.start + 1:start] *= 2.0
+        t1[row.start + 1:start] *= 2.0
+    return total, t0, t1
 
 
 def _atom_budget(n_atoms: int) -> None:

@@ -4,13 +4,19 @@ Everything here works from first principles: exhaustive enumeration over
 binary tree configurations, finite differences on dense grids, or direct
 formula evaluation.  None of it calls the recursive machinery under test
 (the plain population step borrows only the ``Population`` container), so
-a library bug cannot leak into its own reference values.
+a library bug cannot leak into its own reference values.  The exceptions
+are the two straightforward forms that the library replaced with faster
+ones, kept to pin the faster forms down: the full outer-product
+convolution (which merges with the library's ``grid_merge``) and the
+searched comonotone coupling.
 """
 
 import math
 
 import numpy as np
 
+from treecast.atoms import grid_merge
+from treecast.evolution import MERGE_TOL
 from treecast.sampling import Population
 
 
@@ -278,3 +284,51 @@ def population_evolve(pop, c, k):
         g = np.where(np.isposinf(child), 0.0, g)
         new.append(const + g.sum(axis=1))
     return Population(depth=pop.depth + 1, samples0=new[0], samples1=new[1], rng=rng)
+
+
+def full_product_convolve(g_arr, mix0, mix1, k, child_const):
+    """The exact step's k-fold sum with every fold a full outer product.
+
+    Forms all ``m*m`` ordered pairs in the first fold, so each unordered
+    pair twice; the library's self-fold forms each once.  Same signature
+    and return value as ``exact_policy()``; no pair or atom budget.
+    """
+    y, m0, m1 = grid_merge(g_arr, mix0, mix1, tol=MERGE_TOL)
+    s, sw0, sw1 = y, m0, m1
+    for _ in range(k - 1):
+        total = (s[:, None] + y[None, :]).ravel()
+        t0 = (sw0[:, None] * m0[None, :]).ravel()
+        t1 = (sw1[:, None] * m1[None, :]).ravel()
+        s, sw0, sw1 = grid_merge(total, t0, t1, tol=MERGE_TOL)
+    s = s + k * child_const
+    return grid_merge(s, sw0, sw1, tol=MERGE_TOL)
+
+
+def searched_coupling(v, w0, w1):
+    """Diagonal-plus-crossing coupling with the residuals paired by search.
+
+    The comonotone pairing looks every mass of the union of the two
+    residual cumulative masses up in each one with ``searchsorted``; the
+    library merges the two sorted runs instead.  Returns ``(y0, y1, w)``.
+    """
+    diag = np.minimum(w0, w1)
+    r0 = w0 - diag
+    r1 = w1 - diag
+    i0 = np.flatnonzero(r0 > 0)
+    i1 = np.flatnonzero(r1 > 0)
+    live = diag > 0
+    if len(i0) == 0 or len(i1) == 0:
+        return v[live], v[live], diag[live] / diag[live].sum()
+    c0 = np.cumsum(r0[i0])
+    c1 = np.cumsum(r1[i1])
+    grid = np.union1d(c0, c1)
+    seg = np.diff(np.concatenate(([0.0], grid)))
+    pos = np.searchsorted(c0, grid - 1e-300, side="left")
+    a_idx = i0[np.clip(pos, 0, len(i0) - 1)]
+    pos = np.searchsorted(c1, grid - 1e-300, side="left")
+    b_idx = i1[np.clip(pos, 0, len(i1) - 1)]
+    keep = seg > 0
+    y0 = np.concatenate((v[live], v[a_idx[keep]]))
+    y1 = np.concatenate((v[live], v[b_idx[keep]]))
+    w = np.concatenate((diag[live], seg[keep]))
+    return y0, y1, w / w.sum()

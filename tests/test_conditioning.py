@@ -15,14 +15,18 @@ from treecast import (
     base_pair,
     build_coupling,
     deep_policy,
+    evolve,
     evolve_to_depth,
+    exact_policy,
     hardcore_channel,
+    make_channel,
     mean_gap,
     symmetric_channel,
     verify_sandwich,
+    w_of_lambda,
 )
 
-from _oracles import genuine_pair_arrays, random_sandwich_case
+from _oracles import genuine_pair_arrays, random_sandwich_case, searched_coupling
 
 
 # ----------------------------------------------------------------- coupling
@@ -117,6 +121,67 @@ def test_coupling_mean_identity_random_pairs():
         res = cpl.marginal_residuals(pair)
         assert max(res) < 1e-12
         assert cpl.crossing_ok()
+
+
+def assert_pairing_matches_search(pair):
+    cpl = build_coupling(pair, symmetric_channel(0.3))
+    y0, y1, w = searched_coupling(pair.values, pair.w0, pair.w1)
+    assert np.array_equal(cpl.y0, y0)
+    assert np.array_equal(cpl.y1, y1)
+    assert np.array_equal(cpl.weight, w)
+
+
+def test_merged_pairing_equals_searched_pairing_on_random_pairs():
+    rng = np.random.default_rng(34)
+    for n in (2, 3, 16, 200):
+        for _ in range(10):
+            v, q, r = genuine_pair_arrays(rng, n=n)
+            assert_pairing_matches_search(ConditionalPair(depth=1, values=v, w0=q, w1=r))
+
+
+def test_merged_pairing_equals_searched_pairing_on_edge_cases():
+    v = np.array([-1.0, -0.5, 0.5, 1.0])
+    cases = [
+        # the mass 0.5 ends a cumulative run on both sides; one law-0 atom
+        (v, [0.0, 0.25, 0.25, 0.5], [0.25, 0.5, 0.25, 0.0]),
+        # one law-1 atom against two law-0 atoms
+        (v, [0.0, 0.25, 0.25, 0.5], [0.5, 0.25, 0.125, 0.125]),
+        # dyadic masses: many cumulative masses shared exactly
+        (v, [0.0625, 0.1875, 0.3125, 0.4375], [0.4375, 0.3125, 0.1875, 0.0625]),
+    ]
+    for values, w0, w1 in cases:
+        assert_pairing_matches_search(
+            ConditionalPair(depth=1, values=values, w0=np.array(w0), w1=np.array(w1)))
+    # +-inf atoms: the hard-core base pair and two steps on from it
+    c, _ = hardcore_channel(w_of_lambda(1.0, 2), 2)
+    pair = base_pair(c, 2)
+    assert np.isinf(pair.values).any()
+    for _ in range(3):
+        assert_pairing_matches_search(pair)
+        pair = evolve(pair, c, 2, exact_policy())
+    # residual totals a few ulps apart, either side longer: past the end of
+    # the shorter cumulative run its last atom takes the remainder
+    rng = np.random.default_rng(35)
+    for side in (0, 1):
+        for _ in range(5):
+            v, q, r = genuine_pair_arrays(rng, n=12)
+            w = [q, r][side]
+            end = -1 if side == 0 else 0  # an atom carrying that side's surplus
+            for _ in range(3):
+                w[end] = np.nextafter(w[end], 1.0)
+            pair = ConditionalPair(depth=1, values=v, w0=q, w1=r)
+            r0 = np.maximum(q - r, 0.0).cumsum()[-1]
+            r1 = np.maximum(r - q, 0.0).cumsum()[-1]
+            assert r0 != r1
+            assert_pairing_matches_search(pair)
+
+
+def test_merged_pairing_equals_searched_pairing_on_deep_laws():
+    for c in (symmetric_channel(0.2), make_channel(0.81, 0.27)):
+        pair = base_pair(c, 2)
+        for _ in range(4):
+            pair = evolve(pair, c, 2, exact_policy())
+            assert_pairing_matches_search(pair)
 
 
 # ----------------------------------------------------------------- sandwich

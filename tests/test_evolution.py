@@ -19,7 +19,9 @@ from treecast import (
     evolve_to_depth,
     exact_policy,
     gap_identity_residual,
+    grid_merge,
     hardcore_channel,
+    llr_step,
     make_channel,
     mean_gap,
     population_evolve_anchored,
@@ -29,7 +31,8 @@ from treecast import (
     w_of_lambda,
 )
 
-from _oracles import brute_pair_laws, brute_root_posterior, compare_laws, random_channel
+from _oracles import (brute_pair_laws, brute_root_posterior, compare_laws,
+                      full_product_convolve, random_channel)
 
 
 def assert_matches_oracle(pair, c, k, depth, vtol=1e-10, wtol=1e-10):
@@ -263,6 +266,72 @@ def test_pair_budget_raises_before_allocation(monkeypatch):
     with pytest.raises(AtomExplosion) as info:
         evolve_to_depth(c, 2, 4, exact_policy())
     assert info.value.count > 50
+
+
+def test_self_fold_budget_counts_unordered_pairs(monkeypatch):
+    """At k=2 the one fold forms the m(m+1)/2 unordered pairs, no more."""
+    monkeypatch.setattr(evolution, "ATOM_CAP", 1 << 40)
+    c = make_channel(0.81, 0.27)
+    pair = evolve_to_depth(c, 2, 4, exact_policy())
+    m = len(grid_merge(llr_step(c, pair.values), pair.w0, tol=evolution.MERGE_TOL)[0])
+    formed = m * (m + 1) // 2
+    assert formed < m * m
+    monkeypatch.setattr(evolution, "PAIR_BUDGET", formed)
+    evolve(pair, c, 2, exact_policy())
+    monkeypatch.setattr(evolution, "PAIR_BUDGET", formed - 1)
+    with pytest.raises(AtomExplosion) as info:
+        evolve(pair, c, 2, exact_policy())
+    assert info.value.count == formed
+
+
+# ---------------------------------------------------- self-fold reference
+
+def _both_folds(c, k, depth):
+    """Depth-``depth`` pairs of the exact step and of the full-product fold."""
+    exact = full = base_pair(c, k)
+    for _ in range(depth - 1):
+        exact = evolve(exact, c, k, exact_policy())
+        full = evolve(full, c, k, full_product_convolve)
+    return exact, full
+
+
+def test_self_fold_agrees_with_full_product_on_random_channels():
+    """Summing each unordered pair once moves the law by rounding only.
+
+    Each chain runs through depth 4; a cell the exact step refuses (most
+    k=3, depth-4 cells) ends its chain, since the reference would have
+    to form the same refused fold.
+    """
+    rng = np.random.default_rng(91)
+    checked = {}
+    for _ in range(20):
+        c = make_channel(*random_channel(rng, 0.05, 0.95))
+        for k in (2, 3):
+            exact = full = base_pair(c, k)
+            for depth in (2, 3, 4):
+                try:
+                    exact = evolve(exact, c, k, exact_policy())
+                except AtomExplosion:
+                    break
+                full = evolve(full, c, k, full_product_convolve)
+                assert len(exact) == len(full), (c, k, depth)
+                dv, dw0 = compare_laws(exact.values, exact.w0, full.values, full.w0)
+                _, dw1 = compare_laws(exact.values, exact.w1, full.values, full.w1)
+                assert max(dv, dw0, dw1) <= 1e-13, (c, k, depth, dv, dw0, dw1)
+                checked[(k, depth)] = checked.get((k, depth), 0) + 1
+    assert all(checked.get((k, d), 0) == 20 for k, d in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)))
+
+
+@pytest.mark.parametrize("c, k, depth", [
+    (make_channel(0.6, 0.3), 2, 5),
+    (make_channel(0.9, 0.05), 3, 3),
+    (hardcore_channel(w_of_lambda(1.0, 2), 2)[0], 2, 6),
+], ids=["asym-k2-d5", "near-deterministic-k3-d3", "hardcore-k2-d6"])
+def test_self_fold_bitwise_equal_to_full_product(c, k, depth):
+    exact, full = _both_folds(c, k, depth)
+    assert np.array_equal(exact.values, full.values)
+    assert np.array_equal(exact.w0, full.w0)
+    assert np.array_equal(exact.w1, full.w1)
 
 
 # ------------------------------------------------------------ lattice step
