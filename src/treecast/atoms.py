@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .errors import InvalidParameter
 from .channels import BinaryChannel
@@ -216,7 +215,8 @@ def posterior_from_llr(x, c: BinaryChannel):
     ``-inf -> 0``.  Vectorized over ``x``.
     """
     arr = np.asarray(x, dtype=np.float64)
-    out = expit(arr + c.log_prior_ratio)
+    with np.errstate(over="ignore"):  # exp(+inf) = inf gives the posterior 0
+        out = 1.0 / (1.0 + np.exp(-(arr + c.log_prior_ratio)))
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -230,8 +230,13 @@ def llr_from_posterior(a, c: BinaryChannel):
     arr = np.asarray(a, dtype=np.float64)
     if np.any((arr < 0) | (arr > 1)):
         raise InvalidParameter("posterior values must lie in [0, 1]")
+    # ln(a/(1-a)) loses digits near a = 1/2, where log1p(s) - log1p(-s)
+    # with s = 2a - 1 keeps them
+    s = 2.0 * (arr - 0.5)
     with np.errstate(divide="ignore"):
-        out = logit(arr) - c.log_prior_ratio
+        logit = np.where((arr < 0.3) | (arr > 0.65),
+                         np.log(arr / (1.0 - arr)), np.log1p(s) - np.log1p(-s))
+    out = logit - c.log_prior_ratio
     if np.ndim(a) == 0:
         return float(out)
     return out

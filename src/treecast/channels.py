@@ -20,12 +20,92 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import DegenerateChannel, InvalidParameter, UndefinedLimit
+from .errors import (BadBracket, DegenerateChannel, InvalidParameter,
+                     ResourceLimit, UndefinedLimit)
 
 _ROW_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+_BRENT_RTOL = 4 * np.finfo(np.float64).eps
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
+            rtol: float = _BRENT_RTOL) -> float:
+    """Root of ``f`` in ``[xa, xb]`` by Brent's method (Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 4).
+
+    Step for step the classic C routine ``brentq.c``, with its defaults and
+    its cap of 100 iterations: the same iterates, so the same root to the
+    last bit.  The endpoint values must differ in sign; the result is
+    within ``xtol + rtol*|x|`` of a sign change of ``f``.
+
+    Raises
+    ------
+    BadBracket
+        If ``f(xa)`` and ``f(xb)`` have the same sign.
+    InvalidParameter
+        If ``f`` returns NaN.
+    ResourceLimit
+        If the root is not bracketed to tolerance within 100 iterations.
+    """
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise InvalidParameter(f"root finder: the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise BadBracket(f"root finder: f({xa}) and f({xb}) have the same sign")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C divides by 0 to +-inf or NaN, and then bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise ResourceLimit(
+        f"root finder: no convergence after {_BRENT_MAXITER} iterations (x = {xcur})")
 
 
 @dataclass(frozen=True)
@@ -199,7 +279,7 @@ def w_of_lambda(lam: float, k: int) -> float:
     # h(lo) < 0 for any representable lam; widen hi if needed
     while h(hi) < 0:
         hi *= 2.0
-    t = brentq(h, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    t = _brentq(h, lo, hi, xtol=1e-15, rtol=8.9e-16)
     return math.exp(t)
 
 
@@ -286,9 +366,12 @@ def llr_step(c: BinaryChannel, x):
     arr = np.asarray(x, dtype=np.float64)
     if c.c1 == 0.0 and np.any(np.isneginf(arr)):
         raise UndefinedLimit("llr_step at -inf is undefined when p11 = 0")
-    # exp may overflow to +inf (g -> 0); log1p(-1) = -inf is g(-inf) when c0 = 0
+    # exp may overflow to +inf (g -> 0); log1p(-1) = -inf is g(-inf) when c0 = 0.
+    # Equal rows (c0 = c1) give g = 0, also where c1 = 0 and exp(x) underflows
+    # to 0, which would make the quotient 0/0.
+    d = c.c0 - c.c1
     with np.errstate(over="ignore", divide="ignore"):
-        out = np.log1p((c.c0 - c.c1) / (np.exp(arr) + c.c1))
+        out = np.log1p(d / (np.exp(arr) + c.c1)) if d else np.zeros_like(arr)
     out = np.where(np.isposinf(arr), 0.0, out)
     # g is finite at finite x, and g(-inf) = ln(c0/c1) is -inf only when c0 = 0
     if np.any(np.isposinf(out) if c.c0 == 0.0 else np.isinf(out)):

@@ -73,8 +73,10 @@ class NotInterior(TreecastError):
 
 
 class ResourceLimit(TreecastError):
-    """An enumeration or simulation would exceed a configured size cap."""
+    """An enumeration or simulation would exceed a configured size cap, or
+    the root finder reached its iteration cap."""
 
 
 class BadBracket(TreecastError):
-    """Both bisection endpoints produced the same verdict."""
+    """Both bisection endpoints produced the same verdict, or a root
+    finder's function has the same sign at both ends of its bracket."""

@@ -25,11 +25,11 @@ exact law, and exceeds it by O(``LATTICE_WIDTH``).
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import AtomExplosion, InvalidParameter
 from .channels import BinaryChannel, llr_step, gap_kernel
@@ -41,6 +41,11 @@ LATTICE_WIDTH = 2e-3  # lattice spacing of the deep step's upper law
 PAIR_BUDGET = 1 << 25  # most atom pairs one convolution fold may form
 ATOM_CAP = 20_000_000  # most atoms an exact law may hold
 
+# 40 digits and no exponent limits: a binomial term keeps its digits
+# however small it is, and only its final conversion to float64 rounds
+_BINOMIAL_CONTEXT = decimal.Context(prec=40, Emax=decimal.MAX_EMAX,
+                                    Emin=decimal.MIN_EMIN)
+
 
 def exact_policy():
     """The exact step, for oracle-grade runs: dedup-only merging, exact laws."""
@@ -50,6 +55,27 @@ def exact_policy():
 def deep_policy():
     """The lattice step, for deep runs: an upper law at any depth."""
     return _lattice_power
+
+
+def _binomial_pmf(k: int, p: float) -> np.ndarray:
+    """Binomial(k, p) probabilities of 0..k successes, each rounded once.
+
+    ``(1-p)**k``, then ``* (k-n)/(n+1) * p/(1-p)`` per step, in
+    ``_BINOMIAL_CONTEXT``; a term below the float64 range becomes 0.
+    """
+    out = np.zeros(k + 1)
+    if p == 1.0:
+        out[k] = 1.0
+        return out
+    with decimal.localcontext(_BINOMIAL_CONTEXT):
+        p_dec = decimal.Decimal(p)
+        q = 1 - p_dec
+        odds = p_dec / q
+        term = q ** k
+        for n in range(k + 1):
+            out[n] = float(term)
+            term = term * (k - n) / (n + 1) * odds
+    return out
 
 
 def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
@@ -89,8 +115,8 @@ def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
     lr1 = log_ratio(c.p01, c.p11)  # per child with value 1
 
     counts = np.arange(k + 1)
-    w0 = binom.pmf(counts, k, c.p01)
-    w1 = binom.pmf(counts, k, c.p11)
+    w0 = _binomial_pmf(k, c.p01)
+    w1 = _binomial_pmf(k, c.p11)
     # only rows of positive weight are formed: a row that neither root
     # value reaches can add -inf to +inf
     n1 = counts[(w0 > 0) | (w1 > 0)]

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidParameter, ResourceLimit
 from .channels import BinaryChannel, llr_step
@@ -251,8 +250,16 @@ def _project_unit_mean(s: np.ndarray) -> np.ndarray:
     finite = np.isfinite(s)
     if not finite.any():
         return s
-    shift = logsumexp(-s[finite]) - math.log(len(s))
-    return s + shift
+    # ln(sum exp(-L)) with the maximal terms split off and counted, so the
+    # rest enters through log1p: the usual logsumexp, step for step
+    a = -s[finite]
+    a_max = a.max()
+    top = a == a_max
+    m = np.float64(np.count_nonzero(top))
+    e = np.exp(a - a_max)
+    e[top] = 0.0
+    log_sum = np.log1p(e.sum() / m) + np.log(m) + a_max
+    return s + (log_sum - math.log(len(s)))
 
 
 def population_evolve_anchored(pop: Population, c: BinaryChannel, k: int) -> Population:

@@ -26,11 +26,10 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BadBracket, InvalidParameter
-from .channels import (BinaryChannel, symmetric_channel, hardcore_channel,
-                       w_of_lambda, lambda_of_w, kelly_threshold,
+from .channels import (BinaryChannel, _LOG_FLOAT_MAX, _brentq, symmetric_channel,
+                       hardcore_channel, w_of_lambda, lambda_of_w, kelly_threshold,
                        kesten_stigum_eps_c, brightwell_winkler_lower_w,
                        mossel_peres_lhs, geometric_mean_bound_lhs)
 from .evolution import deep_policy, base_pair, evolve, diagnostics, trajectory
@@ -294,7 +293,9 @@ def restricted_bound_crossover(k: int, which: str = "geometric") -> float:
         c, _ = hardcore_channel(w, k)
         return stat(c) - 1.0 / k
 
-    w_star = brentq(excess, 1e-9, 1e6, xtol=1e-15, rtol=8.9e-16)
+    # (k+1)*ln(1+w) bounds ln(w*(1+w)**k), so the activity at hi is finite
+    hi = min(1e6, math.expm1(_LOG_FLOAT_MAX / (k + 1)))
+    w_star = _brentq(excess, 1e-9, hi, xtol=1e-15, rtol=8.9e-16)
     return lambda_of_w(w_star, k)
 
 
@@ -342,7 +343,7 @@ def bounds_report(k: int, family_kind: str) -> BoundsReport:
         def eps_cross(stat):
             def excess(eps: float) -> float:
                 return stat(symmetric_channel(eps)) - 1.0 / k
-            return brentq(excess, 1e-9, 0.5 - 1e-12, xtol=1e-15)
+            return _brentq(excess, 1e-9, 0.5 - 1e-12, xtol=1e-15)
         return BoundsReport(
             family_kind=family_kind, k=k,
             ks_eps=kesten_stigum_eps_c(k),

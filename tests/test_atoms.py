@@ -193,15 +193,16 @@ def test_posterior_map_anchors():
 
 
 def test_posterior_map_roundtrip():
-    """Both directions invert each other on 1000 random points."""
+    """Both directions invert each other on 1000 random points, with and
+    without a prior shift ln(pi0/pi1)."""
     rng = np.random.default_rng(14)
-    c = symmetric_channel(0.3)
-    a = rng.uniform(1e-6, 1.0 - 1e-6, size=1000)
-    back = posterior_from_llr(llr_from_posterior(a, c), c)
-    assert np.max(np.abs(back - a)) < 1e-12
-    x = rng.uniform(-12.0, 12.0, size=1000)
-    forth = llr_from_posterior(posterior_from_llr(x, c), c)
-    assert np.max(np.abs(forth - x)) < 1e-10
+    for c in (symmetric_channel(0.3), make_channel(0.7, 0.2)):
+        a = rng.uniform(1e-6, 1.0 - 1e-6, size=1000)
+        back = posterior_from_llr(llr_from_posterior(a, c), c)
+        assert np.max(np.abs(back - a)) < 1e-12
+        x = rng.uniform(-12.0, 12.0, size=1000)
+        forth = llr_from_posterior(posterior_from_llr(x, c), c)
+        assert np.max(np.abs(forth - x)) < 1e-10
 
 
 def test_posterior_map_scalar_and_vector():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecast import (
     BinaryChannel,
@@ -236,6 +237,53 @@ def test_llr_step_extended_values():
         llr_step(make_channel(0.0, 0.4), 1.0)
     with pytest.raises(InvalidParameter):
         llr_step(make_channel(0.4, 0.0), 1.0)
+
+
+@st.composite
+def extreme_channels(draw):
+    """Channels with p00, p10 > 0 whose entries reach down to 1e-300; a
+    row may be certain of a 0 child (p01 = 0 or p11 = 0)."""
+    small = st.one_of(st.just(0.0), st.floats(1e-300, 0.5),
+                      st.floats(-300.0, -0.302).map(lambda e: 10.0 ** e))
+
+    def row():
+        t = draw(small)
+        # the small entry on either side; a row's first entry stays positive
+        return (t, 1.0 - t) if t > 0 and draw(st.booleans()) else (1.0 - t, t)
+
+    return BinaryChannel(*row(), *row())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(extreme_channels(), st.lists(st.floats(allow_nan=False), min_size=1, max_size=30))
+def test_llr_step_extreme_channels(c, xs):
+    """g is never NaN, lies between 0 and ln(c0/c1), and is monotone in x;
+    where float64 cannot hold it, the step refuses with DegenerateChannel."""
+    x = np.sort(np.array(xs))
+    if c.c1 == 0.0 and np.isneginf(x[0]):
+        with pytest.raises(UndefinedLimit):
+            llr_step(c, x)
+        return
+    try:
+        g = llr_step(c, x)
+    except DegenerateChannel:
+        return
+    assert not np.isnan(g).any()
+    # ln(c0/c1) from the logs: c0/c1 itself can overflow
+    log_c0 = math.log(c.c0) if c.c0 > 0 else -math.inf
+    log_c1 = math.log(c.c1) if c.c1 > 0 else -math.inf
+    bound = 0.0 if c.c0 == c.c1 else log_c0 - log_c1
+    slack = 1e-12 * max(1.0, abs(bound)) if math.isfinite(bound) else 0.0
+    if 0.0 < c.c0 < c.c1:
+        # log1p(u) is ill-conditioned as u = (c0 - c1)/(e^x + c1) nears its
+        # floor c0/c1 - 1: a rounding of u moves g by up to ~eps * c1/c0
+        slack += 4 * np.finfo(float).eps * (c.c1 / c.c0)
+    assert np.all(g >= min(0.0, bound) - slack)
+    assert np.all(g <= max(0.0, bound) + slack)
+    if c.c0 > c.c1:
+        assert np.all(g[1:] <= g[:-1])
+    else:
+        assert np.all(g[1:] >= g[:-1])
 
 
 def test_llr_step_vectorized():

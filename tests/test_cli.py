@@ -7,12 +7,15 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import treecast
 from treecast import (DominanceViolation, cli, deep_policy, evolve_to_depth,
                       diagnostics, make_channel)
 from treecast.cli import main
@@ -130,6 +133,15 @@ def test_bounds_hardcore_k2_reports_kelly(tmp_path, capsys):
     assert payload["config"]["channel"]["kind"] == "hardcore"
     assert payload["config"]["seed"] == 0
     assert payload["config"]["k"] == 2
+
+
+def test_bounds_hardcore_large_k_reports_kelly(capsys):
+    """k = 51 is the first k whose activity at w = 1e6 overflows float64."""
+    code, out, _ = run_cli(["bounds", "--hardcore", "--k", "51"], capsys)
+    assert code == 0
+    report = json.loads(out)["report"]
+    for key in ("mp_crossover_lambda", "geometric_crossover_lambda"):
+        assert report[key] == pytest.approx(report["kelly"], rel=1e-10)
 
 
 def test_bounds_hardcore_k1_exits_2_naming_restriction(capsys):
@@ -574,37 +586,37 @@ PINNED_OUTPUTS = {
     "evolve-exact": (
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "5",
          "--out", "evolve.csv"],
-        "2c8f531b3690c96915daf1e5119d175cce1b041228f6c7529dc877c04cdb6e6b"),
+        "f3189e859a8fa6d4941fb54867fe8e443570403d5461283dfbba5216c6dcdd5b"),
     # k=3 at depth 4: a law the exact engine refuses (its last fold is
     # above PAIR_BUDGET), so only the lattice step computes this curve
     "evolve-exact-k3": (
         ["evolve", "--symmetric", "0.2", "--k", "3", "--depth", "4",
          "--out", "evolve_k3_d4.csv"],
-        "4f84cc1f452437617b1a9b0c9f658ae8012cb043ea8e6ff17513ac5727d74113"),
+        "24568742f2ab161c370b4accbaf78f3f6a43465489bf8d4e2a50c72212012072"),
     "evolve-population": (
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "4",
          "--engine", "population", "--pop-size", "4000", "--seed", "9",
          "--out", "pop.csv"],
-        "9cbc4208a6c31a7ec86a40f5a2943acd4ff74c91eebd2e6a4bda07739a3fe5ca"),
+        "846831966c54f9c49731569cadf7c4d6bdbdd6cc02b1ba191500be24f587fdfa"),
     "couple-csv": (
         ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
          "--out", "coupling.csv"],
-        "97127132949517ceffab44d4de9f6099ea8247468e1ee69a2cd69975679e110a"),
+        "982915f09658d3122c6d0cccab6ce4263ab66693026ca3b8d646bad397932812"),
     "couple-json": (
         ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
          "--format", "json", "--out", "coupling.json"],
-        "8bb29d3e15da6c89ba9a2b30eec7677f42dab8d8c2749cb6056d6fffea08f92a"),
+        "b95c01cc6280a5d2decafea98ea3104a4a1c0f7b11750d1e8d69f0e319dc3c0d"),
     "verify-suite": (
         ["verify", "--out", "suite.json"],
-        "62d989590cdd3cb259d094dcd35739850f3b9460590a1e37fa44ea246166f40b"),
+        "bffc999fbb75c14ee1715b03e37bdfbbfd985e9c620929cc3c876438d1e4c9cb"),
     "verify-matrix": (
         ["verify", "--matrix", "0.6", "0.3", "--out", "verify.json"],
-        "de41da4d2c9343ee31e0292804d4ecfe1363829dbaebfd9c19041d8a08e1fa90"),
+        "8d40e82c678fe23b0b2ab3d329482e4bcbcbb5d13e10262504482d131e5d4f0c"),
     "threshold-exact": (
         ["threshold", "--symmetric", "--k", "2", "--engine", "exact",
          "--depth", "4", "--tol", "0.1", "--bracket", "0.05", "0.45",
          "--seed", "4", "--out", "threshold.json"],
-        "e692245e7b3dc8212d8338e5336e6fc348e015a29a50b3ccc5f85342f4c42606"),
+        "58c1b0a392807f86b0c518ae8e494c20a5713c3c1f284ec366c469bb43a82047"),
     # the population bisection path: population draws, steps and TV curve
     "threshold-population": (
         ["threshold", "--symmetric", "--k", "2", "--pop-size", "2000",
@@ -653,3 +665,49 @@ def test_evolve_steps_through_cli_evolve(capsys, monkeypatch):
     code, _, _ = run_cli(["evolve", "--symmetric", "0.2", "--depth", "4"], capsys)
     assert code == 0
     assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies: numpy and the standard library only
+
+SCIPY_FREE_RUNS = [
+    ["bounds", "--hardcore", "--k", "2"],
+    ["bounds", "--symmetric", "--k", "2"],
+    ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "4"],
+    ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "4",
+     "--engine", "population", "--pop-size", "2000", "--seed", "1"],
+    ["threshold", "--hardcore", "--k", "2"],
+    ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3"],
+    ["verify"],
+    ["hardcore-check", "--hardcore-w", "1.0", "--k", "2", "--depth", "3",
+     "--pop-size", "2000", "--seed", "2"],
+]
+
+
+def run_fresh_interpreter(code):
+    src = Path(treecast.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=600)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = run_fresh_interpreter(
+        "import sys, treecast.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_every_subcommand_runs_with_scipy_blocked():
+    """``sys.modules["scipy"] = None`` makes any scipy import raise."""
+    proc = run_fresh_interpreter(
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from treecast.cli import main\n"
+        "codes = []\n"
+        f"for argv in {SCIPY_FREE_RUNS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps(codes))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(SCIPY_FREE_RUNS), proc.stderr

@@ -226,12 +226,14 @@ def test_bisect_rejects_tol_that_cannot_stop(monkeypatch):
 # ------------------------------------------------------------ bound reports
 
 def test_crossover_reproduces_uniqueness_threshold():
-    """Both restricted bounds cross 1/k exactly at the uniqueness activity."""
-    for k in (2, 3, 4):
+    """Both restricted bounds cross 1/k exactly at the uniqueness activity,
+    also where the activity at w = 1e6 would overflow (k >= 51)."""
+    for k in (2, 3, 4, 51, 100, 1000):
         target = kelly_threshold(k)
         for which in ("geometric", "mossel_peres"):
             got = restricted_bound_crossover(k, which)
             assert abs(got - target) < 1e-6 * max(1.0, target), (k, which)
+            assert abs(got - target) < 1e-10 * target, (k, which)
     with pytest.raises(InvalidParameter):
         restricted_bound_crossover(1)
     with pytest.raises(InvalidParameter):
