@@ -125,20 +125,20 @@ def grid_merge(values: np.ndarray, *weight_vectors: np.ndarray, tol: float):
     Raises
     ------
     InvalidParameter
-        If ``tol`` is not positive, or a finite ``value/tol`` leaves the
-        int64 cell range (the cell index would wrap around).
+        If ``tol`` is not positive, or a value has no cell: it is NaN, or
+        a finite ``value/tol`` leaves the int64 cell range (the cell index
+        would wrap around).
     """
     if tol <= 0:
         raise InvalidParameter(f"merge tolerance must be positive, got {tol}")
     v = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(v)
     cells = np.empty(len(v), dtype=np.int64)
-    # the int64 extremes stay reserved for the infinite atoms
-    reach = float(np.max(np.abs(v), where=finite, initial=0.0))
-    if reach / tol >= 2.0 ** 63:
+    # the int64 extremes stay reserved for the infinite atoms; max propagates NaN
+    reach = float(np.max(np.abs(v), where=~np.isinf(v), initial=0.0))
+    if not reach / tol < 2.0 ** 63:
         raise InvalidParameter(
-            f"atom value {reach:g} is beyond the int64 cell range at merge "
-            f"tolerance {tol:g}")
+            f"atom value {reach:g} has no int64 cell at merge tolerance {tol:g}")
     # floor anchors the grid at 0 so cells never straddle the sign change
     cells[finite] = np.floor(v[finite] / tol).astype(np.int64)
     cells[np.isposinf(v)] = _POS_CELL

@@ -197,6 +197,13 @@ class HardCoreParams:
             )
 
 
+def branching_number(k, least: int = 1) -> int:
+    """``k`` as an int; :class:`InvalidParameter` unless it is an integer >= ``least``."""
+    if not (isinstance(k, (int, np.integer)) and k >= least):
+        raise InvalidParameter(f"need an integer k >= {least}, got k={k!r}")
+    return int(k)
+
+
 def make_channel(p00: float, p10: float) -> BinaryChannel:
     """Build a channel from its first column; rows completed by stochasticity.
 
@@ -242,10 +249,9 @@ def hardcore_channel(w: float, k: int) -> tuple[BinaryChannel, HardCoreParams]:
     """
     if not (isinstance(w, (int, float)) and w > 0 and math.isfinite(w)):
         raise InvalidParameter(f"w must be positive and finite, got {w!r}")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise InvalidParameter(f"k must be a positive integer, got {k!r}")
+    k = branching_number(k)
     c = BinaryChannel(p00=1.0 / (1.0 + w), p01=w / (1.0 + w), p10=1.0, p11=0.0)
-    return c, HardCoreParams(k=int(k), w=float(w), lam=lambda_of_w(w, k))
+    return c, HardCoreParams(k=k, w=float(w), lam=lambda_of_w(w, k))
 
 
 def lambda_of_w(w: float, k: int) -> float:
@@ -266,8 +272,7 @@ def w_of_lambda(lam: float, k: int) -> float:
     """
     if not (isinstance(lam, (int, float)) and lam > 0 and math.isfinite(lam)):
         raise InvalidParameter(f"lambda must be positive and finite, got {lam!r}")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise InvalidParameter(f"k must be a positive integer, got {k!r}")
+    k = branching_number(k)
     target = math.log(lam)
 
     def h(t: float) -> float:
@@ -326,8 +331,7 @@ def kesten_stigum_symmetric(eps: float, k: int) -> float:
 
 def kesten_stigum_eps_c(k: int) -> float:
     """Critical flip probability ``(1 - 1/sqrt(k))/2`` of the symmetric family."""
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise InvalidParameter(f"k must be a positive integer, got {k!r}")
+    k = branching_number(k)
     return 0.5 * (1.0 - 1.0 / math.sqrt(k))
 
 
@@ -336,8 +340,7 @@ def kelly_threshold(k: int) -> float:
 
     Computed in log space so large ``k`` does not overflow.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 2):
-        raise InvalidParameter(f"kelly_threshold requires integer k >= 2, got {k!r}")
+    k = branching_number(k, 2)
     return math.exp(k * math.log(k) - (k + 1) * math.log(k - 1))
 
 
@@ -366,12 +369,19 @@ def llr_step(c: BinaryChannel, x):
     arr = np.asarray(x, dtype=np.float64)
     if c.c1 == 0.0 and np.any(np.isneginf(arr)):
         raise UndefinedLimit("llr_step at -inf is undefined when p11 = 0")
-    # exp may overflow to +inf (g -> 0); log1p(-1) = -inf is g(-inf) when c0 = 0.
-    # Equal rows (c0 = c1) give g = 0, also where c1 = 0 and exp(x) underflows
-    # to 0, which would make the quotient 0/0.
+    # exp may overflow to +inf (g -> 0).  Equal rows (c0 = c1) give g = 0,
+    # also where c1 = 0 and exp(x) underflows to 0, which would make the
+    # quotient 0/0.  With c0 = 0 the quotient rounds to -1 once exp(x)/c1 <
+    # ~1e-16, so g = -ln(1 + c1/exp(x)) is formed directly, and as x - ln(c1)
+    # - ln(1 + exp(x)/c1) where c1/exp(x) overflows (x < 0 there, hence lo)
     d = c.c0 - c.c1
     with np.errstate(over="ignore", divide="ignore"):
-        out = np.log1p(d / (np.exp(arr) + c.c1)) if d else np.zeros_like(arr)
+        if c.c0 == 0.0 and d:
+            u, lo = c.c1 * np.exp(-arr), np.minimum(arr, 0.0)
+            out = np.where(np.isfinite(u), -np.log1p(u),
+                           lo - math.log(c.c1) - np.log1p(np.exp(lo) / c.c1))
+        else:
+            out = np.log1p(d / (np.exp(arr) + c.c1)) if d else np.zeros_like(arr)
     out = np.where(np.isposinf(arr), 0.0, out)
     # g is finite at finite x, and g(-inf) = ln(c0/c1) is -inf only when c0 = 0
     if np.any(np.isposinf(out) if c.c0 == 0.0 else np.isinf(out)):
@@ -441,6 +451,5 @@ def brightwell_winkler_lower_w(k: int) -> float:
     Defined for ``k >= 3`` only (``ln ln k`` must be positive for the bound
     to carry information).
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 3):
-        raise InvalidParameter(f"brightwell_winkler_lower_w requires k >= 3, got {k!r}")
+    k = branching_number(k, 3)
     return (math.log(k) - math.log(math.log(k))) / k

@@ -2,21 +2,22 @@
 
 One evolution step takes the depth-``d`` pair of conditional laws to depth
 ``d+1``: each of the ``k`` children contributes an independent draw from
-the appropriate mixture of the two laws, the draw is passed through the
-one-child update ``g``, the ``k`` contributions are summed, and the
-constant ``k*ln(p00/p10)`` is added.  All arithmetic stays in
-log-likelihood coordinates; products of likelihoods never appear.
+the appropriate mixture of the two laws, passed through the one-child
+update to ``h = g + ln(p00/p10)``, and the ``k`` contributions are summed.
+All arithmetic stays in log-likelihood coordinates; products of
+likelihoods never appear.
 
-Two step functions form the sum, and :func:`evolve` calls the one it is
-given.  :func:`exact_policy` returns the exact one, which convolves atoms
-and merges only those equal up to rounding (:data:`MERGE_TOL`), refusing
-laws above :data:`ATOM_CAP` atoms or folds above :data:`PAIR_BUDGET`
-pairs; a convolution of ``m``-atom laws has up to ``C(m+k-1, k)`` atoms,
-so this is for shallow, oracle-grade runs.  :func:`deep_policy` returns
-the lattice one, which splits each child
-contribution onto the lattice of width :data:`LATTICE_WIDTH` anchored at 0
-and takes the k-fold convolution power of the lattice vector.  The split
-keeps both conditional masses and the per-atom identity
+Two step functions ``policy(h, m0, m1, k)`` form the sum from the child
+contributions and their child weights, and :func:`evolve` calls the one
+it is given.  :func:`exact_policy` returns the exact one, which convolves
+atoms and merges only those equal up to rounding (:data:`MERGE_TOL`),
+refusing laws above :data:`ATOM_CAP` atoms or folds above
+:data:`PAIR_BUDGET` pairs; a convolution of ``m``-atom laws has up to
+``C(m+k-1, k)`` atoms, so this is for shallow, oracle-grade runs.
+:func:`deep_policy` returns the lattice one, which splits each child
+contribution onto the lattice of width :data:`LATTICE_WIDTH` anchored at
+0 and takes the k-fold convolution power of the lattice vector.  The
+split keeps both conditional masses and the per-atom identity
 ``w1 = w0 * exp(-value)``; the true child law is a degraded version of the
 split one (Tal & Vardy's upgrading quantizer), so the lattice law is an
 *upper law*: its total variation, at every depth, is at least that of the
@@ -32,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import AtomExplosion, InvalidParameter
-from .channels import BinaryChannel, llr_step, gap_kernel
+from .channels import BinaryChannel, branching_number, llr_step, gap_kernel
 from .atoms import ConditionalPair, grid_merge
 
 
@@ -98,9 +99,7 @@ def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
     ConditionalPair
         Depth-1 pair on a shared support.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise InvalidParameter(f"k must be a positive integer, got {k!r}")
-    k = int(k)
+    k = branching_number(k)
 
     def log_ratio(num: float, den: float) -> float:
         if num > 0 and den > 0:
@@ -144,7 +143,8 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
     k : int
         Branching number.
     policy : callable, optional
-        The step's k-fold sum, ``policy(g, m0, m1, k, child_const)``.
+        The step's k-fold sum of child contributions, ``policy(h, m0, m1, k)``
+        with ``h = g + ln(p00/p10)`` and child weights ``m0``, ``m1``.
         Defaults to :func:`exact_policy`; :func:`deep_policy` gives the
         lattice upper law.
 
@@ -164,16 +164,13 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
     """
     if policy is None:
         policy = exact_policy()
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise InvalidParameter(f"k must be a positive integer, got {k!r}")
-    k = int(k)
+    k = branching_number(k)
 
     # child mixtures share the pair's support: only weights mix
     mix0 = c.p00 * pair.w0 + c.p01 * pair.w1
     mix1 = c.p10 * pair.w0 + c.p11 * pair.w1
-    g_arr = llr_step(c, pair.values)  # may raise UndefinedLimit
-    child_const = math.log(c.p00 / c.p10)
-    values, w0, w1 = policy(g_arr, mix0, mix1, k, child_const)
+    h = llr_step(c, pair.values) + math.log(c.p00 / c.p10)  # may raise UndefinedLimit
+    values, w0, w1 = policy(h, mix0, mix1, k)
     return ConditionalPair(depth=pair.depth + 1, values=values, w0=w0, w1=w1)
 
 
@@ -185,14 +182,13 @@ def _fold_budget(n_pairs: int) -> None:
             count=n_pairs)
 
 
-def _lattice_power(g_arr, m0, m1, k, child_const):
+def _lattice_power(h, m0, m1, k):
     """k-fold i.i.d. sum of child contributions split onto the lattice.
 
-    The per-child contributions ``h = g + child_const`` (``child_const``
-    is ``ln(p00/p10)``) have child weights ``m0``, ``m1``.  Each finite atom
-    moves to the two lattice points around it, ``beta0`` of its root-0
-    weight up and the rest down, with ``beta0`` chosen so its root-1 weight
-    ``m1`` is kept too.  Every lattice law then has root-1 weights
+    The child contributions ``h`` have child weights ``m0``, ``m1``.  Each
+    finite atom moves to the two lattice points around it, ``beta0`` of its
+    root-0 weight up and the rest down, with ``beta0`` chosen so its root-1
+    weight ``m1`` is kept too.  Every lattice law then has root-1 weights
     ``w0 * exp(-value)``, which is how they are formed, so only the root-0
     vector is convolved.  Contributions at ``-inf`` (only when ``p01 = 0``)
     carry no root-0 weight and stay off the lattice: a sum is ``-inf`` with
@@ -202,7 +198,6 @@ def _lattice_power(g_arr, m0, m1, k, child_const):
     ``L``-point lattice vector, so the last fold decides.
     """
     t = LATTICE_WIDTH
-    h = g_arr + child_const
     sure = np.isneginf(h)  # g is finite except g(-inf) = -inf when p01 = 0
     q = min(float(m1[sure].sum()), 1.0)
     h, m0, m1 = h[~sure], m0[~sure], m1[~sure]
@@ -237,17 +232,18 @@ def _lattice_power(g_arr, m0, m1, k, child_const):
     return values, w0, w1
 
 
-def _convolve(g_arr, mix0, mix1, k, child_const):
-    """k-fold i.i.d. sum of the g-image plus the depth constant, exactly.
+def _convolve(h, m0, m1, k):
+    """k-fold i.i.d. sum of the child contributions ``h``, exactly.
 
     The first fold adds the law to itself, so it forms each unordered
     pair ``i <= j`` once, ``m(m+1)/2`` pairs for an ``m``-atom law, with
     the weight of an off-diagonal pair doubled; later folds add one more
     copy as a full outer product.  Atoms merge only on the
-    :data:`MERGE_TOL` grid; a law above :data:`ATOM_CAP` atoms raises
+    :data:`MERGE_TOL` grid, one merge per child, so the last merge is on
+    the returned sums; a law above :data:`ATOM_CAP` atoms raises
     :class:`~treecast.errors.AtomExplosion`.
     """
-    y, m0, m1 = grid_merge(g_arr, mix0, mix1, tol=MERGE_TOL)
+    y, m0, m1 = grid_merge(h, m0, m1, tol=MERGE_TOL)
     s, sw0, sw1 = y, m0, m1
     if k > 1:
         s, sw0, sw1 = grid_merge(*_self_pairs(y, m0, m1), tol=MERGE_TOL)
@@ -259,9 +255,6 @@ def _convolve(g_arr, mix0, mix1, k, child_const):
         t1 = (sw1[:, None] * m1[None, :]).ravel()
         s, sw0, sw1 = grid_merge(total, t0, t1, tol=MERGE_TOL)
         _atom_budget(len(s))
-    s = s + k * child_const
-    s, sw0, sw1 = grid_merge(s, sw0, sw1, tol=MERGE_TOL)
-    _atom_budget(len(s))
     return s, sw0, sw1
 
 

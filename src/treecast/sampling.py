@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, ResourceLimit
-from .channels import BinaryChannel, llr_step
+from .channels import BinaryChannel, branching_number, llr_step
 from .atoms import ConditionalPair, posterior_from_llr
 
 # Cap on the nodes of one broadcast batch (samples x nodes per sample).  A
@@ -85,10 +85,12 @@ def sample_broadcast_batch(c: BinaryChannel, k: int, depth: int, n: int,
     ------
     ResourceLimit
         If the batch holds more than ``NODE_CAP`` nodes in all; checked
-        before anything is allocated.
+        before anything is allocated.  ``InvalidParameter`` if ``k < 1``,
+        ``n < 1`` or ``depth < 0``.
     """
-    if depth < 0:
-        raise InvalidParameter(f"depth must be >= 0, got {depth}")
+    k = branching_number(k)
+    if depth < 0 or n < 1:
+        raise InvalidParameter(f"need depth >= 0 and sample count n >= 1, got {depth} and {n}")
     total = n * sum(k ** ell for ell in range(depth + 1))
     if total > NODE_CAP:
         raise ResourceLimit(
@@ -129,6 +131,8 @@ def bp_root_posterior(leaves, c: BinaryChannel, k: int, depth: int | None = None
     leaves : array
         Shape ``(k**depth,)`` for one pattern or ``(n, k**depth)`` for a
         batch.
+    k : int
+        Branching number, at least 1.
     depth : int, optional
         Inferred from the length when ``k >= 2``; required when ``k = 1``.
 
@@ -137,6 +141,7 @@ def bp_root_posterior(leaves, c: BinaryChannel, k: int, depth: int | None = None
     float or ndarray
         Posterior(s) in [0, 1].
     """
+    k = branching_number(k)
     arr = np.asarray(leaves)
     single = arr.ndim == 1
     if single:

@@ -28,9 +28,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import BadBracket, InvalidParameter
-from .channels import (BinaryChannel, _LOG_FLOAT_MAX, _brentq, symmetric_channel,
-                       hardcore_channel, w_of_lambda, lambda_of_w, kelly_threshold,
-                       kesten_stigum_eps_c, brightwell_winkler_lower_w,
+from .channels import (BinaryChannel, _LOG_FLOAT_MAX, _brentq, branching_number,
+                       symmetric_channel, hardcore_channel, w_of_lambda, lambda_of_w,
+                       kelly_threshold, kesten_stigum_eps_c, brightwell_winkler_lower_w,
                        mossel_peres_lhs, geometric_mean_bound_lhs)
 from .evolution import deep_policy, base_pair, evolve, diagnostics, trajectory
 from .sampling import population_from_pair, population_evolve_anchored, population_tv
@@ -59,8 +59,7 @@ class ChannelFamily:
     def __post_init__(self):
         if self.kind not in ("symmetric", "hardcore"):
             raise InvalidParameter(f"unknown family kind {self.kind!r}")
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
-            raise InvalidParameter(f"k must be a positive integer, got {self.k!r}")
+        branching_number(self.k)
 
     def channel(self, param: float) -> BinaryChannel:
         if self.kind == "symmetric":
@@ -336,9 +335,7 @@ def bounds_report(k: int, family_kind: str) -> BoundsReport:
     """
     if family_kind not in ("symmetric", "hardcore"):
         raise InvalidParameter(f"unknown family kind {family_kind!r}")
-    if not (isinstance(k, (int, np.integer)) and k >= 2):
-        raise InvalidParameter(f"bounds_report requires integer k >= 2, got {k!r}")
-    k = int(k)
+    k = branching_number(k, 2)
     if family_kind == "symmetric":
         def eps_cross(stat):
             def excess(eps: float) -> float:

@@ -286,22 +286,22 @@ def population_evolve(pop, c, k):
     return Population(depth=pop.depth + 1, samples0=new[0], samples1=new[1], rng=rng)
 
 
-def full_product_convolve(g_arr, mix0, mix1, k, child_const):
-    """The exact step's k-fold sum with every fold a full outer product.
+def full_product_convolve(h, m0, m1, k):
+    """The exact step's k-fold sum of child contributions ``h``, with every
+    fold a full outer product.
 
     Forms all ``m*m`` ordered pairs in the first fold, so each unordered
     pair twice; the library's self-fold forms each once.  Same signature
     and return value as ``exact_policy()``; no pair or atom budget.
     """
-    y, m0, m1 = grid_merge(g_arr, mix0, mix1, tol=MERGE_TOL)
+    y, m0, m1 = grid_merge(h, m0, m1, tol=MERGE_TOL)
     s, sw0, sw1 = y, m0, m1
     for _ in range(k - 1):
         total = (s[:, None] + y[None, :]).ravel()
         t0 = (sw0[:, None] * m0[None, :]).ravel()
         t1 = (sw1[:, None] * m1[None, :]).ravel()
         s, sw0, sw1 = grid_merge(total, t0, t1, tol=MERGE_TOL)
-    s = s + k * child_const
-    return grid_merge(s, sw0, sw1, tol=MERGE_TOL)
+    return s, sw0, sw1
 
 
 def searched_coupling(v, w0, w1):

@@ -72,6 +72,12 @@ def test_merge_requires_positive_tol():
         grid_merge(np.array([0.0]), np.array([1.0]), tol=0.0)
 
 
+def test_merge_rejects_nan_values():
+    """A NaN atom has no cell; it must not come back as 0.0 with its weight."""
+    with pytest.raises(InvalidParameter):
+        grid_merge(np.array([math.nan, 1.0, 2.0]), np.full(3, 1 / 3), tol=1e-12)
+
+
 def test_merge_combines_cellmates_with_weighted_mean():
     v = np.array([0.03, 0.04, 0.5])
     w = np.array([0.25, 0.25, 0.5])

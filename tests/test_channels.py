@@ -1,5 +1,6 @@
 """Channel construction, derived coefficients, and closed-form bounds."""
 
+import decimal
 import math
 
 import numpy as np
@@ -237,6 +238,17 @@ def test_llr_step_extended_values():
         llr_step(make_channel(0.0, 0.4), 1.0)
     with pytest.raises(InvalidParameter):
         llr_step(make_channel(0.4, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("x", [-40.0, -700.0, -750.0])
+def test_llr_step_p01_zero_far_left(x):
+    """With p01 = 0, g(x) = x - ln(e^x + c1) is finite at finite x and
+    about x - ln(c1) far left, where the quotient form rounds to -inf."""
+    c = make_channel(1.0, 0.5)
+    with decimal.localcontext(decimal.Context(prec=50)):
+        want = float(decimal.Decimal(x) - (decimal.Decimal(x).exp()
+                                           + decimal.Decimal(c.c1)).ln())
+    assert abs(llr_step(c, x) - want) <= 2 * math.ulp(want)
 
 
 @st.composite

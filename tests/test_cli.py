@@ -333,6 +333,16 @@ def test_hardcore_check_wrong_family_exits_2(capsys):
     assert "hardcore" in err
 
 
+@pytest.mark.parametrize("pop_size", ["-5", "0"])
+def test_hardcore_check_without_samples_exits_2(pop_size, capsys):
+    """No samples is an input error, not a numpy traceback or a vacuous pass."""
+    code, out, err = run_cli(
+        ["hardcore-check", "--hardcore-w", "1", "--k", "2", "--depth", "3",
+         "--pop-size", pop_size], capsys)
+    assert code == 2 and out == ""
+    assert "sample count" in err and "Traceback" not in err
+
+
 def test_hardcore_check_oversized_depth_exits_3_with_hint(capsys):
     """The node cap bounds the whole batch: at depth 12 one sample has only
     8191 nodes, but the default 1e5 samples exceed it."""
@@ -608,10 +618,10 @@ PINNED_OUTPUTS = {
         "b95c01cc6280a5d2decafea98ea3104a4a1c0f7b11750d1e8d69f0e319dc3c0d"),
     "verify-suite": (
         ["verify", "--out", "suite.json"],
-        "bffc999fbb75c14ee1715b03e37bdfbbfd985e9c620929cc3c876438d1e4c9cb"),
+        "14859b6369b3e48c20ac3016dc7f720db052052eb636f3256d3e1db0295452f8"),
     "verify-matrix": (
         ["verify", "--matrix", "0.6", "0.3", "--out", "verify.json"],
-        "8d40e82c678fe23b0b2ab3d329482e4bcbcbb5d13e10262504482d131e5d4f0c"),
+        "350ebdacf84820189e20fb7d4454008eda8108ab5952d4fdcb49f5c8dbc95798"),
     "threshold-exact": (
         ["threshold", "--symmetric", "--k", "2", "--engine", "exact",
          "--depth", "4", "--tol", "0.1", "--bracket", "0.05", "0.45",

@@ -1,5 +1,6 @@
 """Density evolution of the conditional root-LLR laws."""
 
+import inspect
 import itertools
 import math
 import warnings
@@ -282,6 +283,31 @@ def test_self_fold_budget_counts_unordered_pairs(monkeypatch):
     with pytest.raises(AtomExplosion) as info:
         evolve(pair, c, 2, exact_policy())
     assert info.value.count == formed
+
+
+# ---------------------------------------------- one child contribution
+
+def test_step_functions_take_the_child_contribution():
+    """Both steps and the reference fold sum ``h = g + ln(p00/p10)``."""
+    for step in (exact_policy(), deep_policy(), full_product_convolve):
+        assert list(inspect.signature(step).parameters) == ["h", "m0", "m1", "k"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exact_step_merges_once_per_child(k, monkeypatch):
+    """The first merge is on the contributions and each fold merges its
+    sums once, so the k-th merge is already on the returned law."""
+    c = make_channel(0.7, 0.4)
+    pair = base_pair(c, k)
+    real, calls = evolution.grid_merge, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "grid_merge", counting)
+    evolve(pair, c, k, exact_policy())
+    assert len(calls) == k
 
 
 # ---------------------------------------------------- self-fold reference

@@ -105,6 +105,13 @@ def test_sampler_node_cap():
         assert peak < 100_000, (depth, n)
 
 
+def test_sampler_requires_children_and_samples():
+    c = symmetric_channel(0.3)
+    for k, n in ((0, 10), (2, 0), (2, -5)):
+        with pytest.raises(InvalidParameter):
+            sample_broadcast_batch(c, k, 3, n, seed=0)
+
+
 # ----------------------------------------------------------- root posterior
 
 def test_posterior_uninformative_channel():
@@ -147,6 +154,9 @@ def test_posterior_batch_and_validation():
         bp_root_posterior(np.array([0, 1, 0]), c, 2)
     with pytest.raises(InvalidParameter):
         bp_root_posterior(np.array([0, 1]), c, 1)
+    for depth in (None, 1):
+        with pytest.raises(InvalidParameter):
+            bp_root_posterior(np.array([0, 1]), c, 0, depth=depth)
 
 
 def test_posterior_consistent_with_sampler():
