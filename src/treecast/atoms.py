@@ -7,9 +7,9 @@ what makes exact density evolution cheap: mixtures and couplings become
 elementwise operations, and the per-atom identity ``w1 = w0 * exp(-value)``
 ties the two weight vectors together.
 
-Merging nearby atoms uses a fixed grid anchored at 0: each value is mapped
-to cell ``floor(value/tol)``, and atoms sharing a cell are combined by
-weighted mean.  Anchoring at 0 guarantees that atoms with opposite signs
+Merging nearby atoms sorts them once and combines each run of atoms whose
+consecutive gaps are below the tolerance by weighted mean.  A run never
+crosses from negative to non-negative values, so atoms with opposite signs
 are never merged, which preserves the total variation distance between the
 two conditional laws (only sign-straddling merges can destroy it).
 """
@@ -22,9 +22,6 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .channels import BinaryChannel
-
-_POS_CELL = np.iinfo(np.int64).max
-_NEG_CELL = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -103,108 +100,71 @@ class ConditionalPair:
 
 
 def grid_merge(values: np.ndarray, *weight_vectors: np.ndarray, tol: float):
-    """Merge atoms that share a grid cell of width ``tol`` anchored at 0.
+    """Merge each run of sorted atoms whose consecutive gaps are below ``tol``.
 
     Parameters
     ----------
     values : ndarray
-        Atom locations, any order, ``+-inf`` allowed.
+        Atom locations, any order, ``+-inf`` allowed.  Values within 1e-12
+        of 0 are first set to exactly 0.
     *weight_vectors : ndarray
         One or more parallel weight vectors; merged jointly so all vectors
         keep a shared support.
     tol : float
-        Cell width.  The merged value is the mean of the cell's members
-        weighted by the sum of all weight vectors; infinite atoms keep
-        their value.
+        Run gap.  A run never holds atoms of both signs (negative and
+        non-negative), and it may be wider than ``tol`` when it chains
+        several close gaps.  The merged value is the mean of the run's
+        finite members weighted by the sum of all weight vectors, clipped
+        to the run's range, so infinite atoms keep their value.
 
     Returns
     -------
     (values, *weights) : tuple of ndarray
-        Sorted strictly-increasing support and the merged weight vectors.
+        Strictly increasing support, consecutive atoms of one sign at least
+        ``tol`` apart, and the merged weight vectors.
 
     Raises
     ------
     InvalidParameter
-        If ``tol`` is not positive, or a value has no cell: it is NaN, or
-        a finite ``value/tol`` leaves the int64 cell range (the cell index
-        would wrap around).
+        If ``tol`` is not positive or a value is NaN.
     """
     if tol <= 0:
         raise InvalidParameter(f"merge tolerance must be positive, got {tol}")
     v = np.asarray(values, dtype=np.float64)
-    finite = np.isfinite(v)
-    cells = np.empty(len(v), dtype=np.int64)
-    # the int64 extremes stay reserved for the infinite atoms; max propagates NaN
-    reach = float(np.max(np.abs(v), where=~np.isinf(v), initial=0.0))
-    if not reach / tol < 2.0 ** 63:
-        raise InvalidParameter(
-            f"atom value {reach:g} has no int64 cell at merge tolerance {tol:g}")
-    # floor anchors the grid at 0 so cells never straddle the sign change
-    cells[finite] = np.floor(v[finite] / tol).astype(np.int64)
-    cells[np.isposinf(v)] = _POS_CELL
-    cells[np.isneginf(v)] = _NEG_CELL
-
-    order = np.argsort(cells, kind="stable")
-    cs = cells[order]
-    boundary = np.empty(len(cs), dtype=bool)
-    if len(cs):
-        boundary[0] = True
-        boundary[1:] = cs[1:] != cs[:-1]
-    gid = np.cumsum(boundary) - 1
-    n_groups = int(gid[-1]) + 1 if len(cs) else 0
-
-    # gather each weight vector once, for its cell sums and the per-atom total
-    merged_w = []
-    total = np.zeros(n_groups)
-    combined = np.zeros(len(cs))
-    for w in weight_vectors:
-        ws = np.asarray(w, dtype=np.float64)[order]
-        merged_w.append(np.bincount(gid, weights=ws, minlength=n_groups))
-        total += merged_w[-1]
-        combined += ws
-        del ws  # at most one gathered copy is alive at a time
-    vs = v[order]
-    finite_s = finite[order]
-    # weighted mean of finite values; groups are sign-pure so no cancellation
-    wsafe = np.where(total > 0, total, 1.0)
-    num = np.bincount(gid, weights=np.where(finite_s, vs, 0.0) * combined,
-                      minlength=n_groups)
-    mv = num / wsafe
-    # groups holding an infinite atom keep the infinite value
-    first_idx = np.flatnonzero(boundary)
-    group_cell = cs[first_idx]
-    mv = np.where(group_cell == _POS_CELL, np.inf, mv)
-    mv = np.where(group_cell == _NEG_CELL, -np.inf, mv)
-    # zero-total groups (possible only with all-zero weights) keep a representative value
-    empty = total == 0
-    if np.any(empty):
-        rep = vs[first_idx]
-        mv = np.where(empty, rep, mv)
     # values within the identity tolerance of 0 are canonically 0; without
     # the snap, rounding residue (~1e-16) can put a symmetric atom on the
     # wrong side of the sign barrier
-    mv[np.abs(mv) < 1e-12] = 0.0
+    v = np.where(np.abs(v) < 1e-12, 0.0, v)
+    order = np.argsort(v, kind="stable")
+    vs = v[order]
+    if len(vs) and np.isnan(vs[-1]):  # NaN sorts last
+        raise InvalidParameter("atom values must not be NaN")
+    # edge[i]: a run starts at atom i and the previous one ends at i - 1.
+    # A run never crosses from negative to non-negative, which preserves the
+    # total variation between the conditional laws; inf - inf is NaN, so
+    # equal infinities stay in one run
+    edge = np.ones(len(vs) + 1, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        edge[1:-1] = (np.diff(vs) >= tol) | ((vs[:-1] < 0) & (vs[1:] >= 0))
+    gid = np.cumsum(edge[:-1]) - 1
+    lo, hi = vs[edge[:-1]], vs[edge[1:]]
 
-    order2 = np.argsort(mv, kind="stable")
-    mv = mv[order2]
-    merged_w = [w[order2] for w in merged_w]
-    if np.any(np.diff(mv) <= 0):
-        # collisions across distinct cells (weighted means landed together):
-        # collapse again with ties resolved by exact equality
-        mv, merged_w = _collapse_exact(mv, merged_w)
+    # gather each weight vector once, for its run sums and the per-atom total
+    merged_w = []
+    total = np.zeros(len(lo))
+    combined = np.zeros(len(vs))
+    for w in weight_vectors:
+        ws = np.asarray(w, dtype=np.float64)[order]
+        merged_w.append(np.bincount(gid, weights=ws, minlength=len(lo)))
+        total += merged_w[-1]
+        combined += ws
+        del ws  # at most one gathered copy is alive at a time
+    num = np.bincount(gid, weights=np.where(np.isfinite(vs), vs, 0.0) * combined,
+                      minlength=len(lo))
+    # the clip keeps infinite runs infinite, gives a weightless run a member's
+    # value, and keeps the merged values strictly increasing
+    mv = np.clip(num / np.where(total > 0, total, 1.0), lo, hi)
     return (mv, *merged_w)
-
-
-def _collapse_exact(values: np.ndarray, weight_vectors: list[np.ndarray]):
-    """Combine exactly-equal consecutive values (post-merge tie cleanup)."""
-    boundary = np.empty(len(values), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = np.diff(values) > 0
-    gid = np.cumsum(boundary) - 1
-    n = int(gid[-1]) + 1
-    out_v = values[np.flatnonzero(boundary)]
-    out_w = [np.bincount(gid, weights=w, minlength=n) for w in weight_vectors]
-    return out_v, out_w
 
 
 def posterior_from_llr(x, c: BinaryChannel):
@@ -225,10 +185,11 @@ def posterior_from_llr(x, c: BinaryChannel):
 def llr_from_posterior(a, c: BinaryChannel):
     """Inverse of :func:`posterior_from_llr`: ``x = logit(a) - ln(pi0/pi1)``.
 
-    Vectorized over ``a``; endpoints map to ``+-inf``.
+    Vectorized over ``a``; endpoints map to ``+-inf``.  A value outside
+    [0, 1], NaN included, raises :class:`~treecast.errors.InvalidParameter`.
     """
     arr = np.asarray(a, dtype=np.float64)
-    if np.any((arr < 0) | (arr > 1)):
+    if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails both comparisons
         raise InvalidParameter("posterior values must lie in [0, 1]")
     # ln(a/(1-a)) loses digits near a = 1/2, where log1p(s) - log1p(-s)
     # with s = 2a - 1 keeps them

@@ -10,10 +10,11 @@ likelihoods never appear.
 Two step functions ``policy(h, m0, m1, k)`` form the sum from the child
 contributions and their child weights, and :func:`evolve` calls the one
 it is given.  :func:`exact_policy` returns the exact one, which convolves
-atoms and merges only those equal up to rounding (:data:`MERGE_TOL`),
-refusing laws above :data:`ATOM_CAP` atoms or folds above
-:data:`PAIR_BUDGET` pairs; a convolution of ``m``-atom laws has up to
-``C(m+k-1, k)`` atoms, so this is for shallow, oracle-grade runs.
+atoms and merges only runs of sums equal up to rounding (consecutive gaps
+below :data:`MERGE_TOL`), so no value is held as two atoms.  It refuses
+laws above :data:`ATOM_CAP` atoms or folds above :data:`PAIR_BUDGET`
+pairs; a convolution of ``m``-atom laws has up to ``C(m+k-1, k)`` atoms,
+so this is for shallow, oracle-grade runs.
 :func:`deep_policy` returns the lattice one, which splits each child
 contribution onto the lattice of width :data:`LATTICE_WIDTH` anchored at
 0 and takes the k-fold convolution power of the lattice vector.  The
@@ -37,7 +38,7 @@ from .channels import BinaryChannel, branching_number, llr_step, gap_kernel
 from .atoms import ConditionalPair, grid_merge
 
 
-MERGE_TOL = 1e-12  # fine grid width: merges only atoms equal up to rounding
+MERGE_TOL = 1e-12  # exact-step run gap: merges only atoms equal up to rounding
 LATTICE_WIDTH = 2e-3  # lattice spacing of the deep step's upper law
 PAIR_BUDGET = 1 << 25  # most atom pairs one convolution fold may form
 ATOM_CAP = 20_000_000  # most atoms an exact law may hold
@@ -238,9 +239,9 @@ def _convolve(h, m0, m1, k):
     The first fold adds the law to itself, so it forms each unordered
     pair ``i <= j`` once, ``m(m+1)/2`` pairs for an ``m``-atom law, with
     the weight of an off-diagonal pair doubled; later folds add one more
-    copy as a full outer product.  Atoms merge only on the
-    :data:`MERGE_TOL` grid, one merge per child, so the last merge is on
-    the returned sums; a law above :data:`ATOM_CAP` atoms raises
+    copy as a full outer product.  Atoms merge only in runs closer than
+    :data:`MERGE_TOL`, one merge per child, so the last merge is on the
+    returned sums; a law above :data:`ATOM_CAP` atoms raises
     :class:`~treecast.errors.AtomExplosion`.
     """
     y, m0, m1 = grid_merge(h, m0, m1, tol=MERGE_TOL)

@@ -99,12 +99,14 @@ class Decision:
         return self.verdict == "decaying"
 
 
-def fitted_rate(curve, depth: int) -> float:
+def fitted_rate(curve) -> float:
     """Least-squares geometric rate of the curve tail (depths d/2 .. d).
 
-    A non-positive value in the window means the curve already collapsed;
+    ``curve[i]`` is the value at depth ``i + 1``, so ``d = len(curve)``.  A
+    non-positive value in the window means the curve already collapsed;
     the rate is reported as 0.
     """
+    depth = len(curve)
     start = max(depth // 2, 1)
     window = np.asarray(curve[start - 1:], dtype=np.float64)
     depths = np.arange(start, depth + 1, dtype=np.float64)
@@ -149,7 +151,7 @@ def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
     curve = [measure(s) for s in trajectory(first, step, depth)]
 
     stat = float(curve[-1])
-    rate = fitted_rate(curve, depth)
+    rate = fitted_rate(curve)
     if stat < FLOOR or rate < DECAY_RATE:
         verdict = "decaying"
     elif rate > NONDECAY_RATE:

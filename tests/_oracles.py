@@ -7,8 +7,10 @@ formula evaluation.  None of it calls the recursive machinery under test
 a library bug cannot leak into its own reference values.  The exceptions
 are the two straightforward forms that the library replaced with faster
 ones, kept to pin the faster forms down: the full outer-product
-convolution (which merges with the library's ``grid_merge``) and the
-searched comonotone coupling.
+convolution and the searched comonotone coupling.  The convolution merges
+each fold's sums with the library's ``grid_merge``, the same runs of atoms
+closer than ``MERGE_TOL``, so it pins the folds down but not the merging,
+which ``test_atoms`` checks property by property.
 """
 
 import math

@@ -111,22 +111,22 @@ def test_merge_keeps_infinite_atoms():
     assert abs(mw[0] - 0.1) < 1e-15 and abs(mw[-1] - 0.4) < 1e-15
 
 
-def test_merge_rejects_cells_beyond_int64():
-    """|value/tol| past 2**63 raises instead of wrapping into the -inf cell."""
+def test_merge_keeps_far_atoms():
+    """Atoms far from 0 come back unchanged at any tolerance: no cell range."""
     w = np.full(5, 0.2)
-    with pytest.raises(InvalidParameter):
-        grid_merge(np.array([-2e7, -1.5e7, 1.0, 1.5e7, 2e7]), w, tol=1e-12)
+    for tol in (1e-12, 1e-6):
+        mv, mw = grid_merge(np.array([-2e7, -1.5e7, 1.0, 1.5e7, 2e7]), w, tol=tol)
+        assert list(mv) == [-2e7, -1.5e7, 1.0, 1.5e7, 2e7]
+        assert np.array_equal(mw, w)
     for big in (2e7, -2e7, 1e300):
-        with pytest.raises(InvalidParameter):
-            grid_merge(np.array([big, 1.0]), np.array([0.5, 0.5]), tol=1e-12)
-    # the same atoms merge correctly on a grid they fit
-    mv, mw = grid_merge(np.array([-2e7, -1.5e7, 1.0, 1.5e7, 2e7]), w, tol=1e-6)
-    assert list(mv) == [-2e7, -1.5e7, 1.0, 1.5e7, 2e7]
-    assert np.array_equal(mw, w)
+        v, vw = np.array([big, 1.0]), np.array([0.25, 0.75])
+        order = np.argsort(v)
+        mv, mw = grid_merge(v, vw, tol=1e-12)
+        assert np.array_equal(mv, v[order]) and np.array_equal(mw, vw[order])
 
 
-# finite values keep |v| >= 1e-9 (or exactly 0) so that no merged mean lands
-# inside the 1e-12 snap-to-zero band from the negative side
+# finite values keep |v| >= 1e-9 (or exactly 0), outside the 1e-12
+# snap-to-zero band, so each value's sign is the sign it is merged with
 MERGE_VALUES = st.one_of(
     st.just(0.0), st.just(math.inf), st.just(-math.inf),
     st.builds(operator.mul, st.sampled_from([-1.0, 1.0]), st.floats(1e-9, 1e3)))
@@ -148,6 +148,17 @@ def test_merge_properties(case):
     values, weights, tol = case
     mv, *merged = grid_merge(values, *weights, tol=tol)
     assert np.all(mv[1:] > mv[:-1])
+    # consecutive atoms of one sign lie at least tol apart
+    neg = mv < 0
+    assert np.all(np.diff(mv)[neg[1:] == neg[:-1]] >= tol)
+    # each atom lies in the range of its run: the sorted inputs split where
+    # the gap reaches tol or the sign turns non-negative
+    s = np.sort(values)
+    with np.errstate(invalid="ignore"):
+        cut = (np.diff(s) >= tol) | ((s[:-1] < 0) & (s[1:] >= 0))
+    runs = np.split(s, np.flatnonzero(cut) + 1)
+    assert len(runs) == len(mv)
+    assert all(run[0] <= m <= run[-1] for run, m in zip(runs, mv))
     for w, mw in zip(weights, merged):
         assert math.isclose(mw.sum(), w.sum(), rel_tol=1e-12, abs_tol=1e-300)
         for inf in (math.inf, -math.inf):
@@ -196,6 +207,13 @@ def test_posterior_map_anchors():
     assert llr_from_posterior(0.0, c) == -math.inf
     with pytest.raises(InvalidParameter):
         llr_from_posterior(1.2, c)
+
+
+def test_llr_from_posterior_refuses_nan():
+    c = make_channel(0.7, 0.2)
+    for a in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(InvalidParameter):
+            llr_from_posterior(a, c)
 
 
 def test_posterior_map_roundtrip():

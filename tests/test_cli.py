@@ -649,18 +649,52 @@ def test_output_bytes_pinned(name, tmp_path, capsys, monkeypatch):
 # hooks the benchmark harness relies on
 
 
-def test_benchmark_trace_targets_resolve(monkeypatch):
+def _load_tracer(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while the file executes
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    tracer = _load_tracer(monkeypatch)
     for home, attr, _layer, _counter in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(f"treecast.{home}"), attr)), \
             (home, attr)
     for name in tracer.MODULES:
         importlib.import_module(f"treecast.{name}")
+
+
+def test_benchmark_tracer_counts_merges(monkeypatch):
+    """The installed tracer binds ``grid_merge``'s ``values`` and ``tol`` by
+    name on the exact step and the coupling; every name it patches is
+    restored afterwards."""
+    tracer = _load_tracer(monkeypatch)
+    modules = [importlib.import_module(f"treecast.{name}") for name in tracer.MODULES]
+    targets = [getattr(importlib.import_module(f"treecast.{home}"), attr)
+               for home, attr, _layer, _counter in tracer.TARGETS]
+    for mod in modules:
+        for key, value in list(vars(mod).items()):
+            if any(value is fn for fn in targets):
+                monkeypatch.setattr(mod, key, value)
+    evolution = importlib.import_module("treecast.evolution")
+    conditioning = importlib.import_module("treecast.conditioning")
+    monkeypatch.setattr(conditioning.Coupling, "marginal_residuals",
+                        conditioning.Coupling.marginal_residuals)
+    recorder = tracer.Tracer()
+    recorder.install()
+    c = treecast.make_channel(0.7, 0.4)
+    pair = evolution.evolve(evolution.base_pair(c, 2), c, 2, evolution.exact_policy())
+    conditioning.build_coupling(pair, c)
+    names = {span.name for span in recorder.spans}
+    assert {"evolution.evolve", "conditioning.build_coupling"} <= names
+    merges = [span for span in recorder.spans if span.name == "atoms.grid_merge"]
+    assert merges
+    for span in merges:
+        assert set(span.counts) == {"atoms_in", "atoms_out", "tol"}, span.counts
 
 
 def test_evolve_steps_through_cli_evolve(capsys, monkeypatch):

@@ -285,6 +285,27 @@ def test_self_fold_budget_counts_unordered_pairs(monkeypatch):
     assert info.value.count == formed
 
 
+def test_exact_laws_hold_no_rounding_duplicates():
+    """Sums equal up to rounding merge into one atom wherever they fall.
+
+    Three children of a 4-atom law sum to at most C(6,3) = 20 values; two
+    atoms 4.4e-16 apart once made 21.  Over criterion 04's computed cells no
+    two finite atoms of one law lie closer than the merge tolerance.
+    """
+    c = make_channel(0.8871395956635356, 0.23677557282527317)
+    assert len(base_pair(c, 3)) == 4
+    assert len(evolve(base_pair(c, 3), c, 3, exact_policy())) <= 20
+    rng = np.random.default_rng(40)
+    for _ in range(100):
+        c = make_channel(*random_channel(rng, 0.05, 0.95))
+        for k in (1, 2, 3):
+            pair = base_pair(c, k)
+            for _depth in range(2 if k == 3 else 3):
+                pair = evolve(pair, c, k, exact_policy())
+                finite = pair.values[np.isfinite(pair.values)]
+                assert np.all(np.diff(finite) >= evolution.MERGE_TOL)
+
+
 # ---------------------------------------------- one child contribution
 
 def test_step_functions_take_the_child_contribution():

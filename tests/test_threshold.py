@@ -54,13 +54,13 @@ def test_fitted_rate_recovers_geometric_decay():
         r = float(rng.uniform(0.3, 1.1))
         scale = float(rng.uniform(0.1, 5.0))
         curve = [scale * r ** d for d in range(1, 13)]
-        assert abs(fitted_rate(curve, 12) - r) < 1e-9
+        assert abs(fitted_rate(curve) - r) < 1e-9
 
 
 def test_fitted_rate_collapsed_curve():
-    assert fitted_rate([0.5, 0.1, 0.0, 0.0], 4) == 0.0
+    assert fitted_rate([0.5, 0.1, 0.0, 0.0]) == 0.0
     with pytest.raises(InvalidParameter):
-        fitted_rate([0.5], 1)
+        fitted_rate([0.5])
 
 
 # ---------------------------------------------------------------- decisions
