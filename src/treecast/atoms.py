@@ -128,24 +128,10 @@ def grid_merge(values: np.ndarray, *weight_vectors: np.ndarray, tol: float):
     InvalidParameter
         If ``tol`` is not positive or a value is NaN.
     """
-    if tol <= 0:
-        raise InvalidParameter(f"merge tolerance must be positive, got {tol}")
-    v = np.asarray(values, dtype=np.float64)
-    # values within the identity tolerance of 0 are canonically 0; without
-    # the snap, rounding residue (~1e-16) can put a symmetric atom on the
-    # wrong side of the sign barrier
-    v = np.where(np.abs(v) < 1e-12, 0.0, v)
+    v = _snap(values)
     order = np.argsort(v, kind="stable")
     vs = v[order]
-    if len(vs) and np.isnan(vs[-1]):  # NaN sorts last
-        raise InvalidParameter("atom values must not be NaN")
-    # edge[i]: a run starts at atom i and the previous one ends at i - 1.
-    # A run never crosses from negative to non-negative, which preserves the
-    # total variation between the conditional laws; inf - inf is NaN, so
-    # equal infinities stay in one run
-    edge = np.ones(len(vs) + 1, dtype=bool)
-    with np.errstate(invalid="ignore"):
-        edge[1:-1] = (np.diff(vs) >= tol) | ((vs[:-1] < 0) & (vs[1:] >= 0))
+    edge = _run_edges(vs, tol)
     gid = np.cumsum(edge[:-1]) - 1
     lo, hi = vs[edge[:-1]], vs[edge[1:]]
 
@@ -165,6 +151,45 @@ def grid_merge(values: np.ndarray, *weight_vectors: np.ndarray, tol: float):
     # value, and keeps the merged values strictly increasing
     mv = np.clip(num / np.where(total > 0, total, 1.0), lo, hi)
     return (mv, *merged_w)
+
+
+def run_count(values: np.ndarray, tol: float) -> int:
+    """Number of atoms :func:`grid_merge` would return for ``values``.
+
+    Applies the same snap and run rule to the sorted values alone, with no
+    weights, so a caller can size a merge before forming its weights.
+    """
+    return int(_run_edges(np.sort(_snap(values)), tol)[:-1].sum())
+
+
+def _snap(values) -> np.ndarray:
+    """``values`` as float64, with those within 1e-12 of 0 set to exactly 0.
+
+    Without the snap, rounding residue (~1e-16) can put a symmetric atom on
+    the wrong side of the sign barrier.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    return np.where(np.abs(v) < 1e-12, 0.0, v)
+
+
+def _run_edges(vs: np.ndarray, tol: float) -> np.ndarray:
+    """The run rule on sorted snapped values ``vs``.
+
+    ``edge[i]`` is true where a run starts at atom ``i`` and the previous
+    one ends at ``i - 1`` (``edge`` has one more entry than ``vs``, and its
+    first and last are true).  A run starts at every gap of at least
+    ``tol`` and wherever the values turn from negative to non-negative;
+    the sign edge preserves the total variation between the conditional
+    laws, and since ``inf - inf`` is NaN, equal infinities stay in one run.
+    """
+    if tol <= 0:
+        raise InvalidParameter(f"merge tolerance must be positive, got {tol}")
+    if len(vs) and np.isnan(vs[-1]):  # NaN sorts last
+        raise InvalidParameter("atom values must not be NaN")
+    edge = np.ones(len(vs) + 1, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        edge[1:-1] = (np.diff(vs) >= tol) | ((vs[:-1] < 0) & (vs[1:] >= 0))
+    return edge
 
 
 def posterior_from_llr(x, c: BinaryChannel):

@@ -258,6 +258,7 @@ def lambda_of_w(w: float, k: int) -> float:
     """Activity ``w*(1+w)**k``, evaluated in log space to avoid overflow."""
     if w <= 0:
         raise InvalidParameter(f"w must be positive, got {w}")
+    k = branching_number(k)
     log_lam = math.log(w) + k * math.log1p(w)
     if log_lam > _LOG_FLOAT_MAX:
         raise InvalidParameter(f"activity w*(1+w)**k overflows float64 (w={w}, k={k})")
@@ -326,6 +327,7 @@ def kesten_stigum_symmetric(eps: float, k: int) -> float:
     """
     if not 0.0 <= eps <= 1.0:
         raise InvalidParameter(f"eps={eps} is not a probability")
+    k = branching_number(k)
     return k * (1.0 - 2.0 * eps) ** 2
 
 
@@ -441,7 +443,7 @@ def hardcore_contraction(w: float, k: int) -> float:
     """
     if w <= 0:
         raise InvalidParameter(f"w must be positive, got {w}")
-    lam = lambda_of_w(w, k)
+    lam = lambda_of_w(w, k)  # refuses a k that is not an integer >= 1
     return (w / (1.0 + w)) * (math.log1p(lam) / math.log1p(w) - 1.0)
 
 

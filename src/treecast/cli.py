@@ -15,8 +15,9 @@ hardcore-check
 verify
     Run the built-in invariant suite; optionally focus on one channel.
 
-Every output embeds the resolved run configuration including the seed, and
-re-running an emitted configuration reproduces the file byte for byte.
+Every output embeds the resolved run configuration, the seed included where
+the subcommand takes one (a flag it does not take is null), and re-running
+an emitted configuration reproduces the file byte for byte.
 Exit codes: 0 success, 2 validation or any other typed error, 3 resource
 limit, 4 bad bisection bracket.  The only environment variable honored is
 ``TREECAST_OUT_DIR``, the base directory for relative ``--out`` paths.
@@ -76,16 +77,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="explicit channel from its first column")
 
     def add_run_flags(sp, *read, depth_default=None):
-        """Add the flags every run config echoes, plus those of ``--depth``,
-        ``--engine`` and ``--format`` that the handler named in ``read``."""
+        """Add ``--k`` and ``--out``, and of ``depth``, ``engine``, ``pop_size``,
+        ``seed`` and ``format`` the flags named in ``read``, which the handler reads."""
         sp.add_argument("--k", type=int, default=2, help="branching number")
         if "depth" in read:
             sp.add_argument("--depth", type=int, default=depth_default)
         if "engine" in read:
             sp.add_argument("--engine", choices=["exact", "population"], default=None)
-        sp.add_argument("--pop-size", type=int, default=100_000,
-                        help="population size / sample count")
-        sp.add_argument("--seed", type=int, default=0)
+        if "pop_size" in read:
+            sp.add_argument("--pop-size", type=int, default=100_000,
+                            help="population size / sample count")
+        if "seed" in read:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None,
                         help="output path ('-' or omitted: stdout); relative "
                              "paths resolve under $TREECAST_OUT_DIR")
@@ -98,11 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("evolve", help="diagnostic-vs-depth curve")
     add_channel_flags(sp)
-    add_run_flags(sp, "depth", "engine", "format", depth_default=8)
+    add_run_flags(sp, "depth", "engine", "pop_size", "seed", "format",
+                  depth_default=8)
 
     sp = sub.add_parser("threshold", help="bisection threshold estimate")
     add_channel_flags(sp)
-    add_run_flags(sp, "depth", "engine")
+    add_run_flags(sp, "depth", "engine", "pop_size", "seed")
     sp.add_argument("--bracket", nargs=2, type=float, metavar=("LO", "HI"))
     sp.add_argument("--tol", type=float, default=None)
 
@@ -113,11 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hardcore-check",
                         help="single-site conditionals and occupancy scan")
     add_channel_flags(sp)
-    add_run_flags(sp, "depth", depth_default=3)
+    add_run_flags(sp, "depth", "pop_size", "seed", depth_default=3)
 
     sp = sub.add_parser("verify", help="run the built-in invariant suite")
     add_channel_flags(sp)
-    add_run_flags(sp)
+    add_run_flags(sp, "seed")
     return parser
 
 
@@ -163,9 +167,10 @@ def _given_channel_flags(args) -> list:
 
 
 def _run_config(args, channel_desc: dict, depth, engine, fmt) -> dict:
+    # a run flag the subcommand does not take is null
     return {"command": args.command, "channel": channel_desc, "k": args.k,
-            "depth": depth, "engine": engine, "pop_size": args.pop_size,
-            "seed": args.seed, "out": args.out, "format": fmt}
+            "depth": depth, "engine": engine, "pop_size": vars(args).get("pop_size"),
+            "seed": vars(args).get("seed"), "out": args.out, "format": fmt}
 
 
 def _emit(args, text: str) -> None:
@@ -264,8 +269,6 @@ def cmd_hardcore_check(args) -> int:
     depth = args.depth
     config = _run_config(args, desc, depth=depth, engine=None, fmt="json")
 
-    # sampler first: its node cap rejects oversized depths before the
-    # exhaustive conditional sweep starts
     occupancy = brw_independence_check(c, args.k, depth, args.pop_size, seed=args.seed)
     res_rooted = gibbs_conditional_sweep(params, depth, center_root=False)
     res_center = gibbs_conditional_sweep(params, depth, center_root=True)

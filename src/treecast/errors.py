@@ -28,21 +28,18 @@ class UndefinedLimit(TreecastError):
 
 
 class AtomExplosion(TreecastError):
-    """Density evolution exceeded the atom cap or the fold pair budget.
+    """A density-evolution fold would exceed the pair budget ``PAIR_BUDGET``.
 
-    Carries ``count``, whose meaning depends on the guard that fired: for
-    the exact step's ``ATOM_CAP`` it is the atom count of the merged law;
-    for ``PAIR_BUDGET`` it is the number of atom pairs a convolution fold
-    would have formed, raised before that fold allocates anything (it can
-    exceed the size of the finished law by orders of magnitude).  The
-    exact step checks each fold as it comes: its first fold adds the
-    ``m``-atom child law to itself and forms ``m(m+1)/2`` unordered pairs,
-    and each later fold forms ``m`` pairs per atom of the partial sum.  The
-    lattice step checks its last and largest fold,
-    ``((k-1)*(L-1) + 1) * L`` pairs for an ``L``-point lattice vector,
-    before the first.  The usual remedy is
-    ``deep_policy()``: its lattice step (width ``LATTICE_WIDTH``) has no
-    atom cap and returns an upper law whose TV is at least the exact one.
+    Carries ``count``, the number of atom pairs the fold would have formed,
+    raised before that fold allocates anything (it can exceed the size of
+    the finished law by orders of magnitude).  The exact step checks each
+    fold as it comes: its first fold adds the ``m``-atom child law to
+    itself and forms ``m(m+1)/2`` unordered pairs, and each later fold
+    forms ``m`` pairs per atom of the partial sum.  The lattice step
+    checks its last and largest fold, ``((k-1)*(L-1) + 1) * L`` pairs for
+    an ``L``-point lattice vector, before the first.  The usual remedy is
+    ``deep_policy()``: its lattice step (width ``LATTICE_WIDTH``) returns
+    an upper law whose TV is at least the exact one.
     When even the lattice folds are over the pair budget
     (near-deterministic channels, whose contributions span more cells
     than the budget allows), the population engine remains.

@@ -222,30 +222,38 @@ def gibbs_conditional_check(params: HardCoreParams, depth: int, node: int,
     tree = truncated_tree(params.k, depth, center_root=center_root)
     if node not in tree.interior_nodes():
         raise NotInterior(f"node {node} lacks a full neighborhood at depth {depth}")
-    return _node_residual(params, tree, node)
+    return _node_residual(params, tree.parent[node] == -1, len(tree.children[node]))
 
 
 def gibbs_conditional_sweep(params: HardCoreParams, depth: int,
                             center_root: bool = False) -> float:
     """Largest :func:`gibbs_conditional_check` residual over all interior nodes.
 
-    The tree and its interior are built once for the whole sweep.
+    The residual depends on a node only through the shape of its
+    neighborhood, and a truncation has at most two: a parent plus ``k``
+    children, at every non-root node above the leaves (present from depth
+    2), and the ``k+1`` children of the root in the ``center_root``
+    variant.  One node of each shape is evaluated, without building the
+    tree.
     """
-    tree = truncated_tree(params.k, depth, center_root=center_root)
-    nodes = tree.interior_nodes()
-    if not nodes:
+    if depth < 1:
+        raise InvalidParameter(f"depth must be >= 1, got {depth}")
+    shapes = [(False, params.k)] if depth >= 2 else []
+    if center_root:
+        shapes.append((True, params.k + 1))
+    if not shapes:
         raise NotInterior(f"no interior nodes at depth {depth}")
-    return max(_node_residual(params, tree, node) for node in nodes)
+    return max(_node_residual(params, is_root, n_children)
+               for is_root, n_children in shapes)
 
 
-def _node_residual(params: HardCoreParams, tree: TreeIndex, node: int) -> float:
-    """Single-site conditional residual at an interior ``node`` of ``tree``."""
+def _node_residual(params: HardCoreParams, is_root: bool, n_children: int) -> float:
+    """Single-site conditional residual at an interior node with ``n_children``
+    children, and a parent unless ``is_root``."""
     c, _ = hardcore_channel(params.w, params.k)
     lam_cond = params.lam / (1.0 + params.lam)
 
     row = [[c.p00, c.p01], [c.p10, c.p11]]
-    is_root = tree.parent[node] == -1
-    n_children = len(tree.children[node])
     n_neighbors = n_children + (0 if is_root else 1)
 
     worst = 0.0

@@ -91,10 +91,16 @@ def sample_broadcast_batch(c: BinaryChannel, k: int, depth: int, n: int,
     k = branching_number(k)
     if depth < 0 or n < 1:
         raise InvalidParameter(f"need depth >= 0 and sample count n >= 1, got {depth} and {n}")
-    total = n * sum(k ** ell for ell in range(depth + 1))
+    # n * (1 + k + ... + k**depth) nodes; at k >= 2 depth 64 is already far
+    # past the cap, and counting no deeper keeps k**depth from growing to
+    # thousands of digits, too many to compute quickly or print
+    if k == 1:
+        total = n * (depth + 1)
+    else:
+        total = n * (k ** (min(depth, 64) + 1) - 1) // (k - 1)
     if total > NODE_CAP:
-        raise ResourceLimit(
-            f"broadcast batch needs {total} nodes ({n} samples; cap {NODE_CAP})")
+        raise ResourceLimit(f"broadcast batch of {n} samples to depth {depth} "
+                            f"needs more than {NODE_CAP} nodes (the cap)")
     streams = _level_streams(seed, depth)
     if root_value is None:
         root = (streams[0].random(n) < c.pi1).astype(np.int8)

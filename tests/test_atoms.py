@@ -16,6 +16,7 @@ from treecast import (
     posterior_from_llr,
     symmetric_channel,
 )
+from treecast.atoms import run_count
 
 
 from _oracles import genuine_pair_arrays
@@ -157,7 +158,7 @@ def test_merge_properties(case):
     with np.errstate(invalid="ignore"):
         cut = (np.diff(s) >= tol) | ((s[:-1] < 0) & (s[1:] >= 0))
     runs = np.split(s, np.flatnonzero(cut) + 1)
-    assert len(runs) == len(mv)
+    assert len(runs) == len(mv) == run_count(values, tol)
     assert all(run[0] <= m <= run[-1] for run, m in zip(runs, mv))
     for w, mw in zip(weights, merged):
         assert math.isclose(mw.sum(), w.sum(), rel_tol=1e-12, abs_tol=1e-300)

@@ -106,6 +106,9 @@ def test_activity_rejects_nonpositive():
         lambda_of_w(0.0, 2)
     with pytest.raises(InvalidParameter):
         w_of_lambda(-1.0, 2)
+    for k in (0, -3, 2.5):
+        with pytest.raises(InvalidParameter):
+            lambda_of_w(1.0, k)
 
 
 def test_hardcore_channel_shape():
@@ -191,6 +194,9 @@ def test_second_eigenvalue_critical_point():
         assert abs(kesten_stigum_symmetric(eps, k) - 1.0) < 1e-12
     with pytest.raises(InvalidParameter):
         kesten_stigum_eps_c(0)
+    for k in (0, -3, 2.5):
+        with pytest.raises(InvalidParameter):
+            kesten_stigum_symmetric(0.1, k)
 
 
 def test_uniqueness_threshold_values():
@@ -384,6 +390,9 @@ def test_hardcore_contraction_values():
     for k in range(1, 7):
         w = w_of_lambda(math.e - 1.0, k)
         assert hardcore_contraction(w, k) < 1.0
+    for k in (0, -3, 2.5):
+        with pytest.raises(InvalidParameter):
+            hardcore_contraction(1.0, k)
 
 
 def test_hardcore_contraction_below_log_activity():

@@ -252,17 +252,8 @@ def test_diagnostics_positive_when_informative():
 
 # ----------------------------------------------------------- resource caps
 
-def test_atom_cap_raises(monkeypatch):
-    monkeypatch.setattr(evolution, "ATOM_CAP", 10)
-    c = make_channel(0.81, 0.27)
-    with pytest.raises(AtomExplosion) as info:
-        evolve_to_depth(c, 2, 4, exact_policy())
-    assert info.value.count > evolution.ATOM_CAP
-
-
 def test_pair_budget_raises_before_allocation(monkeypatch):
     monkeypatch.setattr(evolution, "PAIR_BUDGET", 50)
-    monkeypatch.setattr(evolution, "ATOM_CAP", 1 << 40)
     c = make_channel(0.81, 0.27)
     with pytest.raises(AtomExplosion) as info:
         evolve_to_depth(c, 2, 4, exact_policy())
@@ -271,7 +262,6 @@ def test_pair_budget_raises_before_allocation(monkeypatch):
 
 def test_self_fold_budget_counts_unordered_pairs(monkeypatch):
     """At k=2 the one fold forms the m(m+1)/2 unordered pairs, no more."""
-    monkeypatch.setattr(evolution, "ATOM_CAP", 1 << 40)
     c = make_channel(0.81, 0.27)
     pair = evolve_to_depth(c, 2, 4, exact_policy())
     m = len(grid_merge(llr_step(c, pair.values), pair.w0, tol=evolution.MERGE_TOL)[0])
@@ -283,6 +273,33 @@ def test_self_fold_budget_counts_unordered_pairs(monkeypatch):
     with pytest.raises(AtomExplosion) as info:
         evolve(pair, c, 2, exact_policy())
     assert info.value.count == formed
+
+
+def test_later_fold_refused_before_the_first_fold_merges(monkeypatch):
+    """At k=3 the second fold's pair count comes from the first fold's sums
+    alone: the refusal reports the count that merging them gives, and the
+    child law's merge is the only one before it."""
+    c = make_channel(0.81, 0.27)
+    pair = evolve_to_depth(c, 3, 2, exact_policy())
+    h = llr_step(c, pair.values) + math.log(c.p00 / c.p10)
+    y = grid_merge(h, np.ones_like(h), tol=evolution.MERGE_TOL)[0]
+    m = len(y)
+    sums = (y[:, None] + y[None, :])[np.triu_indices(m)]
+    needed = len(grid_merge(sums, np.ones_like(sums), tol=evolution.MERGE_TOL)[0]) * m
+    assert needed - 1 >= m * (m + 1) // 2
+    real, calls = evolution.grid_merge, []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "grid_merge", counting)
+    monkeypatch.setattr(evolution, "PAIR_BUDGET", needed - 1)
+    with pytest.raises(AtomExplosion) as info:
+        evolve(pair, c, 3, exact_policy())
+    assert info.value.count == needed and calls == [len(h)]
+    monkeypatch.setattr(evolution, "PAIR_BUDGET", needed)
+    evolve(pair, c, 3, exact_policy())
 
 
 def test_exact_laws_hold_no_rounding_duplicates():

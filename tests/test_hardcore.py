@@ -174,15 +174,17 @@ def test_gibbs_sweep_center_variant():
     assert gibbs_conditional_sweep(params, 2, center_root=True) < 1e-12
 
 
-def test_gibbs_sweep_builds_tree_once(monkeypatch):
-    """One tree per sweep; the residual is the per-node check's maximum."""
+def test_gibbs_sweep_builds_no_tree(monkeypatch):
+    """One node per neighborhood shape, no tree; the residual is the
+    per-node check's maximum over the whole truncation."""
     real, calls = hardcore.truncated_tree, []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for w, k, depth, center in ((0.7, 3, 3, False), (2.0, 2, 5, True)):
+    for w, k, depth, center in ((0.7, 3, 3, False), (2.0, 2, 5, True),
+                                (0.5, 4, 1, True)):
         _, params = hardcore_channel(w, k)
         nodes = real(k, depth, center_root=center).interior_nodes()
         per_node = max(gibbs_conditional_check(params, depth, node, center_root=center)
@@ -190,7 +192,7 @@ def test_gibbs_sweep_builds_tree_once(monkeypatch):
         calls.clear()
         monkeypatch.setattr(hardcore, "truncated_tree", counting)
         assert gibbs_conditional_sweep(params, depth, center_root=center) == per_node
-        assert len(calls) == 1
+        assert calls == []
         monkeypatch.setattr(hardcore, "truncated_tree", real)
 
 
@@ -202,6 +204,8 @@ def test_gibbs_non_interior_node_rejected():
         gibbs_conditional_check(params, 3, node=14)  # leaf
     with pytest.raises(NotInterior):
         gibbs_conditional_sweep(params, 1)  # depth-1 tree has no interior
+    with pytest.raises(InvalidParameter):
+        gibbs_conditional_sweep(params, 0, center_root=True)
 
 
 def test_blanket_conditional_matches_full_joint_rooted():

@@ -1,6 +1,7 @@
 """Forward tree sampling, exact root posterior, population dynamics."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -93,8 +94,10 @@ def test_sampler_stationary_root():
 
 def test_sampler_node_cap():
     """The cap bounds the batch, not one sample (depth 12 has only 8191
-    nodes per sample), and refuses before any array is built."""
-    for depth, n in ((25, 10), (12, 100_000)):
+    nodes per sample), and refuses before any array is built, at once even
+    where the node count has more digits than an int may print."""
+    for depth, n in ((25, 10), (12, 100_000), (20_000, 1), (10**6, 1)):
+        start = time.perf_counter()
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimit):
@@ -103,6 +106,7 @@ def test_sampler_node_cap():
         finally:
             tracemalloc.stop()
         assert peak < 100_000, (depth, n)
+        assert time.perf_counter() - start < 1.0, (depth, n)
 
 
 def test_sampler_requires_children_and_samples():
