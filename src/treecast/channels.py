@@ -21,33 +21,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadBracket, DegenerateChannel, InvalidParameter,
-                     ResourceLimit, UndefinedLimit)
+from .errors import BadBracket, DegenerateChannel, InvalidParameter, UndefinedLimit
 
 _ROW_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
-_BRENT_RTOL = 4 * np.finfo(np.float64).eps
-_BRENT_MAXITER = 100
 
 
-def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
-            rtol: float = _BRENT_RTOL) -> float:
-    """Root of ``f`` in ``[xa, xb]`` by Brent's method (Brent, *Algorithms
-    for Minimization without Derivatives*, 1973, ch. 4).
+def _bisect_root(f, lo: float, hi: float) -> float:
+    """Root of ``f`` in ``[lo, hi]`` by bisection down to adjacent floats.
 
-    Step for step the classic C routine ``brentq.c``, with its defaults and
-    its cap of 100 iterations: the same iterates, so the same root to the
-    last bit.  The endpoint values must differ in sign; the result is
-    within ``xtol + rtol*|x|`` of a sign change of ``f``.
+    ``f(lo)`` and ``f(hi)`` must differ in sign.  The bracket is halved
+    until its midpoint equals an endpoint; the endpoint with the smaller
+    ``|f|`` is returned (``lo`` on a tie), and an exact zero as soon as one
+    is met.  Any finite bracket reaches adjacent floats within about 2,100
+    halvings, so there is no tolerance and no iteration cap.
 
     Raises
     ------
     BadBracket
-        If ``f(xa)`` and ``f(xb)`` have the same sign.
+        If ``f(lo)`` and ``f(hi)`` have the same sign.
     InvalidParameter
         If ``f`` returns NaN.
-    ResourceLimit
-        If the root is not bracketed to tolerance within 100 iterations.
     """
     def call(x: float) -> float:
         fx = f(x)
@@ -55,57 +49,25 @@ def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
             raise InvalidParameter(f"root finder: the function value at x={x} is NaN")
         return fx
 
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise BadBracket(f"root finder: f({xa}) and f({xb}) have the same sign")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # C divides by 0 to +-inf or NaN, and then bisects
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                # bisect
-                spre = scur = sbis
+    lo, hi = float(lo), float(hi)
+    flo, fhi = call(lo), call(hi)
+    if flo == 0:
+        return lo
+    if fhi == 0:
+        return hi
+    if (flo < 0) == (fhi < 0):
+        raise BadBracket(f"root finder: f({lo}) and f({hi}) have the same sign")
+    while True:
+        mid = lo / 2 + hi / 2  # lo + hi may overflow
+        if mid == lo or mid == hi:
+            return lo if abs(flo) <= abs(fhi) else hi
+        fmid = call(mid)
+        if fmid == 0:
+            return mid
+        if (fmid < 0) == (flo < 0):
+            lo, flo = mid, fmid
         else:
-            # bisect
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise ResourceLimit(
-        f"root finder: no convergence after {_BRENT_MAXITER} iterations (x = {xcur})")
+            hi, fhi = mid, fmid
 
 
 @dataclass(frozen=True)
@@ -268,8 +230,9 @@ def lambda_of_w(w: float, k: int) -> float:
 def w_of_lambda(lam: float, k: int) -> float:
     """Invert the activity map: the unique ``w > 0`` with ``w*(1+w)**k = lam``.
 
-    Solved as a monotone root-find in ``t = ln w``, which is robust for any
-    positive activity and any branching number.
+    Solved by bisection in ``t = ln w`` over ``[-745, max(1, ln lam) + 1]``:
+    ``t + k*ln(1 + e^t)`` rises in ``t``, lies below ``ln lam`` at -745 for
+    any positive float ``lam`` and at least 1 above it at the upper end.
     """
     if not (isinstance(lam, (int, float)) and lam > 0 and math.isfinite(lam)):
         raise InvalidParameter(f"lambda must be positive and finite, got {lam!r}")
@@ -281,12 +244,7 @@ def w_of_lambda(lam: float, k: int) -> float:
         soft = math.log1p(math.exp(t)) if t < 700.0 else t + math.log1p(math.exp(-t))
         return t + k * soft - target
 
-    lo, hi = -745.0, max(1.0, target) + 1.0
-    # h(lo) < 0 for any representable lam; widen hi if needed
-    while h(hi) < 0:
-        hi *= 2.0
-    t = _brentq(h, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return math.exp(t)
+    return math.exp(_bisect_root(h, -745.0, max(1.0, target) + 1.0))
 
 
 def mossel_peres_lhs(c: BinaryChannel) -> float:

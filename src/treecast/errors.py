@@ -70,8 +70,7 @@ class NotInterior(TreecastError):
 
 
 class ResourceLimit(TreecastError):
-    """An enumeration or simulation would exceed a configured size cap, or
-    the root finder reached its iteration cap."""
+    """An enumeration or simulation would exceed a configured size cap."""
 
 
 class BadBracket(TreecastError):

@@ -254,24 +254,20 @@ def _node_residual(params: HardCoreParams, is_root: bool, n_children: int) -> fl
     lam_cond = params.lam / (1.0 + params.lam)
 
     row = [[c.p00, c.p01], [c.p10, c.p11]]
-    n_neighbors = n_children + (0 if is_root else 1)
-
+    # the conditional depends on a pattern only through the parent bit and
+    # the number of occupied children (a root has no parent: bit 0 stands in)
     worst = 0.0
-    for pattern in range(1 << n_neighbors):
-        bits = [(pattern >> j) & 1 for j in range(n_neighbors)]
-        if is_root:
-            child_bits = bits
-            weight = [c.pi0, c.pi1]  # prior over the node value itself
-        else:
-            parent_bit, child_bits = bits[0], bits[1:]
-            weight = [row[parent_bit][0], row[parent_bit][1]]
-        like = [weight[x] * math.prod(row[x][b] for b in child_bits) for x in (0, 1)]
-        total = like[0] + like[1]
-        if total == 0.0:
-            continue  # zero-probability neighborhood pattern (none for hard-core)
-        conditional = like[1] / total
-        expected = lam_cond if all(b == 0 for b in bits) else 0.0
-        worst = max(worst, abs(conditional - expected))
+    for parent_bit in (0,) if is_root else (0, 1):
+        weight = [c.pi0, c.pi1] if is_root else row[parent_bit]
+        for occupied in range(n_children + 1):
+            child_bits = [1] * occupied + [0] * (n_children - occupied)
+            like = [weight[x] * math.prod(row[x][b] for b in child_bits) for x in (0, 1)]
+            total = like[0] + like[1]
+            if total == 0.0:
+                continue  # zero-probability neighborhood pattern (none for hard-core)
+            conditional = like[1] / total
+            expected = lam_cond if parent_bit == 0 and occupied == 0 else 0.0
+            worst = max(worst, abs(conditional - expected))
     return worst
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import BadBracket, InvalidParameter
-from .channels import (BinaryChannel, _LOG_FLOAT_MAX, _brentq, branching_number,
+from .channels import (BinaryChannel, _LOG_FLOAT_MAX, _bisect_root, branching_number,
                        symmetric_channel, hardcore_channel, w_of_lambda, lambda_of_w,
                        kelly_threshold, kesten_stigum_eps_c, brightwell_winkler_lower_w,
                        mossel_peres_lhs, geometric_mean_bound_lhs)
@@ -281,8 +281,7 @@ def restricted_bound_crossover(k: int, which: str = "geometric") -> float:
     activity; for both supported bounds the crossing reproduces the
     uniqueness threshold ``k**k/(k-1)**(k+1)``.
     """
-    if k < 2:
-        raise InvalidParameter(f"crossover requires k >= 2, got {k}")
+    k = branching_number(k, 2)
     if which == "geometric":
         stat = geometric_mean_bound_lhs
     elif which == "mossel_peres":
@@ -296,7 +295,7 @@ def restricted_bound_crossover(k: int, which: str = "geometric") -> float:
 
     # (k+1)*ln(1+w) bounds ln(w*(1+w)**k), so the activity at hi is finite
     hi = min(1e6, math.expm1(_LOG_FLOAT_MAX / (k + 1)))
-    w_star = _brentq(excess, 1e-9, hi, xtol=1e-15, rtol=8.9e-16)
+    w_star = _bisect_root(excess, 1e-9, hi)
     return lambda_of_w(w_star, k)
 
 
@@ -342,7 +341,7 @@ def bounds_report(k: int, family_kind: str) -> BoundsReport:
         def eps_cross(stat):
             def excess(eps: float) -> float:
                 return stat(symmetric_channel(eps)) - 1.0 / k
-            return _brentq(excess, 1e-9, 0.5 - 1e-12, xtol=1e-15)
+            return _bisect_root(excess, 1e-9, 0.5 - 1e-12)
         return BoundsReport(
             family_kind=family_kind, k=k,
             ks_eps=kesten_stigum_eps_c(k),

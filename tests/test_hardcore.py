@@ -1,6 +1,7 @@
 """Independent-set enumeration, activity measures, single-site conditionals."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -194,6 +195,17 @@ def test_gibbs_sweep_builds_no_tree(monkeypatch):
         assert gibbs_conditional_sweep(params, depth, center_root=center) == per_node
         assert calls == []
         monkeypatch.setattr(hardcore, "truncated_tree", real)
+
+
+def test_gibbs_sweep_is_linear_in_k():
+    """The residual loops over occupied-children counts, not the 2**(k+1)
+    neighbourhood patterns: a k=20 sweep of both shapes is immediate."""
+    _, params = hardcore_channel(0.5, 20)
+    start = time.perf_counter()
+    residual = max(gibbs_conditional_sweep(params, 2),
+                   gibbs_conditional_sweep(params, 2, center_root=True))
+    assert time.perf_counter() - start < 1.0
+    assert residual <= 1e-12
 
 
 def test_gibbs_non_interior_node_rejected():

@@ -1,9 +1,11 @@
-"""The package's own scalar numerics, checked against scipy and mpmath.
+"""The package's own scalar numerics, checked against high-precision truth.
 
 treecast computes with numpy and the standard library only.  Its root
-finder, log-sum-exp, logistic maps and binomial weights are checked here
-against the library forms they reproduce (scipy) and against high-precision
-truth (mpmath); each reference test skips when its reference is missing.
+finder is checked for the bracket it ends on and, against mpmath, for an
+accuracy no worse than scipy's Brent solver at the tolerances the package
+once passed it; log-sum-exp, the logistic maps and the binomial weights are
+checked against the scipy forms they reproduce and against mpmath.  Each
+reference test skips when its reference is missing.
 """
 
 import math
@@ -13,10 +15,10 @@ import pytest
 
 import treecast.channels as channels_mod
 import treecast.threshold as threshold_mod
-from treecast import (BadBracket, InvalidParameter, ResourceLimit, bounds_report,
-                      llr_from_posterior, posterior_from_llr, symmetric_channel,
-                      w_of_lambda)
-from treecast.channels import _brentq
+from treecast import (BadBracket, InvalidParameter, bounds_report,
+                      llr_from_posterior, posterior_from_llr,
+                      restricted_bound_crossover, symmetric_channel, w_of_lambda)
+from treecast.channels import _bisect_root
 from treecast.evolution import _binomial_pmf
 from treecast.sampling import _project_unit_mean
 
@@ -32,47 +34,129 @@ def ulps(got, want):
 
 # ------------------------------------------------------------- root finder
 
-def test_brentq_matches_reference_at_every_call_site(monkeypatch):
-    """Same root, bit for bit, on every solve of w_of_lambda and the bounds."""
-    optimize = pytest.importorskip("scipy.optimize")
+LAMBDAS = np.concatenate([np.logspace(-300, 300, 61),
+                          np.random.default_rng(11).uniform(0.0, 100.0, 20)])
+LAMBDA_KS = (1, 2, 3, 5, 10, 40, 1000)
+BOUND_KS = range(2, 61)
+
+
+def solve_lambdas():
+    return [w_of_lambda(float(lam), k) for lam in LAMBDAS for k in LAMBDA_KS]
+
+
+def solve_hardcore_crossovers():
+    return [restricted_bound_crossover(k, which) for k in BOUND_KS
+            for which in ("geometric", "mossel_peres")]
+
+
+def solve_symmetric_crossovers():
+    reports = [bounds_report(k, "symmetric") for k in BOUND_KS]
+    return [x for r in reports for x in (r.mp_crossover_eps, r.geometric_crossover_eps)]
+
+
+def use_root_finder(monkeypatch, finder):
+    monkeypatch.setattr(channels_mod, "_bisect_root", finder)
+    monkeypatch.setattr(threshold_mod, "_bisect_root", finder)
+
+
+def test_every_call_site_solve_ends_on_an_adjacent_float_sign_change(monkeypatch):
+    """Each solve returns an exact zero, or the endpoint with the smaller
+    |f| of a bracket of two adjacent floats across which f changes sign."""
     solves = []
 
-    def both(f, a, b, **kw):
-        ours = _brentq(f, a, b, **kw)
-        solves.append((ours, optimize.brentq(f, a, b, **kw)))
-        return ours
+    def recording(f, lo, hi):
+        root = _bisect_root(f, lo, hi)
+        solves.append((f, lo, hi, root))
+        return root
 
-    monkeypatch.setattr(channels_mod, "_brentq", both)
-    monkeypatch.setattr(threshold_mod, "_brentq", both)
-    rng = np.random.default_rng(11)
-    lams = np.concatenate([np.logspace(-300, 300, 61), rng.uniform(0.0, 100.0, 20)])
-    for lam in lams:
-        for k in (1, 2, 3, 5, 10, 40, 1000):
-            w_of_lambda(float(lam), k)
-    n_lambda = len(solves)
-    for k in range(2, 61):
-        bounds_report(k, "symmetric")
-        bounds_report(k, "hardcore")
-    assert n_lambda == len(lams) * 7
-    assert len(solves) == n_lambda + 4 * 59  # two crossovers per family
-    assert all(ours == ref for ours, ref in solves)
+    use_root_finder(monkeypatch, recording)
+    solve_lambdas()
+    solve_hardcore_crossovers()
+    solve_symmetric_crossovers()
+    assert len(solves) == len(LAMBDAS) * len(LAMBDA_KS) + 4 * len(BOUND_KS)
+    for f, lo, hi, root in solves:
+        assert lo <= root <= hi
+        froot = f(root)
+        if froot == 0:
+            continue
+        ends = [n for n in (math.nextafter(root, lo), math.nextafter(root, hi))
+                if lo <= n <= hi and (f(n) == 0 or (f(n) < 0) != (froot < 0))]
+        assert ends, (lo, hi, root)
+        assert any(abs(froot) <= abs(f(n)) for n in ends), (lo, hi, root)
 
 
-def test_brentq_typed_errors():
+# (site, solves, tolerances the site passed to Brent's method, truth)
+CALL_SITES = (
+    ("w_of_lambda", solve_lambdas, (1e-15, 8.9e-16), None),
+    ("hardcore crossover", solve_hardcore_crossovers, (1e-15, 8.9e-16),
+     lambda mp: [mp.mpf(k) ** k / mp.mpf(k - 1) ** (k + 1)
+                 for k in BOUND_KS for _ in range(2)]),
+    ("symmetric crossover", solve_symmetric_crossovers,
+     (1e-15, 4 * np.finfo(float).eps),
+     lambda mp: [(1 - 1 / mp.sqrt(k)) / 2 for k in BOUND_KS for _ in range(2)]),
+)
+
+
+def lambda_truths(mp, ws):
+    """The w > 0 with w*(1+w)**k = lam at each grid point, solved in ln w
+    from the float answers ``ws``."""
+    grid = [(float(lam), k) for lam in LAMBDAS for k in LAMBDA_KS]
+    return [mp.exp(mp.findroot(lambda t: t + k * mp.log1p(mp.exp(t)) - mp.log(lam),
+                               mp.mpf(math.log(w))))
+            for (lam, k), w in zip(grid, ws)]
+
+
+@pytest.mark.parametrize("site, solve, tolerances, truth", CALL_SITES,
+                         ids=[site[0] for site in CALL_SITES])
+def test_root_finder_no_less_accurate_than_brent(monkeypatch, site, solve,
+                                                 tolerances, truth):
+    """Against 50-digit truth, the call site's max and mean errors are no
+    larger than with scipy's brentq at the tolerances the site used to pass."""
+    mpmath = pytest.importorskip("mpmath")
+    optimize = pytest.importorskip("scipy.optimize")
+    xtol, rtol = tolerances
+    ours = solve()
+    use_root_finder(monkeypatch, lambda f, lo, hi: optimize.brentq(
+        f, lo, hi, xtol=xtol, rtol=rtol))
+    brent = solve()
+    with mpmath.workdps(50):
+        truths = lambda_truths(mpmath, ours) if truth is None else truth(mpmath)
+        ours_err, brent_err = (
+            [float(abs(mpmath.mpf(got) - want) / float(np.spacing(float(want))))
+             for got, want in zip(values, truths)] for values in (ours, brent))
+    for stat in (np.max, np.mean):
+        assert stat(ours_err) <= stat(brent_err), (site, stat(ours_err), stat(brent_err))
+
+
+def test_bisect_root_typed_errors():
     with pytest.raises(BadBracket):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        _bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
     with pytest.raises(InvalidParameter):
         # the first bisection lands on 0.5, where f has no value
-        _brentq(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0)
-    with pytest.raises(ResourceLimit):
-        # a sign jump: bisection needs ~1000 halvings of this bracket
-        _brentq(lambda x: math.copysign(1.0, x - 1.0 / 3.0), -1e300, 1e300)
+        _bisect_root(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0)
 
 
-def test_brentq_endpoint_root_and_tolerance():
-    assert _brentq(lambda x: x - 2.0, 2.0, 5.0) == 2.0
-    assert _brentq(lambda x: x - 5.0, 2.0, 5.0) == 5.0
-    root = _brentq(lambda x: x ** 3 - 2.0, 0.0, 2.0, xtol=1e-15)
+def test_bisect_root_sign_jump_over_a_huge_bracket():
+    """A jump at 1/3 is located to adjacent floats, |f| ties going to lo."""
+    root = _bisect_root(lambda x: math.copysign(1.0, x - 1.0 / 3.0), -1e300, 1e300)
+    assert root == math.nextafter(1.0 / 3.0, 0.0)
+
+
+def test_bisect_root_midpoints_stay_finite():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - 1.0
+
+    assert _bisect_root(f, -1e308, 1e308) == 1.0
+    assert all(-1e308 <= x <= 1e308 for x in seen)
+
+
+def test_bisect_root_endpoint_root_and_accuracy():
+    assert _bisect_root(lambda x: x - 2.0, 2.0, 5.0) == 2.0
+    assert _bisect_root(lambda x: x - 5.0, 2.0, 5.0) == 5.0
+    root = _bisect_root(lambda x: x ** 3 - 2.0, 0.0, 2.0)
     assert abs(root - 2.0 ** (1.0 / 3.0)) <= 1e-15 + 4 * np.finfo(float).eps * root
 
 

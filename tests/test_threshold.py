@@ -234,8 +234,9 @@ def test_crossover_reproduces_uniqueness_threshold():
             got = restricted_bound_crossover(k, which)
             assert abs(got - target) < 1e-6 * max(1.0, target), (k, which)
             assert abs(got - target) < 1e-10 * target, (k, which)
-    with pytest.raises(InvalidParameter):
-        restricted_bound_crossover(1)
+    for k in (1, 2.5, None, "3"):
+        with pytest.raises(InvalidParameter):
+            restricted_bound_crossover(k)
     with pytest.raises(InvalidParameter):
         restricted_bound_crossover(2, which="spectral")
 
