@@ -8,7 +8,10 @@ non-negative side, the root-1 law's surplus on the non-positive side, a
 consequence of the per-atom weight ordering.  Off the diagonal the pairing
 is the sorted (comonotone) transport between the two residuals; any
 measurable pairing would satisfy the same marginal and crossing
-guarantees, so sorted order is chosen for determinism.
+guarantees, so sorted order is chosen for determinism.  A pair is kept as
+two positions in the laws' shared support, not as two values: the
+construction already has them, and each marginal check is then one
+``bincount`` instead of a search of the support for every pair.
 
 ``verify_sandwich`` checks the underlying two-sided bound on a finite
 probability space: if the conditional probability of an event ``B`` given
@@ -36,59 +39,70 @@ DOMINANCE_TOL = 1e-10  # largest admissible violation of the weight ordering
 class Coupling:
     """Joint law of a pair ``(y0, y1)`` with prescribed marginals.
 
-    ``y0``, ``y1`` and ``weight`` are parallel arrays; positive-weight
-    pairs satisfy ``y0 == y1`` or ``y1 <= 0 <= y0``.
+    Pairs are held as positions in the sorted ``support`` they came from:
+    pair ``j`` carries ``weight[j]`` at ``(y0[j], y1[j]) = (support[i0[j]],
+    support[i1[j]])``, so each marginal is one ``bincount`` of a position
+    array, with no search of the support.  Positive-weight pairs satisfy
+    ``i0 == i1`` or ``y1 <= 0 <= y0``.
     """
 
-    y0: np.ndarray
-    y1: np.ndarray
+    support: np.ndarray
+    i0: np.ndarray
+    i1: np.ndarray
     weight: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.y0, dtype=np.float64)
-        b = np.asarray(self.y1, dtype=np.float64)
+        s = np.asarray(self.support, dtype=np.float64)
+        a, b = np.asarray(self.i0), np.asarray(self.i1)
         w = np.asarray(self.weight, dtype=np.float64)
-        object.__setattr__(self, "y0", a)
-        object.__setattr__(self, "y1", b)
-        object.__setattr__(self, "weight", w)
-        if not (a.shape == b.shape == w.shape) or a.ndim != 1:
-            raise InvalidParameter("y0, y1, weight must be 1-d arrays of equal length")
+        if not (a.shape == b.shape == w.shape) or w.ndim != 1 or s.ndim != 1:
+            raise InvalidParameter("need a 1-d support and 1-d i0, i1, weight of equal length")
+        if not (np.issubdtype(a.dtype, np.integer) and np.issubdtype(b.dtype, np.integer)):
+            raise InvalidParameter("positions i0, i1 must be integer arrays")
         if np.any(w < 0):
             raise InvalidParameter("coupling weights must be non-negative")
         if abs(float(w.sum()) - 1.0) > 1e-10:
             raise InvalidParameter(f"coupling weights sum to {w.sum()}, not 1")
+        a, b = a.astype(np.intp, copy=False), b.astype(np.intp, copy=False)
+        if min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= len(s):
+            raise InvalidParameter(f"positions must lie in [0, {len(s)})")
+        for name, x in (("support", s), ("i0", a), ("i1", b), ("weight", w)):
+            object.__setattr__(self, name, x)
+
+    @property
+    def y0(self) -> np.ndarray:
+        return self.support[self.i0]
+
+    @property
+    def y1(self) -> np.ndarray:
+        return self.support[self.i1]
 
     def crossing_ok(self) -> bool:
         """True when every positive-weight pair is diagonal or straddles 0."""
         live = self.weight > 0
-        diag = self.y0[live] == self.y1[live]
-        straddle = (self.y1[live] <= 0) & (self.y0[live] >= 0)
-        return bool(np.all(diag | straddle))
+        a, b = self.i0[live], self.i1[live]
+        return bool(np.all((a == b) | ((self.support[b] <= 0) & (self.support[a] >= 0))))
 
     def marginal_residuals(self, pair: ConditionalPair) -> tuple[float, float]:
-        """Worst per-atom deviation of each marginal from the pair's laws."""
-        m0 = _project(self.y0, self.weight, pair.values)
-        m1 = _project(self.y1, self.weight, pair.values)
+        """Worst per-atom deviation of each marginal from the pair's laws.
+
+        Raises :class:`InvalidParameter` unless ``support`` is the pair's.
+        """
+        if not (self.support is pair.values or np.array_equal(self.support, pair.values)):
+            raise InvalidParameter("coupling support is not the pair's support")
+        n = len(self.support)
+        m0 = np.bincount(self.i0, weights=self.weight, minlength=n)
+        m1 = np.bincount(self.i1, weights=self.weight, minlength=n)
         return (float(np.abs(m0 - pair.w0).max()),
                 float(np.abs(m1 - pair.w1).max()))
 
     def mean_difference(self) -> float:
         """E[y0 - y1]; +inf when an infinite atom carries weight."""
         live = self.weight > 0
-        diff = self.y0[live] - self.y1[live]
+        diff = self.support[self.i0[live]] - self.support[self.i1[live]]
         if np.any(~np.isfinite(diff)):
             return math.inf
         return float(diff @ self.weight[live])
-
-
-def _project(points: np.ndarray, weights: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Accumulate weights of ``points`` onto their positions in ``support``."""
-    idx = np.searchsorted(support, points)
-    idx = np.clip(idx, 0, len(support) - 1)
-    # +-inf atoms compare exactly, finite atoms must match the support
-    if np.any(support[idx] != points):
-        raise InvalidParameter("coupling support is not a subset of the pair support")
-    return np.bincount(idx, weights=weights, minlength=len(support))
 
 
 def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
@@ -107,9 +121,10 @@ def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
     Returns
     -------
     Coupling
-        Diagonal mass ``min(w0, w1)`` at every atom; residual mass paired
-        in sorted order between the non-negative-side surplus of law 0 and
-        the non-positive-side surplus of law 1.
+        On ``pair.values`` itself (the same array): diagonal mass
+        ``min(w0, w1)`` at every atom; residual mass paired in sorted
+        order between the non-negative-side surplus of law 0 and the
+        non-positive-side surplus of law 1.
 
     Raises
     ------
@@ -128,41 +143,34 @@ def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
     r0 = w0 - diag  # law-0 surplus, supported on v >= 0 (up to tolerance)
     r1 = w1 - diag  # law-1 surplus, supported on v <= 0
 
-    i0 = np.flatnonzero(r0 > 0)
-    i1 = np.flatnonzero(r1 > 0)
-    if len(i0) == 0 or len(i1) == 0:
-        live = diag > 0
+    s0 = np.flatnonzero(r0 > 0)
+    s1 = np.flatnonzero(r1 > 0)
+    live = np.flatnonzero(diag > 0)
+    if len(s0) == 0 or len(s1) == 0:
         d = diag[live] / diag[live].sum()
-        return Coupling(y0=v[live], y1=v[live], weight=d)
+        return Coupling(support=v, i0=live, i1=live, weight=d)
 
     # comonotone pairing on the union of the residual cumulative masses:
     # a stable sort merges the two sorted runs, and the first occurrence of
     # each mass m has before it exactly the entries of c0 and of c1 below m
-    c0 = np.cumsum(r0[i0])
-    c1 = np.cumsum(r1[i1])
+    c0 = np.cumsum(r0[s0])
+    c1 = np.cumsum(r1[s1])
     merged = np.concatenate((c0, c1))
     order = np.argsort(merged, kind="stable")
     merged = merged[order]
     first = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
     grid = merged[first]
+    # grid rises strictly from above 0, so every segment carries mass
     seg = np.diff(np.concatenate(([0.0], grid)))
     from0 = order < len(c0)
     p0 = (np.cumsum(from0) - from0)[first]
     # past the end of the shorter run (totals that differ by rounding),
     # the last atom of that run takes the remainder
-    a_idx = i0[np.minimum(p0, len(i0) - 1)]
-    b_idx = i1[np.minimum(first - p0, len(i1) - 1)]
-    keep = seg > 0
-    off_y0 = v[a_idx[keep]]
-    off_y1 = v[b_idx[keep]]
-    off_w = seg[keep]
-
-    live = diag > 0
-    y0 = np.concatenate((v[live], off_y0))
-    y1 = np.concatenate((v[live], off_y1))
-    w = np.concatenate((diag[live], off_w))
-    w = w / w.sum()
-    return Coupling(y0=y0, y1=y1, weight=w)
+    i0 = np.concatenate((live, s0[np.minimum(p0, len(s0) - 1)]))
+    i1 = np.concatenate((live, s1[np.minimum(first - p0, len(s1) - 1)]))
+    w = np.concatenate((diag[live], seg))
+    w /= w.sum()
+    return Coupling(support=v, i0=i0, i1=i1, weight=w)
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,74 @@ from _oracles import genuine_pair_arrays, random_sandwich_case, searched_couplin
 
 def test_coupling_validation():
     v = np.array([0.0, 1.0])
+    at = np.array([0, 1])
     with pytest.raises(InvalidParameter):
-        Coupling(y0=v, y1=v, weight=np.array([1.5, -0.5]))
+        Coupling(support=v, i0=at, i1=at, weight=np.array([1.5, -0.5]))
     with pytest.raises(InvalidParameter):
-        Coupling(y0=v, y1=v, weight=np.array([0.5, 0.4]))
+        Coupling(support=v, i0=at, i1=at, weight=np.array([0.5, 0.4]))
+
+
+@pytest.mark.parametrize("i0", [[-1, 1], [0, 2], [0.0, 1.0]],
+                         ids=["negative", "past-the-end", "float"])
+def test_coupling_rejects_bad_positions(i0):
+    v = np.array([0.0, 1.0])
+    w = np.array([0.5, 0.5])
+    with pytest.raises(InvalidParameter):
+        Coupling(support=v, i0=np.array(i0), i1=np.array([0, 1]), weight=w)
+    with pytest.raises(InvalidParameter):
+        Coupling(support=v, i0=np.array([0, 1]), i1=np.array(i0), weight=w)
+
+
+def test_coupling_values_are_support_positions():
+    v = np.array([-1.0, 0.0, 2.0])
+    cpl = Coupling(support=v, i0=np.array([2, 1]), i1=np.array([0, 1]),
+                   weight=np.array([0.25, 0.75]))
+    assert cpl.y0.tolist() == [2.0, 0.0] and cpl.y1.tolist() == [-1.0, 0.0]
+    assert cpl.crossing_ok()
+    assert cpl.mean_difference() == 0.75
+    # an off-diagonal pair with y0 < 0 or y1 > 0 breaks the crossing
+    for i0, i1 in (([0, 1], [1, 1]), ([1, 1], [2, 1])):
+        bad = Coupling(support=v, i0=np.array(i0), i1=np.array(i1),
+                       weight=np.array([0.25, 0.75]))
+        assert not bad.crossing_ok(), (i0, i1)
+
+
+def test_marginal_residuals_require_the_pairs_support():
+    c = symmetric_channel(0.2)
+    pair = evolve_to_depth(c, 2, 3)
+    cpl = build_coupling(pair, c)
+    assert cpl.support is pair.values
+    # an equal copy of the support is accepted
+    same = ConditionalPair(depth=3, values=pair.values.copy(), w0=pair.w0, w1=pair.w1)
+    assert max(cpl.marginal_residuals(same)) < 1e-12
+    moved = pair.values.copy()
+    moved[len(moved) // 2] = np.nextafter(moved[len(moved) // 2], np.inf)
+    other = ConditionalPair(depth=3, values=moved, w0=pair.w0, w1=pair.w1)
+    with pytest.raises(InvalidParameter):
+        cpl.marginal_residuals(other)
+    shorter = ConditionalPair(depth=1, values=[-1.0, 1.0], w0=[0.25, 0.75], w1=[0.75, 0.25])
+    with pytest.raises(InvalidParameter):
+        cpl.marginal_residuals(shorter)
+
+
+def test_marginal_residuals_report_moved_mass():
+    """Weight moved from one pair to another shows up as that residual in
+    both marginals: the check still catches a wrong coupling."""
+    c = symmetric_channel(0.2)
+    pair = evolve_to_depth(c, 2, 2)
+    cpl = build_coupling(pair, c)
+    base = max(cpl.marginal_residuals(pair))
+    off = np.flatnonzero(cpl.i0 != cpl.i1)
+    src, dst = off[0], off[-1]
+    assert cpl.i0[src] != cpl.i0[dst] and cpl.i1[src] != cpl.i1[dst]
+    delta = 2.0 ** -12
+    assert cpl.weight[src] > delta
+    w = cpl.weight.copy()
+    w[src] -= delta
+    w[dst] += delta
+    wrong = Coupling(support=cpl.support, i0=cpl.i0, i1=cpl.i1, weight=w)
+    for got in wrong.marginal_residuals(pair):
+        assert abs(got - delta) <= base + 1e-16, (got, delta)
 
 
 def test_identical_laws_couple_on_diagonal():
@@ -124,11 +188,12 @@ def test_coupling_mean_identity_random_pairs():
 
 
 def assert_pairing_matches_search(pair):
+    """The coupling's values and weights are bitwise the searched ones."""
     cpl = build_coupling(pair, symmetric_channel(0.3))
-    y0, y1, w = searched_coupling(pair.values, pair.w0, pair.w1)
-    assert np.array_equal(cpl.y0, y0)
-    assert np.array_equal(cpl.y1, y1)
-    assert np.array_equal(cpl.weight, w)
+    for got, want in zip((cpl.y0, cpl.y1, cpl.weight),
+                         searched_coupling(pair.values, pair.w0, pair.w1)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_merged_pairing_equals_searched_pairing_on_random_pairs():
@@ -177,11 +242,13 @@ def test_merged_pairing_equals_searched_pairing_on_edge_cases():
 
 
 def test_merged_pairing_equals_searched_pairing_on_deep_laws():
-    for c in (symmetric_channel(0.2), make_channel(0.81, 0.27)):
+    """Exact laws at depths 2..5, k = 2, up to the 3,613-atom eps = 0.2 law."""
+    for c, atoms in ((symmetric_channel(0.2), 3613), (make_channel(0.81, 0.27), 26796)):
         pair = base_pair(c, 2)
         for _ in range(4):
             pair = evolve(pair, c, 2, exact_policy())
             assert_pairing_matches_search(pair)
+        assert len(pair) == atoms
 
 
 # ----------------------------------------------------------------- sandwich
