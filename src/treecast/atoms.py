@@ -129,27 +129,42 @@ def grid_merge(values: np.ndarray, *weight_vectors: np.ndarray, tol: float):
         If ``tol`` is not positive or a value is NaN.
     """
     v = _snap(values)
-    order = np.argsort(v, kind="stable")
+    # numpy's default sort is not stable; equal values are put back in
+    # index order, so the permutation is the stable one
+    order = np.argsort(v)
     vs = v[order]
+    del v
+    eq = vs[1:] == vs[:-1]
+    if eq.any():
+        tied = np.flatnonzero(np.concatenate(([False], eq)) | np.concatenate((eq, [False])))
+        sub = order[tied]
+        order[tied] = sub[np.lexsort((sub, vs[tied]))]
     edge = _run_edges(vs, tol)
-    gid = np.cumsum(edge[:-1]) - 1
-    lo, hi = vs[edge[:-1]], vs[edge[1:]]
+    gid = np.cumsum(edge[:-1])
+    gid -= 1
+    runs = np.count_nonzero(edge[:-1])
 
     # gather each weight vector once, for its run sums and the per-atom total
     merged_w = []
-    total = np.zeros(len(lo))
     combined = np.zeros(len(vs))
     for w in weight_vectors:
         ws = np.asarray(w, dtype=np.float64)[order]
-        merged_w.append(np.bincount(gid, weights=ws, minlength=len(lo)))
-        total += merged_w[-1]
+        merged_w.append(np.bincount(gid, weights=ws, minlength=runs))
         combined += ws
         del ws  # at most one gathered copy is alive at a time
-    num = np.bincount(gid, weights=np.where(np.isfinite(vs), vs, 0.0) * combined,
-                      minlength=len(lo))
+    del order
+    combined *= np.where(np.isfinite(vs), vs, 0.0)
+    num = np.bincount(gid, weights=combined, minlength=runs)
+    del gid, combined
+    total = np.zeros(runs)
+    for mw in merged_w:
+        total += mw
+    total[~(total > 0)] = 1.0
+    mv = np.divide(num, total, out=total)  # bincount of no atoms is int64
+    del num
     # the clip keeps infinite runs infinite, gives a weightless run a member's
     # value, and keeps the merged values strictly increasing
-    mv = np.clip(num / np.where(total > 0, total, 1.0), lo, hi)
+    np.clip(mv, vs[edge[:-1]], vs[edge[1:]], out=mv)
     return (mv, *merged_w)
 
 

@@ -16,6 +16,7 @@ branching number of the tree.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,10 @@ from .errors import BadBracket, DegenerateChannel, InvalidParameter, UndefinedLi
 
 _ROW_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+# 40 digits and no exponent limits: a binomial term or an activity keeps
+# its digits however small or large it is, and only its final conversion
+# to float64 rounds
+DECIMAL_40 = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def _bisect_root(f, lo: float, hi: float) -> float:
@@ -233,6 +238,11 @@ def w_of_lambda(lam: float, k: int) -> float:
     Solved by bisection in ``t = ln w`` over ``[-745, max(1, ln lam) + 1]``:
     ``t + k*ln(1 + e^t)`` rises in ``t``, lies below ``ln lam`` at -745 for
     any positive float ``lam`` and at least 1 above it at the upper end.
+    That ``t`` is within ~1e-12 of the root (the rounding of ``ln lam``
+    and of the sum, over a slope of at least 1), but ``e^t`` is off by
+    about ``|t|`` ulps.  So a second bisection in ``w`` over
+    ``e^(t -+ 1e-9)``, on ``w*(1+w)**k/lam - 1`` taken to 40 digits, ends
+    on the adjacent floats across the root in ``w``.
     """
     if not (isinstance(lam, (int, float)) and lam > 0 and math.isfinite(lam)):
         raise InvalidParameter(f"lambda must be positive and finite, got {lam!r}")
@@ -244,7 +254,15 @@ def w_of_lambda(lam: float, k: int) -> float:
         soft = math.log1p(math.exp(t)) if t < 700.0 else t + math.log1p(math.exp(-t))
         return t + k * soft - target
 
-    return math.exp(_bisect_root(h, -745.0, max(1.0, target) + 1.0))
+    t = _bisect_root(h, -745.0, max(1.0, target) + 1.0)
+    lam_digits = decimal.Decimal(lam)
+
+    def g(w: float) -> float:
+        with decimal.localcontext(DECIMAL_40):
+            x = decimal.Decimal(w)
+            return float(x * (1 + x) ** k / lam_digits - 1)
+
+    return _bisect_root(g, math.exp(t - 1e-9), math.exp(t + 1e-9))
 
 
 def mossel_peres_lhs(c: BinaryChannel) -> float:

@@ -79,9 +79,9 @@ class Coupling:
 
     def crossing_ok(self) -> bool:
         """True when every positive-weight pair is diagonal or straddles 0."""
-        live = self.weight > 0
-        a, b = self.i0[live], self.i1[live]
-        return bool(np.all((a == b) | ((self.support[b] <= 0) & (self.support[a] >= 0))))
+        off = np.flatnonzero((self.i0 != self.i1) & (self.weight > 0))
+        return bool(np.all(self.support[self.i1[off]] <= 0)
+                    and np.all(self.support[self.i0[off]] >= 0))
 
     def marginal_residuals(self, pair: ConditionalPair) -> tuple[float, float]:
         """Worst per-atom deviation of each marginal from the pair's laws.
@@ -98,11 +98,16 @@ class Coupling:
 
     def mean_difference(self) -> float:
         """E[y0 - y1]; +inf when an infinite atom carries weight."""
-        live = self.weight > 0
-        diff = self.support[self.i0[live]] - self.support[self.i1[live]]
-        if np.any(~np.isfinite(diff)):
+        diff = self.support[self.i0]
+        with np.errstate(invalid="ignore"):  # inf - inf: dropped if weightless, else +inf
+            diff -= self.support[self.i1]
+        weight = self.weight
+        live = weight > 0
+        if not live.all():
+            diff, weight = diff[live], weight[live]
+        if not np.isfinite(diff).all():
             return math.inf
-        return float(diff @ self.weight[live])
+        return float(diff @ weight)
 
 
 def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
@@ -139,37 +144,52 @@ def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
             f"(tolerance {DOMINANCE_TOL:.1e})")
 
     v, w0, w1 = pair.values, pair.w0, pair.w1
-    diag = np.minimum(w0, w1)
-    r0 = w0 - diag  # law-0 surplus, supported on v >= 0 (up to tolerance)
-    r1 = w1 - diag  # law-1 surplus, supported on v <= 0
-
-    s0 = np.flatnonzero(r0 > 0)
-    s1 = np.flatnonzero(r1 > 0)
-    live = np.flatnonzero(diag > 0)
+    # the diagonal carries min(w0, w1); the surplus of law 0 (on v >= 0 up
+    # to tolerance) sits where w0 > w1, that of law 1 (v <= 0) where w1 > w0
+    live = np.flatnonzero((w0 > 0) & (w1 > 0))
+    s0 = np.flatnonzero(w0 > w1)
+    s1 = np.flatnonzero(w1 > w0)
     if len(s0) == 0 or len(s1) == 0:
-        d = diag[live] / diag[live].sum()
-        return Coupling(support=v, i0=live, i1=live, weight=d)
+        d = np.minimum(w0[live], w1[live])
+        return Coupling(support=v, i0=live, i1=live, weight=d / d.sum())
 
     # comonotone pairing on the union of the residual cumulative masses:
     # a stable sort merges the two sorted runs, and the first occurrence of
     # each mass m has before it exactly the entries of c0 and of c1 below m
-    c0 = np.cumsum(r0[s0])
-    c1 = np.cumsum(r1[s1])
+    c0 = np.cumsum(w0[s0] - w1[s0])
+    c1 = np.cumsum(w1[s1] - w0[s1])
     merged = np.concatenate((c0, c1))
+    del c1
     order = np.argsort(merged, kind="stable")
     merged = merged[order]
+    from0 = order < len(c0)
+    del order, c0
     first = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
     grid = merged[first]
-    # grid rises strictly from above 0, so every segment carries mass
-    seg = np.diff(np.concatenate(([0.0], grid)))
-    from0 = order < len(c0)
-    p0 = (np.cumsum(from0) - from0)[first]
+    del merged
+    p0 = np.cumsum(from0)[first] - from0[first]
+    del from0
+    # the pairs are written in place: the diagonal first, then one pair per
+    # segment of grid, which rises strictly from above 0, so each carries mass
+    n_live = len(live)
+    size = n_live + len(grid)
+    w = np.empty(size)
+    w[:n_live] = w0[live]
+    np.minimum(w[:n_live], w1[live], out=w[:n_live])
+    w[n_live] = grid[0]
+    np.subtract(grid[1:], grid[:-1], out=w[n_live + 1:])
+    del grid
+    w /= w.sum()
     # past the end of the shorter run (totals that differ by rounding),
     # the last atom of that run takes the remainder
-    i0 = np.concatenate((live, s0[np.minimum(p0, len(s0) - 1)]))
-    i1 = np.concatenate((live, s1[np.minimum(first - p0, len(s1) - 1)]))
-    w = np.concatenate((diag[live], seg))
-    w /= w.sum()
+    first -= p0  # the entries of c1 below each mass
+    i0 = np.empty(size, dtype=np.intp)
+    i0[:n_live] = live
+    np.take(s0, np.minimum(p0, len(s0) - 1, out=p0), out=i0[n_live:])
+    del p0, s0
+    i1 = np.empty(size, dtype=np.intp)
+    i1[:n_live] = live
+    np.take(s1, np.minimum(first, len(s1) - 1, out=first), out=i1[n_live:])
     return Coupling(support=v, i0=i0, i1=i1, weight=w)
 
 

@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .errors import AtomExplosion, InvalidParameter
-from .channels import BinaryChannel, branching_number, llr_step, gap_kernel
+from .channels import DECIMAL_40, BinaryChannel, branching_number, llr_step, gap_kernel
 from .atoms import ConditionalPair, grid_merge, run_count
 
 
@@ -47,11 +47,6 @@ from .atoms import ConditionalPair, grid_merge, run_count
 MERGE_TOL = 1e-12
 LATTICE_WIDTH = 2e-3  # lattice spacing of the deep step's upper law
 PAIR_BUDGET = 1 << 25  # most atom pairs one convolution fold may form
-
-# 40 digits and no exponent limits: a binomial term keeps its digits
-# however small it is, and only its final conversion to float64 rounds
-_BINOMIAL_CONTEXT = decimal.Context(prec=40, Emax=decimal.MAX_EMAX,
-                                    Emin=decimal.MIN_EMIN)
 
 
 def exact_policy():
@@ -68,13 +63,13 @@ def _binomial_pmf(k: int, p: float) -> np.ndarray:
     """Binomial(k, p) probabilities of 0..k successes, each rounded once.
 
     ``(1-p)**k``, then ``* (k-n)/(n+1) * p/(1-p)`` per step, in
-    ``_BINOMIAL_CONTEXT``; a term below the float64 range becomes 0.
+    ``DECIMAL_40``; a term below the float64 range becomes 0.
     """
     out = np.zeros(k + 1)
     if p == 1.0:
         out[k] = 1.0
         return out
-    with decimal.localcontext(_BINOMIAL_CONTEXT):
+    with decimal.localcontext(DECIMAL_40):
         p_dec = decimal.Decimal(p)
         q = 1 - p_dec
         odds = p_dec / q
@@ -268,12 +263,14 @@ def _convolve(h, m0, m1, k):
     t1 *= 2.0
     t0[diagonal], t1[diagonal] = m0 * m0, m1 * m1
     s, sw0, sw1 = grid_merge(total, t0, t1, tol=MERGE_TOL)
+    del total, t0, t1  # a later fold forms its own
     for _ in range(k - 2):
         _fold_budget(len(s) * m)
         total = (s[:, None] + y[None, :]).ravel()
         t0 = (sw0[:, None] * m0[None, :]).ravel()
         t1 = (sw1[:, None] * m1[None, :]).ravel()
         s, sw0, sw1 = grid_merge(total, t0, t1, tol=MERGE_TOL)
+        del total, t0, t1
     return s, sw0, sw1
 
 

@@ -5,9 +5,10 @@ binary tree configurations, finite differences on dense grids, or direct
 formula evaluation.  None of it calls the recursive machinery under test
 (the plain population step borrows only the ``Population`` container), so
 a library bug cannot leak into its own reference values.  The exceptions
-are the two straightforward forms that the library replaced with faster
+are the three straightforward forms that the library replaced with faster
 ones, kept to pin the faster forms down: the full outer-product
-convolution and the searched comonotone coupling.  The convolution merges
+convolution, the searched comonotone coupling and the merge by a stable
+sort.  The convolution merges
 each fold's sums with the library's ``grid_merge``, the same runs of atoms
 closer than ``MERGE_TOL``, so it pins the folds down but not the merging,
 which ``test_atoms`` checks property by property.
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from treecast.atoms import grid_merge
+from treecast.atoms import _run_edges, _snap, grid_merge
 from treecast.evolution import MERGE_TOL
 from treecast.sampling import Population
 
@@ -334,3 +335,35 @@ def searched_coupling(v, w0, w1):
     y1 = np.concatenate((v[live], v[b_idx[keep]]))
     w = np.concatenate((diag[live], seg[keep]))
     return y0, y1, w / w.sum()
+
+
+def stable_grid_merge(values, *weight_vectors, tol):
+    """``grid_merge`` as it was with a stable ``argsort``, verbatim.
+
+    The library sorts with numpy's default argsort and puts each block of
+    equal values back in index order; this form pins that down bitwise.
+    Same signature and return value as ``grid_merge``.
+    """
+    v = _snap(values)
+    order = np.argsort(v, kind="stable")
+    vs = v[order]
+    edge = _run_edges(vs, tol)
+    gid = np.cumsum(edge[:-1]) - 1
+    lo, hi = vs[edge[:-1]], vs[edge[1:]]
+
+    # gather each weight vector once, for its run sums and the per-atom total
+    merged_w = []
+    total = np.zeros(len(lo))
+    combined = np.zeros(len(vs))
+    for w in weight_vectors:
+        ws = np.asarray(w, dtype=np.float64)[order]
+        merged_w.append(np.bincount(gid, weights=ws, minlength=len(lo)))
+        total += merged_w[-1]
+        combined += ws
+        del ws  # at most one gathered copy is alive at a time
+    num = np.bincount(gid, weights=np.where(np.isfinite(vs), vs, 0.0) * combined,
+                      minlength=len(lo))
+    # the clip keeps infinite runs infinite, gives a weightless run a member's
+    # value, and keeps the merged values strictly increasing
+    mv = np.clip(num / np.where(total > 0, total, 1.0), lo, hi)
+    return (mv, *merged_w)

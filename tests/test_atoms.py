@@ -11,15 +11,17 @@ from treecast import (
     ConditionalPair,
     InvalidParameter,
     grid_merge,
+    hardcore_channel,
     llr_from_posterior,
     make_channel,
     posterior_from_llr,
     symmetric_channel,
 )
+from treecast import evolution
 from treecast.atoms import run_count
 
 
-from _oracles import genuine_pair_arrays
+from _oracles import genuine_pair_arrays, stable_grid_merge
 
 
 def genuine_pair(rng, n=12, depth=1):
@@ -172,6 +174,56 @@ def test_merge_properties(case):
              for side in (values < 0, values >= 0)]
     for got, neg_part, nonneg_part in zip((mv, *merged), *sides):
         np.testing.assert_array_equal(got, np.concatenate([neg_part, nonneg_part]))
+
+
+# few distinct values, so most atoms tie with another (2e-13 snaps to 0)
+TIED_VALUES = st.sampled_from([-math.inf, -2.0, -1.0, 0.0, 2e-13, 1.0, 2.0, math.inf])
+
+
+@st.composite
+def tied_merge_inputs(draw):
+    values = np.array(draw(st.lists(TIED_VALUES, max_size=80)), dtype=np.float64)
+    weight_list = st.lists(st.floats(0.0, 1.0), min_size=len(values),
+                           max_size=len(values))
+    weights = [np.array(draw(weight_list), dtype=np.float64)
+               for _ in range(draw(st.integers(1, 2)))]
+    tol = draw(st.sampled_from([1e-12, 0.5, 1.0, 1.5, 3.0]))
+    return values, weights, tol
+
+
+def assert_same_merge(got, want):
+    """Equal dtype, shape and bytes, array by array."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tied_merge_inputs())
+def test_merge_is_the_stable_sort_merge_on_ties(case):
+    values, weights, tol = case
+    assert_same_merge(grid_merge(values, *weights, tol=tol),
+                      stable_grid_merge(values, *weights, tol=tol))
+
+
+def test_merge_is_the_stable_sort_merge_on_exact_laws(monkeypatch):
+    """Every merge of a hard-core base pair (40 atoms at +inf) and of the
+    exact steps to depth 6 at eps=0.2, k=2 (6.5M sums in the last) is the
+    stable-sort merge, bit for bit."""
+    sizes = []
+
+    def both(values, *weights, tol):
+        got = grid_merge(values, *weights, tol=tol)
+        assert_same_merge(got, stable_grid_merge(values, *weights, tol=tol))
+        sizes.append(len(values))
+        return got
+
+    monkeypatch.setattr(evolution, "grid_merge", both)
+    evolution.base_pair(hardcore_channel(1.0, 40)[0], 40)
+    assert sizes == [41]
+    evolution.evolve_to_depth(symmetric_channel(0.2), 2, 6, evolution.exact_policy())
+    assert max(sizes) > 6_000_000
 
 
 def test_merge_joint_weight_vectors():

@@ -1,6 +1,7 @@
 """Monotone couplings and the finite-space conditional sandwich."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,40 @@ def test_coupling_small_grid():
             r0, r1 = cpl.marginal_residuals(pair)
             assert max(r0, r1) < 1e-12, (k, depth)
             assert cpl.crossing_ok(), (k, depth)
+
+
+def test_weightless_pairs_are_ignored():
+    """A pair of weight 0 neither breaks the crossing nor enters the mean
+    difference, even at inf - inf."""
+    v = np.array([-1.0, 0.0, 2.0, math.inf])
+    cpl = Coupling(support=v, i0=np.array([2, 1, 3, 0]), i1=np.array([0, 1, 3, 2]),
+                   weight=np.array([0.25, 0.75, 0.0, 0.0]))
+    assert cpl.crossing_ok()
+    assert cpl.mean_difference() == 0.75
+
+
+def test_exact_step_and_coupling_memory_at_depth_six():
+    """tracemalloc peaks on the exact depth-6 law at eps=0.2, k=2 (6.5M
+    atoms, 13M coupling pairs): the step holds at most 4.5 times its
+    result, and the coupling at most 2 times its result above its input."""
+    c = symmetric_channel(0.2)
+    pair = evolve_to_depth(c, 2, 5, exact_policy())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        law = evolve(pair, c, 2, exact_policy())
+        step_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        cpl = build_coupling(law, c)
+        coupling_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(law) > 6_000_000 and len(cpl.weight) > 13_000_000
+    law_bytes = law.values.nbytes + law.w0.nbytes + law.w1.nbytes
+    coupling_bytes = cpl.i0.nbytes + cpl.i1.nbytes + cpl.weight.nbytes
+    assert step_peak <= 4.5 * law_bytes, step_peak / law_bytes
+    assert coupling_peak <= 2.0 * coupling_bytes, coupling_peak / coupling_bytes
 
 
 def test_coupling_infinite_gap():

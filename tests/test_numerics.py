@@ -73,7 +73,8 @@ def test_every_call_site_solve_ends_on_an_adjacent_float_sign_change(monkeypatch
     solve_lambdas()
     solve_hardcore_crossovers()
     solve_symmetric_crossovers()
-    assert len(solves) == len(LAMBDAS) * len(LAMBDA_KS) + 4 * len(BOUND_KS)
+    # w_of_lambda solves twice: in ln w, then in w
+    assert len(solves) == 2 * len(LAMBDAS) * len(LAMBDA_KS) + 4 * len(BOUND_KS)
     for f, lo, hi, root in solves:
         assert lo <= root <= hi
         froot = f(root)
@@ -126,6 +127,30 @@ def test_root_finder_no_less_accurate_than_brent(monkeypatch, site, solve,
              for got, want in zip(values, truths)] for values in (ours, brent))
     for stat in (np.max, np.mean):
         assert stat(ours_err) <= stat(brent_err), (site, stat(ours_err), stat(brent_err))
+
+
+def test_w_of_lambda_ends_on_an_adjacent_float_sign_change_in_w():
+    """w*(1+w)**k - lam, to 60 digits, is 0 at the returned w or changes
+    sign between it and the adjacent float on the root's side, and is the
+    smaller of the two in magnitude at the returned w."""
+    mpmath = pytest.importorskip("mpmath")
+    grid = [(float(lam), k) for lam in LAMBDAS for k in LAMBDA_KS]
+    grid += [(5e-324, 3), (1.7e308, 1), (1.7e308, 1000), (1e300, 10 ** 6)]
+    with mpmath.workdps(60):
+        for lam, k in grid:
+            w = w_of_lambda(lam, k)
+
+            def excess(x):
+                x = mpmath.mpf(x)
+                return x * (1 + x) ** k - mpmath.mpf(lam)
+
+            fw = excess(w)
+            if fw == 0:
+                continue
+            n = math.nextafter(w, 0.0 if fw > 0 else math.inf)
+            fn = excess(n)
+            assert fn == 0 or (fn > 0) != (fw > 0), (lam, k, w)
+            assert abs(fw) <= abs(fn), (lam, k, w)
 
 
 def test_bisect_root_typed_errors():
