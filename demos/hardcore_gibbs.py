@@ -1,12 +1,11 @@
-"""Hard-core model on trees: sampling, Gibbs conditionals, enumeration.
+"""Hard-core model on trees: sampling, Gibbs conditionals, diagnostics.
 
 The occupied/empty channel with a forbidden occupied-occupied edge turns
 root broadcasting into the hard-core (independent-set) model.  This demo
 samples broadcasts and verifies no adjacent pair is ever occupied, checks
 the single-site conditional law against the activity formula at every
-interior node, enumerates small partition functions (paths give
-Fibonacci numbers), and prints the reconstruction diagnostics at a
-super-critical activity.
+interior node, and prints the reconstruction diagnostics at a moderate
+and an extreme activity.
 
 Run
 ---
@@ -18,9 +17,7 @@ import argparse
 from treecast.channels import hardcore_channel, w_of_lambda
 from treecast.evolution import (base_pair, evolve, deep_policy, diagnostics,
                                 trajectory)
-from treecast.hardcore import (FiniteGraph, truncated_tree,
-                               enumerate_independent_sets, hardcore_measure,
-                               gibbs_conditional_sweep, brw_independence_check)
+from treecast.hardcore import gibbs_conditional_sweep, brw_independence_check
 
 
 def main():
@@ -48,18 +45,6 @@ def main():
         print(f"  {kind}: worst conditional residual {res:.3e}")
     print("  every interior conditional equals lambda/(1+lambda) when the")
     print("  neighborhood is empty and 0 otherwise\n")
-
-    print("--- exact enumeration on small graphs ---")
-    for n in range(2, 9):
-        g = FiniteGraph(n=n, edges=tuple((i, i + 1) for i in range(n - 1)))
-        measure = hardcore_measure(g, 1.0)
-        print(f"  path with {n} vertices: "
-              f"{len(measure.sets)} independent sets, "
-              f"Z(lambda=1) = {measure.partition_function:.0f} (Fibonacci)")
-    tree_graph = truncated_tree(args.k, 3).as_graph()
-    sets = enumerate_independent_sets(tree_graph)
-    print(f"  depth-3 {args.k}-ary tree: {tree_graph.n} nodes, "
-          f"{len(sets)} independent sets\n")
 
     print("--- reconstruction diagnostics: moderate vs extreme activity ---")
     for lam in (2.0, 500.0):

@@ -220,24 +220,3 @@ def posterior_from_llr(x, c: BinaryChannel):
     if np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def llr_from_posterior(a, c: BinaryChannel):
-    """Inverse of :func:`posterior_from_llr`: ``x = logit(a) - ln(pi0/pi1)``.
-
-    Vectorized over ``a``; endpoints map to ``+-inf``.  A value outside
-    [0, 1], NaN included, raises :class:`~treecast.errors.InvalidParameter`.
-    """
-    arr = np.asarray(a, dtype=np.float64)
-    if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails both comparisons
-        raise InvalidParameter("posterior values must lie in [0, 1]")
-    # ln(a/(1-a)) loses digits near a = 1/2, where log1p(s) - log1p(-s)
-    # with s = 2a - 1 keeps them
-    s = 2.0 * (arr - 0.5)
-    with np.errstate(divide="ignore"):
-        logit = np.where((arr < 0.3) | (arr > 0.65),
-                         np.log(arr / (1.0 - arr)), np.log1p(s) - np.log1p(-s))
-    out = logit - c.log_prior_ratio
-    if np.ndim(a) == 0:
-        return float(out)
-    return out

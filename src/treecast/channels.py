@@ -171,6 +171,15 @@ def branching_number(k, least: int = 1) -> int:
     return int(k)
 
 
+def _float_arg(name: str, v) -> float:
+    """``float(v)``; an int beyond the float64 range raises
+    :class:`InvalidParameter` here instead of ``OverflowError`` later."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise InvalidParameter(f"{name} is beyond the float64 range") from None
+
+
 def make_channel(p00: float, p10: float) -> BinaryChannel:
     """Build a channel from its first column; rows completed by stochasticity.
 
@@ -186,7 +195,7 @@ def make_channel(p00: float, p10: float) -> BinaryChannel:
     BinaryChannel
     """
     for name, v in (("p00", p00), ("p10", p10)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
+        if not (isinstance(v, (int, float)) and 0.0 <= _float_arg(name, v) <= 1.0):
             raise InvalidParameter(f"{name}={v!r} is not a probability")
     return BinaryChannel(p00=float(p00), p01=1.0 - float(p00),
                          p10=float(p10), p11=1.0 - float(p10))
@@ -214,7 +223,7 @@ def hardcore_channel(w: float, k: int) -> tuple[BinaryChannel, HardCoreParams]:
     -------
     (BinaryChannel, HardCoreParams)
     """
-    if not (isinstance(w, (int, float)) and w > 0 and math.isfinite(w)):
+    if not (isinstance(w, (int, float)) and w > 0 and math.isfinite(_float_arg("w", w))):
         raise InvalidParameter(f"w must be positive and finite, got {w!r}")
     k = branching_number(k)
     c = BinaryChannel(p00=1.0 / (1.0 + w), p01=w / (1.0 + w), p10=1.0, p11=0.0)
@@ -225,6 +234,7 @@ def lambda_of_w(w: float, k: int) -> float:
     """Activity ``w*(1+w)**k``, evaluated in log space to avoid overflow."""
     if w <= 0:
         raise InvalidParameter(f"w must be positive, got {w}")
+    w = _float_arg("w", w)
     k = branching_number(k)
     log_lam = math.log(w) + k * math.log1p(w)
     if log_lam > _LOG_FLOAT_MAX:
@@ -244,7 +254,8 @@ def w_of_lambda(lam: float, k: int) -> float:
     ``e^(t -+ 1e-9)``, on ``w*(1+w)**k/lam - 1`` taken to 40 digits, ends
     on the adjacent floats across the root in ``w``.
     """
-    if not (isinstance(lam, (int, float)) and lam > 0 and math.isfinite(lam)):
+    if not (isinstance(lam, (int, float)) and lam > 0
+            and math.isfinite(_float_arg("lambda", lam))):
         raise InvalidParameter(f"lambda must be positive and finite, got {lam!r}")
     k = branching_number(k)
     target = math.log(lam)
@@ -294,17 +305,6 @@ def geometric_mean_bound_lhs(c: BinaryChannel) -> float:
         ``(sqrt(p00*p11) - sqrt(p01*p10))**2``.
     """
     return (math.sqrt(c.p00 * c.p11) - math.sqrt(c.p01 * c.p10)) ** 2
-
-
-def kesten_stigum_symmetric(eps: float, k: int) -> float:
-    """Second-eigenvalue statistic ``k*(1-2*eps)**2`` for the symmetric channel.
-
-    Reconstruction is possible if and only if this exceeds 1.
-    """
-    if not 0.0 <= eps <= 1.0:
-        raise InvalidParameter(f"eps={eps} is not a probability")
-    k = branching_number(k)
-    return k * (1.0 - 2.0 * eps) ** 2
 
 
 def kesten_stigum_eps_c(k: int) -> float:

@@ -64,13 +64,8 @@ class DegenerateEvent(TreecastError):
     """A conditioning event has probability 0 or 1."""
 
 
-class NotInterior(TreecastError):
-    """The requested tree node lacks the full neighborhood (parent plus all
-    children) needed for a single-site conditional check."""
-
-
 class ResourceLimit(TreecastError):
-    """An enumeration or simulation would exceed a configured size cap."""
+    """A simulation would exceed a configured size cap."""
 
 
 class BadBracket(TreecastError):

@@ -37,29 +37,6 @@ from .atoms import ConditionalPair, posterior_from_llr
 NODE_CAP = 2 ** 27
 
 
-@dataclass(frozen=True)
-class BroadcastSample:
-    """One sampled configuration of the broadcast process.
-
-    ``levels[l]`` holds the k**l node values of level ``l`` in
-    breadth-first order (children of node ``i`` occupy positions
-    ``k*i .. k*i+k-1`` of the next level).
-    """
-
-    k: int
-    depth: int
-    levels: list
-    root_value: int
-    seed: int
-
-    def __post_init__(self):
-        if len(self.levels) != self.depth + 1:
-            raise InvalidParameter("levels must hold depth+1 arrays")
-        for ell, arr in enumerate(self.levels):
-            if len(arr) != self.k ** ell:
-                raise InvalidParameter(f"level {ell} must have k**{ell} entries")
-
-
 def _level_streams(seed: int, depth: int) -> list:
     ss = np.random.SeedSequence(seed)
     return [np.random.Generator(np.random.Philox(child))
@@ -114,15 +91,6 @@ def sample_broadcast_batch(c: BinaryChannel, k: int, depth: int, n: int,
         p_one = np.where(parent == 0, c.p01, c.p11)
         levels.append((streams[ell].random(parent.shape) < p_one).astype(np.int8))
     return levels
-
-
-def sample_broadcast(c: BinaryChannel, k: int, depth: int,
-                     root_value: int | None = None, seed: int = 0) -> BroadcastSample:
-    """Sample one broadcast configuration; deterministic in ``seed``."""
-    levels = sample_broadcast_batch(c, k, depth, 1, root_value=root_value, seed=seed)
-    flat = [lvl[0].copy() for lvl in levels]
-    return BroadcastSample(k=k, depth=depth, levels=flat,
-                           root_value=int(flat[0][0]), seed=seed)
 
 
 def bp_root_posterior(leaves, c: BinaryChannel, k: int, depth: int | None = None):

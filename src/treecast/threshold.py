@@ -91,13 +91,6 @@ class Decision:
     curve: tuple
     seed: int | None
 
-    @property
-    def decaying(self):
-        """True/False, or None when the verdict is inconclusive."""
-        if self.verdict == "inconclusive":
-            return None
-        return self.verdict == "decaying"
-
 
 def fitted_rate(curve) -> float:
     """Least-squares geometric rate of the curve tail (depths d/2 .. d).

@@ -8,10 +8,14 @@ a library bug cannot leak into its own reference values.  The exceptions
 are the three straightforward forms that the library replaced with faster
 ones, kept to pin the faster forms down: the full outer-product
 convolution, the searched comonotone coupling and the merge by a stable
-sort.  The convolution merges
-each fold's sums with the library's ``grid_merge``, the same runs of atoms
-closer than ``MERGE_TOL``, so it pins the folds down but not the merging,
-which ``test_atoms`` checks property by property.
+sort.  The convolution merges each fold's sums with the library's
+``grid_merge``, the same runs of atoms closer than ``MERGE_TOL``, so it
+pins the folds down but not the merging, which ``test_atoms`` checks
+property by property.
+
+Every truncated tree here comes from ``bfs_tree``: the brute-force laws,
+the full-joint Gibbs residual and the list of interior-node shapes that
+the hard-core sweep is checked against.
 """
 
 import math
@@ -194,16 +198,6 @@ def hardcore_joint_gibbs_residual(w, k, depth, center_root=False):
         expected = np.where(empty, occupied, 0.0)
         worst = max(worst, float(np.max(np.abs(cond - expected))))
     return worst
-
-
-def brute_independent_sets(n, edges):
-    """All independent vertex subsets as bitmasks, by subset scan."""
-    edge_masks = [(1 << u) | (1 << v) for u, v in edges]
-    out = []
-    for mask in range(1 << n):
-        if all((mask & em) != em for em in edge_masks):
-            out.append(mask)
-    return out
 
 
 def random_sandwich_case(rng, max_outcomes=32):

@@ -20,7 +20,6 @@ from treecast import (
     hardcore_contraction,
     kelly_threshold,
     kesten_stigum_eps_c,
-    kesten_stigum_symmetric,
     lambda_of_w,
     llr_step,
     make_channel,
@@ -132,6 +131,23 @@ def test_hardcore_rejects_bad_weight():
         hardcore_channel(1.0, 0)
 
 
+@pytest.mark.parametrize("fn, position", [
+    (make_channel, 0), (make_channel, 1), (hardcore_channel, 0),
+    (lambda_of_w, 0), (w_of_lambda, 0), (hardcore_contraction, 0)],
+    ids=["make_channel_p00", "make_channel_p10", "hardcore_channel",
+         "lambda_of_w", "w_of_lambda", "hardcore_contraction"])
+def test_int_beyond_float_range_is_invalid(fn, position):
+    """An int too large for float64 is refused as InvalidParameter, not a
+    bare OverflowError; an int in range gives the float's result."""
+    args = [0, 1] if fn is make_channel else [3, 2]
+    as_float = list(args)
+    as_float[position] = float(args[position])
+    assert fn(*args) == fn(*as_float)
+    args[position] = 10 ** 400
+    with pytest.raises(InvalidParameter, match="beyond the float64 range"):
+        fn(*args)
+
+
 # ------------------------------------------------------------- bound values
 
 def test_column_bound_examples():
@@ -180,23 +196,15 @@ def test_bound_equality_classes():
         assert geometric_mean_bound_lhs(c) == mossel_peres_lhs(c) == 0.0
 
 
-def test_second_eigenvalue_examples():
-    assert kesten_stigum_symmetric(0.5, 100) == 0.0
-    assert kesten_stigum_symmetric(0.0, 1) == 1.0
-    assert abs(kesten_stigum_symmetric(0.146447, 2) - 1.0) < 1e-4
-
-
 def test_second_eigenvalue_critical_point():
     """The critical flip probability sits exactly on the unit statistic."""
     assert abs(kesten_stigum_eps_c(4) - 0.25) < 1e-15
     for k in range(1, 21):
         eps = kesten_stigum_eps_c(k)
-        assert abs(kesten_stigum_symmetric(eps, k) - 1.0) < 1e-12
-    with pytest.raises(InvalidParameter):
-        kesten_stigum_eps_c(0)
+        assert abs(k * (1.0 - 2.0 * eps) ** 2 - 1.0) < 1e-12
     for k in (0, -3, 2.5):
         with pytest.raises(InvalidParameter):
-            kesten_stigum_symmetric(0.1, k)
+            kesten_stigum_eps_c(k)
 
 
 def test_uniqueness_threshold_values():

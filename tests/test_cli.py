@@ -346,6 +346,15 @@ def test_hardcore_check_without_samples_exits_2(pop_size, capsys):
     assert "sample count" in err and "Traceback" not in err
 
 
+def test_hardcore_check_without_interior_nodes_exits_2(capsys):
+    """A depth-1 rooted truncation has no interior node for the sweep."""
+    code, out, err = run_cli(
+        ["hardcore-check", "--hardcore-w", "1", "--k", "2", "--depth", "1",
+         "--pop-size", "100"], capsys)
+    assert code == 2 and out == ""
+    assert "error: no interior nodes at depth 1" in err
+
+
 def test_hardcore_check_oversized_depth_exits_3_with_hint(capsys):
     """The node cap bounds the whole batch: at depth 12 one sample has only
     8191 nodes, but the default 1e5 samples exceed it.  At depth 20000 the

@@ -19,12 +19,10 @@ from treecast import (
     evolve,
     evolve_to_depth,
     hardcore_channel,
-    llr_from_posterior,
     make_channel,
     population_evolve_anchored,
     population_from_pair,
     posterior_from_llr,
-    sample_broadcast,
     sample_broadcast_batch,
     symmetric_channel,
     trajectory,
@@ -44,13 +42,13 @@ def test_deterministic_channels():
     from treecast import DegenerateChannel
     with pytest.raises(DegenerateChannel):
         symmetric_channel(0.0)
-    sample = sample_broadcast(symmetric_channel(1.0), 2, 4, root_value=0, seed=5)
-    assert sample.root_value == 0
-    for depth, lv in enumerate(sample.levels):
-        assert np.all(lv == depth % 2)
-    sample = sample_broadcast(symmetric_channel(1.0), 2, 4, root_value=1, seed=5)
-    for depth, lv in enumerate(sample.levels):
-        assert np.all(lv == (depth + 1) % 2)
+    for root in (0, 1):
+        levels = sample_broadcast_batch(symmetric_channel(1.0), 2, 4, 1,
+                                        root_value=root, seed=5)
+        assert len(levels) == 5
+        for depth, lv in enumerate(levels):
+            assert lv.shape == (1, 2 ** depth)
+            assert np.all(lv == (depth + root) % 2)
 
 
 def test_hardcore_occupied_root_forces_empty_children():

@@ -68,7 +68,7 @@ def test_fitted_rate_collapsed_curve():
 def test_decide_subcritical_symmetric():
     fam = ChannelFamily(kind="symmetric", k=2)
     d = decide_reconstruction(fam, 0.3, depth=8)
-    assert d.verdict == "decaying" and d.decaying is True
+    assert d.verdict == "decaying"
     assert d.engine == "exact" and d.seed is None
     assert len(d.curve) == 8
 
@@ -76,7 +76,7 @@ def test_decide_subcritical_symmetric():
 def test_decide_supercritical_symmetric():
     fam = ChannelFamily(kind="symmetric", k=2)
     d = decide_reconstruction(fam, 0.05, depth=8)
-    assert d.verdict == "non-decaying" and d.decaying is False
+    assert d.verdict == "non-decaying"
     assert d.statistic > 0.1
 
 
@@ -102,7 +102,7 @@ def test_decide_inconclusive_band(monkeypatch):
     monkeypatch.setattr(threshold_mod, "NONDECAY_RATE", 1.5)
     fam = ChannelFamily(kind="symmetric", k=2)
     d = decide_reconstruction(fam, 0.3, depth=6)
-    assert d.verdict == "inconclusive" and d.decaying is None
+    assert d.verdict == "inconclusive"
 
 
 def test_decide_population_deterministic():
