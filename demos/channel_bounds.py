@@ -65,7 +65,7 @@ def main():
     print(f"  product closed form             = {geometric_mean_bound_lhs(c):.12f}")
     print(f"  arithmetic-mean relaxation      = {mossel_peres_lhs(c):.12f}")
     for name, ch in (("symmetric eps=0.2", symmetric_channel(0.2)),
-                     ("hard-core w=1, k=2", hardcore_channel(1.0, 2)[0])):
+                     ("hard-core w=1", hardcore_channel(1.0))):
         diff = abs(geometric_mean_bound_lhs(ch) - mossel_peres_lhs(ch))
         print(f"  equality case {name}: |product - mean| = {diff:.1e}")
 

@@ -14,7 +14,7 @@ Run
 
 import argparse
 
-from treecast.channels import hardcore_channel, w_of_lambda
+from treecast.channels import hardcore_channel, lambda_of_w, w_of_lambda
 from treecast.evolution import (base_pair, evolve, deep_policy, diagnostics,
                                 trajectory)
 from treecast.hardcore import gibbs_conditional_sweep, brw_independence_check
@@ -27,8 +27,8 @@ def main():
     parser.add_argument("--k", type=int, default=2)
     args = parser.parse_args()
 
-    c, params = hardcore_channel(args.w, args.k)
-    print(f"w={params.w}, k={params.k}: activity lambda = {params.lam:.6f}")
+    c = hardcore_channel(args.w)
+    print(f"w={args.w}, k={args.k}: activity lambda = {lambda_of_w(args.w, args.k):.6f}")
     print(f"channel rows: ({c.p00:.4f}, {c.p01:.4f}) / ({c.p10:.4f}, {c.p11:.4f})")
     print(f"stationary occupation probability: {1 - c.pi0:.6f}\n")
 
@@ -40,7 +40,7 @@ def main():
 
     print("--- single-site Gibbs conditionals ---")
     for center in (False, True):
-        res = gibbs_conditional_sweep(params, depth=3, center_root=center)
+        res = gibbs_conditional_sweep(args.w, args.k, depth=3, center_root=center)
         kind = "degree-(k+1) root" if center else "rooted"
         print(f"  {kind}: worst conditional residual {res:.3e}")
     print("  every interior conditional equals lambda/(1+lambda) when the")
@@ -48,7 +48,7 @@ def main():
 
     print("--- reconstruction diagnostics: moderate vs extreme activity ---")
     for lam in (2.0, 500.0):
-        c_hot, _ = hardcore_channel(w_of_lambda(lam, args.k), args.k)
+        c_hot = hardcore_channel(w_of_lambda(lam, args.k))
         pairs = trajectory(base_pair(c_hot, args.k),
                            lambda p: evolve(p, c_hot, args.k, deep_policy()), 10)
         rows = [diagnostics(pair, c_hot) for pair in pairs]

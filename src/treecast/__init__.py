@@ -12,7 +12,7 @@ from .errors import (TreecastError, DegenerateChannel, InvalidParameter,
                      UndefinedLimit, AtomExplosion, DominanceViolation,
                      PreconditionViolation, DegenerateEvent, ResourceLimit,
                      BadBracket)
-from .channels import (BinaryChannel, HardCoreParams, make_channel,
+from .channels import (BinaryChannel, make_channel,
                        symmetric_channel, hardcore_channel, lambda_of_w,
                        w_of_lambda, mossel_peres_lhs, geometric_mean_bound_lhs,
                        kesten_stigum_eps_c, kelly_threshold, llr_step,
@@ -41,7 +41,7 @@ __all__ = [
     "TreecastError", "DegenerateChannel", "InvalidParameter", "UndefinedLimit",
     "AtomExplosion", "DominanceViolation", "PreconditionViolation",
     "DegenerateEvent", "ResourceLimit", "BadBracket",
-    "BinaryChannel", "HardCoreParams", "make_channel", "symmetric_channel",
+    "BinaryChannel", "make_channel", "symmetric_channel",
     "hardcore_channel", "lambda_of_w", "w_of_lambda", "mossel_peres_lhs",
     "geometric_mean_bound_lhs", "kesten_stigum_eps_c", "kelly_threshold",
     "llr_step", "gap_kernel", "gap_kernel_peak", "hardcore_contraction",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,25 +146,6 @@ class BinaryChannel:
         return {"p00": self.p00, "p01": self.p01, "p10": self.p10, "p11": self.p11}
 
 
-@dataclass(frozen=True)
-class HardCoreParams:
-    """Occupancy parametrization of the hard-core channel.
-
-    ``lam`` is the activity ``w*(1+w)**k``; the field is named ``lam``
-    because ``lambda`` is reserved in Python (serialized as "lambda").
-    """
-
-    k: int
-    w: float
-    lam: float
-
-    def __post_init__(self):
-        if abs(self.lam - lambda_of_w(self.w, self.k)) > 1e-10 * max(1.0, abs(self.lam)):
-            raise InvalidParameter(
-                f"lam={self.lam} is not w*(1+w)**k for w={self.w}, k={self.k}"
-            )
-
-
 def branching_number(k, least: int = 1) -> int:
     """``k`` as an int; :class:`InvalidParameter` unless it is an integer >= ``least``."""
     if not (isinstance(k, (int, np.integer)) and k >= least):
@@ -171,13 +153,31 @@ def branching_number(k, least: int = 1) -> int:
     return int(k)
 
 
-def _float_arg(name: str, v) -> float:
-    """``float(v)``; an int beyond the float64 range raises
-    :class:`InvalidParameter` here instead of ``OverflowError`` later."""
+def _real(name: str, v) -> float:
+    """``v`` as a float; :class:`InvalidParameter` unless it is a real number
+    within the float64 range (NaN and the infinities pass)."""
+    if not isinstance(v, numbers.Real):
+        raise InvalidParameter(f"{name} must be a real number, got {type(v).__name__}")
     try:
         return float(v)
     except OverflowError:
         raise InvalidParameter(f"{name} is beyond the float64 range") from None
+
+
+def _probability(name: str, v) -> float:
+    """:func:`_real`, refusing a value outside [0, 1] (NaN included)."""
+    x = _real(name, v)
+    if not 0.0 <= x <= 1.0:
+        raise InvalidParameter(f"{name}={x} is not a probability")
+    return x
+
+
+def _positive(name: str, v) -> float:
+    """:func:`_real`, refusing a value that is not positive and finite."""
+    x = _real(name, v)
+    if not (x > 0.0 and math.isfinite(x)):
+        raise InvalidParameter(f"{name} must be positive and finite, got {x}")
+    return x
 
 
 def make_channel(p00: float, p10: float) -> BinaryChannel:
@@ -194,47 +194,39 @@ def make_channel(p00: float, p10: float) -> BinaryChannel:
     -------
     BinaryChannel
     """
-    for name, v in (("p00", p00), ("p10", p10)):
-        if not (isinstance(v, (int, float)) and 0.0 <= _float_arg(name, v) <= 1.0):
-            raise InvalidParameter(f"{name}={v!r} is not a probability")
-    return BinaryChannel(p00=float(p00), p01=1.0 - float(p00),
-                         p10=float(p10), p11=1.0 - float(p10))
+    p00, p10 = _probability("p00", p00), _probability("p10", p10)
+    return BinaryChannel(p00=p00, p01=1.0 - p00, p10=p10, p11=1.0 - p10)
 
 
 def symmetric_channel(eps: float) -> BinaryChannel:
     """Binary symmetric channel with flip probability ``eps``."""
-    if not 0.0 <= eps <= 1.0:
-        raise InvalidParameter(f"eps={eps} is not a probability")
+    eps = _probability("eps", eps)
     return make_channel(1.0 - eps, eps)
 
 
-def hardcore_channel(w: float, k: int) -> tuple[BinaryChannel, HardCoreParams]:
-    """Hard-core channel with occupation weight ``w`` on a k-ary tree.
+def hardcore_channel(w: float) -> BinaryChannel:
+    """Hard-core channel with occupation weight ``w``.
+
+    The channel depends on ``w`` alone; on a k-ary tree its activity is
+    ``lambda_of_w(w, k)``.
 
     Parameters
     ----------
     w : float
         Positive occupation weight; the channel is
         ``[[1/(1+w), w/(1+w)], [1, 0]]``.
-    k : int
-        Branching number, used only to derive the activity.
 
     Returns
     -------
-    (BinaryChannel, HardCoreParams)
+    BinaryChannel
     """
-    if not (isinstance(w, (int, float)) and w > 0 and math.isfinite(_float_arg("w", w))):
-        raise InvalidParameter(f"w must be positive and finite, got {w!r}")
-    k = branching_number(k)
-    c = BinaryChannel(p00=1.0 / (1.0 + w), p01=w / (1.0 + w), p10=1.0, p11=0.0)
-    return c, HardCoreParams(k=k, w=float(w), lam=lambda_of_w(w, k))
+    w = _positive("w", w)
+    return BinaryChannel(p00=1.0 / (1.0 + w), p01=w / (1.0 + w), p10=1.0, p11=0.0)
 
 
 def lambda_of_w(w: float, k: int) -> float:
     """Activity ``w*(1+w)**k``, evaluated in log space to avoid overflow."""
-    if w <= 0:
-        raise InvalidParameter(f"w must be positive, got {w}")
-    w = _float_arg("w", w)
+    w = _positive("w", w)
     k = branching_number(k)
     log_lam = math.log(w) + k * math.log1p(w)
     if log_lam > _LOG_FLOAT_MAX:
@@ -254,9 +246,7 @@ def w_of_lambda(lam: float, k: int) -> float:
     ``e^(t -+ 1e-9)``, on ``w*(1+w)**k/lam - 1`` taken to 40 digits, ends
     on the adjacent floats across the root in ``w``.
     """
-    if not (isinstance(lam, (int, float)) and lam > 0
-            and math.isfinite(_float_arg("lambda", lam))):
-        raise InvalidParameter(f"lambda must be positive and finite, got {lam!r}")
+    lam = _positive("lambda", lam)
     k = branching_number(k)
     target = math.log(lam)
 
@@ -417,9 +407,8 @@ def hardcore_contraction(w: float, k: int) -> float:
         ``(w/(1+w)) * (ln(1+lam)/ln(1+w) - 1)`` with ``lam = w*(1+w)**k``;
         strictly below ``ln(1+lam)``, and below 1 whenever ``lam <= e-1``.
     """
-    if w <= 0:
-        raise InvalidParameter(f"w must be positive, got {w}")
-    lam = lambda_of_w(w, k)  # refuses a k that is not an integer >= 1
+    lam = lambda_of_w(w, k)  # refuses a w or a k out of range
+    w = float(w)
     return (w / (1.0 + w)) * (math.log1p(lam) / math.log1p(w) - 1.0)
 
 

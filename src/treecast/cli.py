@@ -45,8 +45,7 @@ from .evolution import (deep_policy, exact_policy, base_pair, evolve,
 from .conditioning import build_coupling, verify_sandwich
 from .sampling import (population_from_pair, population_evolve_anchored,
                        estimate_diagnostics)
-from .hardcore import (HardCoreParams, gibbs_conditional_sweep,
-                       brw_independence_check)
+from .hardcore import gibbs_conditional_sweep, brw_independence_check
 from .threshold import ChannelFamily, bisect_threshold, bounds_report
 from . import serialize
 
@@ -151,13 +150,11 @@ def _parse_channel(args, k: int, allow_family_only: bool):
             raise InvalidParameter(
                 "--hardcore selects a family; use --hardcore-w or --hardcore-lambda here")
         return {"kind": "hardcore"}, None
-    if kind == "hardcore_w":
-        c, params = hardcore_channel(args.hardcore_w, k)
-        return {"kind": "hardcore", "w": params.w, "lambda": params.lam}, c
-    if kind == "hardcore_lambda":
-        w = w_of_lambda(args.hardcore_lambda, k)
-        c, params = hardcore_channel(w, k)
-        return {"kind": "hardcore", "w": params.w, "lambda": params.lam}, c
+    if kind in ("hardcore_w", "hardcore_lambda"):
+        w = (args.hardcore_w if kind == "hardcore_w"
+             else w_of_lambda(args.hardcore_lambda, k))
+        c = hardcore_channel(w)
+        return {"kind": "hardcore", "w": w, "lambda": lambda_of_w(w, k)}, c
     p00, p10 = args.matrix
     return {"kind": "matrix", "p00": p00, "p10": p10}, make_channel(p00, p10)
 
@@ -265,13 +262,12 @@ def cmd_hardcore_check(args) -> int:
     desc, c = _parse_channel(args, args.k, allow_family_only=False)
     if desc["kind"] != "hardcore":
         raise InvalidParameter("hardcore-check requires --hardcore-w or --hardcore-lambda")
-    params = HardCoreParams(k=args.k, w=desc["w"], lam=desc["lambda"])
     depth = args.depth
     config = _run_config(args, desc, depth=depth, engine=None, fmt="json")
 
     occupancy = brw_independence_check(c, args.k, depth, args.pop_size, seed=args.seed)
-    res_rooted = gibbs_conditional_sweep(params, depth, center_root=False)
-    res_center = gibbs_conditional_sweep(params, depth, center_root=True)
+    res_rooted = gibbs_conditional_sweep(desc["w"], args.k, depth, center_root=False)
+    res_center = gibbs_conditional_sweep(desc["w"], args.k, depth, center_root=True)
     checks = [
         {"name": "single_site_conditional_rooted", "residual": res_rooted,
          "passed": res_rooted <= 1e-12},
@@ -309,7 +305,7 @@ def _verify_suite(seed: int) -> list:
     worst = 0.0
     crossing = True
     cases = [(symmetric_channel(0.2), 2), (symmetric_channel(0.35), 2),
-             (hardcore_channel(1.0, 1)[0], 1), (hardcore_channel(1.0, 2)[0], 2)]
+             (hardcore_channel(1.0), 1), (hardcore_channel(1.0), 2)]
     for c, k in cases:
         pair = evolve_to_depth(c, k, 4, deep_policy())
         coupling = build_coupling(pair, c)
@@ -346,9 +342,8 @@ def _verify_suite(seed: int) -> list:
     record("sandwich_inequality", violations, violations == 0)
 
     # hard-core single-site conditionals
-    params = HardCoreParams(k=2, w=1.0, lam=lambda_of_w(1.0, 2))
-    res = max(gibbs_conditional_sweep(params, 3, center_root=False),
-              gibbs_conditional_sweep(params, 3, center_root=True))
+    res = max(gibbs_conditional_sweep(1.0, 2, 3, center_root=False),
+              gibbs_conditional_sweep(1.0, 2, 3, center_root=True))
     record("single_site_conditional", res, res <= 1e-12)
 
     # bound ordering plus the three equality classes
@@ -365,7 +360,7 @@ def _verify_suite(seed: int) -> list:
         eps = rng.uniform(0.01, 0.99)
         c = symmetric_channel(eps)
         worst_eq = max(worst_eq, abs(geometric_mean_bound_lhs(c) - mossel_peres_lhs(c)))
-        c, _p = hardcore_channel(rng.uniform(0.1, 5.0), 2)
+        c = hardcore_channel(rng.uniform(0.1, 5.0))
         worst_eq = max(worst_eq, abs(geometric_mean_bound_lhs(c) - mossel_peres_lhs(c)))
         p = rng.uniform(0.05, 0.95)
         c = make_channel(p, p)

@@ -221,11 +221,13 @@ def _lattice_power(h, m0, m1, k):
     # both masses are reset to their exact totals each step: fed back
     # through the child mixtures, a rounding error in either total would
     # grow by a factor of up to k per depth
-    # root-1 mass (1 - q)**k off -inf; none when q = 1
+    # root-1 mass (1 - q)**k off -inf; none when it rounds to 0, where
+    # exp(-values) may have underflowed too
     log_finite1 = k * math.log1p(-q) if q < 1 else -math.inf
+    finite1 = math.exp(log_finite1)
     w0 = s[live] / s[live].sum()
     w1 = w0 * np.exp(-values)
-    w1 *= math.exp(log_finite1) / w1.sum()
+    w1 *= finite1 / w1.sum() if finite1 > 0 else 0.0
     if q > 0:
         values = np.concatenate(([-np.inf], values))
         w0 = np.concatenate(([0.0], w0))

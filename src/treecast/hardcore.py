@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .channels import BinaryChannel, HardCoreParams, hardcore_channel
+from .channels import BinaryChannel, hardcore_channel, lambda_of_w
 from .sampling import sample_broadcast_batch
 
 
-def gibbs_conditional_sweep(params: HardCoreParams, depth: int,
+def gibbs_conditional_sweep(w: float, k: int, depth: int,
                             center_root: bool = False) -> float:
     """Worst single-site conditional residual over all interior nodes.
 
@@ -40,7 +40,8 @@ def gibbs_conditional_sweep(params: HardCoreParams, depth: int,
     broadcast law; the residual is the largest absolute deviation of the
     conditional probability that the node is occupied from
     ``lambda/(1+lambda)`` times the indicator that the whole neighborhood
-    is empty, so exact agreement returns 0.0.
+    is empty, so exact agreement returns 0.0.  The channel has occupation
+    weight ``w`` and ``lambda = lambda_of_w(w, k)``.
 
     The residual depends on a node only through the shape of its
     neighborhood, and a truncation has at most two: a parent plus ``k``
@@ -52,25 +53,28 @@ def gibbs_conditional_sweep(params: HardCoreParams, depth: int,
     Raises
     ------
     InvalidParameter
-        If ``depth < 1``, or if the truncation has no interior node (depth
-        1 without ``center_root``).
+        If :func:`lambda_of_w` refuses ``w`` or ``k``, if ``depth < 1``,
+        or if the truncation has no interior node (depth 1 without
+        ``center_root``).
     """
+    lam = lambda_of_w(w, k)
     if depth < 1:
         raise InvalidParameter(f"depth must be >= 1, got {depth}")
-    shapes = [(False, params.k)] if depth >= 2 else []
+    shapes = [(False, k)] if depth >= 2 else []
     if center_root:
-        shapes.append((True, params.k + 1))
+        shapes.append((True, k + 1))
     if not shapes:
         raise InvalidParameter(f"no interior nodes at depth {depth}")
-    return max(_node_residual(params, is_root, n_children)
+    return max(_node_residual(w, lam, is_root, n_children)
                for is_root, n_children in shapes)
 
 
-def _node_residual(params: HardCoreParams, is_root: bool, n_children: int) -> float:
+def _node_residual(w: float, lam: float, is_root: bool, n_children: int) -> float:
     """Single-site conditional residual at an interior node with ``n_children``
-    children, and a parent unless ``is_root``."""
-    c, _ = hardcore_channel(params.w, params.k)
-    lam_cond = params.lam / (1.0 + params.lam)
+    children, and a parent unless ``is_root``, for occupation weight ``w``
+    and activity ``lam``."""
+    c = hardcore_channel(w)
+    lam_cond = lam / (1.0 + lam)
 
     row = [[c.p00, c.p01], [c.p10, c.p11]]
     # the conditional depends on a pattern only through the parent bit and

@@ -28,10 +28,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import BadBracket, InvalidParameter
-from .channels import (BinaryChannel, _LOG_FLOAT_MAX, _bisect_root, branching_number,
-                       symmetric_channel, hardcore_channel, w_of_lambda, lambda_of_w,
-                       kelly_threshold, kesten_stigum_eps_c, brightwell_winkler_lower_w,
-                       mossel_peres_lhs, geometric_mean_bound_lhs)
+from .channels import (BinaryChannel, _LOG_FLOAT_MAX, _bisect_root, _real,
+                       branching_number, symmetric_channel, hardcore_channel,
+                       w_of_lambda, lambda_of_w, kelly_threshold, kesten_stigum_eps_c,
+                       brightwell_winkler_lower_w, mossel_peres_lhs,
+                       geometric_mean_bound_lhs)
 from .evolution import deep_policy, base_pair, evolve, diagnostics, trajectory
 from .sampling import population_from_pair, population_evolve_anchored, population_tv
 
@@ -62,15 +63,13 @@ class ChannelFamily:
         branching_number(self.k)
 
     def channel(self, param: float) -> BinaryChannel:
+        param = _real(f"{self.kind} parameter", param)
         if self.kind == "symmetric":
             if not 0.0 <= param <= 0.5:
                 raise InvalidParameter(
                     f"symmetric parameter must be in [0, 0.5], got {param}")
             return symmetric_channel(param)
-        if param <= 0:
-            raise InvalidParameter(f"activity must be positive, got {param}")
-        c, _ = hardcore_channel(w_of_lambda(param, self.k), self.k)
-        return c
+        return hardcore_channel(w_of_lambda(param, self.k))
 
     @property
     def decaying_side(self) -> str:
@@ -206,8 +205,9 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
         bracket (zero and negative values included), where the halving
         would never stop.
     BadBracket
-        If the endpoint verdicts agree, or disagree with the family's
-        monotone orientation.
+        If an endpoint of the bracket is not finite or ``lo >= hi``, or if
+        the endpoint verdicts agree, or disagree with the family's monotone
+        orientation.
     """
     if engine is None:
         engine = "population" if family.kind == "symmetric" else "exact"
@@ -218,8 +218,8 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
     if bracket is None:
         bracket = (0.02, 0.48) if family.kind == "symmetric" else (1.0, 100.0)
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise BadBracket(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise BadBracket(f"bracket must be finite with lo < hi, got ({lo}, {hi})")
     # a bracket narrower than one float spacing cannot be halved any further
     if not (math.isfinite(tol) and tol >= math.ulp(max(abs(lo), abs(hi)))):
         raise InvalidParameter(
@@ -283,8 +283,7 @@ def restricted_bound_crossover(k: int, which: str = "geometric") -> float:
         raise InvalidParameter(f"unknown bound {which!r}")
 
     def excess(w: float) -> float:
-        c, _ = hardcore_channel(w, k)
-        return stat(c) - 1.0 / k
+        return stat(hardcore_channel(w)) - 1.0 / k
 
     # (k+1)*ln(1+w) bounds ln(w*(1+w)**k), so the activity at hi is finite
     hi = min(1e6, math.expm1(_LOG_FLOAT_MAX / (k + 1)))

@@ -11,15 +11,14 @@ import time
 import numpy as np
 
 from treecast.channels import (make_channel, symmetric_channel,
-                               hardcore_channel, w_of_lambda, lambda_of_w,
+                               hardcore_channel, w_of_lambda,
                                kelly_threshold, gap_kernel_peak,
                                mossel_peres_lhs, geometric_mean_bound_lhs)
 from treecast.evolution import (PAIR_BUDGET, base_pair, evolve, exact_policy,
                                 deep_policy, diagnostics, gap_identity_residual)
 from treecast.conditioning import build_coupling, verify_sandwich
 from treecast.sampling import bp_root_posterior
-from treecast.hardcore import (HardCoreParams, gibbs_conditional_sweep,
-                               brw_independence_check)
+from treecast.hardcore import gibbs_conditional_sweep, brw_independence_check
 from treecast.threshold import (ChannelFamily, bisect_threshold,
                                 restricted_bound_crossover)
 from treecast.errors import AtomExplosion, DegenerateChannel
@@ -66,7 +65,7 @@ def test_criterion_02_bound_identity_sweep(capsys):
     worst_eq = 0.0
     for _ in range(100):
         cases = [symmetric_channel(rng.uniform(0.01, 0.99)),
-                 hardcore_channel(rng.uniform(0.1, 5.0), 2)[0],
+                 hardcore_channel(rng.uniform(0.1, 5.0)),
                  make_channel(*([rng.uniform(0.05, 0.95)] * 2))]
         for c in cases:
             worst_eq = max(worst_eq,
@@ -147,7 +146,7 @@ def test_criterion_05_oracle_equivalence(capsys):
     worst_w = 0.0
     for k, max_depth in ((2, 3), (3, 2)):
         channels = [symmetric_channel(0.2), make_channel(0.7, 0.4),
-                    hardcore_channel(1.0, k)[0]] + randoms
+                    hardcore_channel(1.0)] + randoms
         for c in channels:
             pair = base_pair(c, k)
             for depth in range(1, max_depth + 1):
@@ -161,7 +160,7 @@ def test_criterion_05_oracle_equivalence(capsys):
                 worst_w = max(worst_w, dw0, dw1)
     worst_bp = 0.0
     for c in (symmetric_channel(0.2), make_channel(0.7, 0.4),
-              hardcore_channel(1.0, 2)[0]):
+              hardcore_channel(1.0)):
         for bits in range(16):
             leaves = [(bits >> j) & 1 for j in range(4)]
             got = bp_root_posterior(leaves, c, 2, depth=2)
@@ -179,7 +178,7 @@ def test_criterion_06_coupling_suite(capsys):
     n_couplings = 0
     for k in (1, 2):
         channels = ([symmetric_channel(eps) for eps in (0.1, 0.2, 0.3, 0.4)]
-                    + [hardcore_channel(w, k)[0] for w in (0.5, 1.0, 2.0)])
+                    + [hardcore_channel(w) for w in (0.5, 1.0, 2.0)])
         for c in channels:
             pair = base_pair(c, k)
             for depth in range(1, 7):
@@ -220,11 +219,10 @@ def test_criterion_07_sandwich_randomized(capsys):
 def test_criterion_08_gibbs_and_independence(capsys):
     worst = 0.0
     for w in (0.5, 1.0, 2.0):
-        params = HardCoreParams(k=2, w=w, lam=lambda_of_w(w, 2))
         worst = max(worst,
-                    gibbs_conditional_sweep(params, 3, center_root=False),
-                    gibbs_conditional_sweep(params, 3, center_root=True))
-    c, _ = hardcore_channel(1.0, 2)
+                    gibbs_conditional_sweep(w, 2, 3, center_root=False),
+                    gibbs_conditional_sweep(w, 2, 3, center_root=True))
+    c = hardcore_channel(1.0)
     occupancy = brw_independence_check(c, 2, 3, 100_000, seed=80)
     ok = worst <= 1e-12 and occupancy.violations == 0
     report(capsys, 8, ok,
@@ -238,7 +236,7 @@ def test_criterion_09_hardcore_lower_bound_consistency(capsys):
     details = []
     ok = True
     for k in (2, 3, 4, 5):
-        c, _ = hardcore_channel(w_of_lambda(lam, k), k)
+        c = hardcore_channel(w_of_lambda(lam, k))
         pair = base_pair(c, k)
         tvs = [diagnostics(pair, c)["tv"]]
         for _ in range(11):

@@ -219,7 +219,7 @@ def test_merge_is_the_stable_sort_merge_on_exact_laws(monkeypatch):
         return got
 
     monkeypatch.setattr(evolution, "grid_merge", both)
-    evolution.base_pair(hardcore_channel(1.0, 40)[0], 40)
+    evolution.base_pair(hardcore_channel(1.0), 40)
     assert sizes == [41]
     evolution.evolve_to_depth(symmetric_channel(0.2), 2, 6, evolution.exact_policy())
     assert max(sizes) > 6_000_000

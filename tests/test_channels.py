@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from treecast import (
     BinaryChannel,
+    ChannelFamily,
     DegenerateChannel,
     InvalidParameter,
     UndefinedLimit,
@@ -116,36 +118,62 @@ def test_hardcore_channel_shape():
     for _ in range(50):
         w = float(rng.uniform(0.05, 20.0))
         k = int(rng.integers(1, 6))
-        c, params = hardcore_channel(w, k)
+        c = hardcore_channel(w)
         assert abs(c.p00 - 1.0 / (1.0 + w)) < 1e-15
         assert abs(c.p01 - w / (1.0 + w)) < 1e-15
         assert c.p10 == 1.0 and c.p11 == 0.0
         assert abs(c.pi0 - (1.0 + w) / (1.0 + 2.0 * w)) < 1e-12
-        assert abs(params.lam - w * (1.0 + w) ** k) < 1e-9 * max(1.0, params.lam)
+        lam = lambda_of_w(w, k)
+        assert abs(lam - w * (1.0 + w) ** k) < 1e-9 * max(1.0, lam)
 
 
 def test_hardcore_rejects_bad_weight():
-    with pytest.raises(InvalidParameter):
-        hardcore_channel(0.0, 2)
-    with pytest.raises(InvalidParameter):
-        hardcore_channel(1.0, 0)
+    for w in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameter, match="w must be positive and finite"):
+            hardcore_channel(w)
 
 
-@pytest.mark.parametrize("fn, position", [
-    (make_channel, 0), (make_channel, 1), (hardcore_channel, 0),
-    (lambda_of_w, 0), (w_of_lambda, 0), (hardcore_contraction, 0)],
-    ids=["make_channel_p00", "make_channel_p10", "hardcore_channel",
-         "lambda_of_w", "w_of_lambda", "hardcore_contraction"])
-def test_int_beyond_float_range_is_invalid(fn, position):
-    """An int too large for float64 is refused as InvalidParameter, not a
-    bare OverflowError; an int in range gives the float's result."""
-    args = [0, 1] if fn is make_channel else [3, 2]
-    as_float = list(args)
-    as_float[position] = float(args[position])
-    assert fn(*args) == fn(*as_float)
-    args[position] = 10 ** 400
-    with pytest.raises(InvalidParameter, match="beyond the float64 range"):
-        fn(*args)
+# each argument with the float it stands for, or a pattern its refusal matches
+REAL_ARGUMENTS = [
+    (1, 1.0), (3, 3.0), (np.int64(1), 1.0), (np.int64(3), 3.0),
+    (np.float32(0.2), float(np.float32(0.2))), (np.float32(3.5), 3.5),
+    (math.nan, "nan"), (10 ** 400, "beyond the float64 range"),
+    (10 ** 5000, "beyond the float64 range"), (-10 ** 5000, "beyond the float64 range"),
+    ("0.2", "must be a real number"), (None, "must be a real number"),
+]
+
+
+def _outcome(fn, args):
+    try:
+        return fn(*args)
+    except InvalidParameter as exc:
+        return f"InvalidParameter: {exc}"
+
+
+@pytest.mark.parametrize("fn, args, position", [
+    (make_channel, [0.3, 0.2], 0), (make_channel, [0.3, 0.2], 1),
+    (symmetric_channel, [0.2], 0), (hardcore_channel, [0.2], 0),
+    (lambda_of_w, [0.2, 2], 0), (w_of_lambda, [0.2, 2], 0),
+    (hardcore_contraction, [0.2, 2], 0),
+    (ChannelFamily("symmetric", 2).channel, [0.2], 0),
+    (ChannelFamily("hardcore", 2).channel, [0.2], 0)],
+    ids=["make_channel_p00", "make_channel_p10", "symmetric_channel",
+         "hardcore_channel", "lambda_of_w", "w_of_lambda", "hardcore_contraction",
+         "family_symmetric", "family_hardcore"])
+def test_int_beyond_float_range_is_invalid(fn, args, position):
+    """One real-number check: an argument standing for a float gives the
+    float's result, or the same refusal; NaN, an int beyond the float64
+    range and a non-number are refused as InvalidParameter, never a NaN
+    result or a bare TypeError, ValueError or OverflowError."""
+    for value, expected in REAL_ARGUMENTS:
+        call = list(args)
+        call[position] = value
+        got = _outcome(fn, call)
+        if isinstance(expected, float):
+            call[position] = expected
+            assert got == _outcome(fn, call), value
+        else:
+            assert isinstance(got, str) and re.search(expected, got), (value, got)
 
 
 # ------------------------------------------------------------- bound values
@@ -153,7 +181,7 @@ def test_int_beyond_float_range_is_invalid(fn, position):
 def test_column_bound_examples():
     assert abs(mossel_peres_lhs(symmetric_channel(0.25)) - 0.25) < 1e-12
     assert mossel_peres_lhs(make_channel(0.6, 0.6)) == 0.0
-    c, _ = hardcore_channel(1.0, 2)
+    c = hardcore_channel(1.0)
     assert abs(mossel_peres_lhs(c) - 0.5) < 1e-12
 
 
@@ -188,7 +216,7 @@ def test_bound_equality_classes():
         c = symmetric_channel(eps)
         assert abs(geometric_mean_bound_lhs(c) - mossel_peres_lhs(c)) < 1e-12
         w = float(rng.uniform(0.05, 10.0))
-        c, _ = hardcore_channel(w, 2)
+        c = hardcore_channel(w)
         assert abs(geometric_mean_bound_lhs(c) - mossel_peres_lhs(c)) < 1e-12
         assert abs(mossel_peres_lhs(c) - w / (1.0 + w)) < 1e-12
         p = float(rng.uniform(0.05, 0.95))
@@ -244,7 +272,7 @@ def test_llr_step_extended_values():
     c = symmetric_channel(0.2)
     assert llr_step(c, math.inf) == 0.0
     assert abs(llr_step(c, -math.inf) - math.log(c.c0 / c.c1)) < 1e-12
-    hc, _ = hardcore_channel(1.0, 2)
+    hc = hardcore_channel(1.0)
     assert llr_step(hc, math.inf) == 0.0
     with pytest.raises(UndefinedLimit):
         llr_step(hc, -math.inf)
@@ -325,10 +353,10 @@ def test_gap_kernel_hardcore_values():
     for _ in range(50):
         w = float(rng.uniform(0.05, 10.0))
         k = int(rng.integers(1, 6))
-        c, params = hardcore_channel(w, k)
+        c = hardcore_channel(w)
         f0 = -w * math.log1p(w) / (1.0 + w)
         assert abs(gap_kernel(c, 0.0) - f0) < 1e-12 * max(1.0, abs(f0))
-        fb = -(w / (1.0 + w)) * math.log1p(params.lam)
+        fb = -(w / (1.0 + w)) * math.log1p(lambda_of_w(w, k))
         x = -k * math.log1p(w)
         assert abs(gap_kernel(c, x) - fb) < 1e-10 * max(1.0, abs(fb))
 
@@ -357,7 +385,7 @@ def test_gap_kernel_hardcore_concavity():
     """Second differences of the hard-core kernel are never positive."""
     x = np.linspace(-10.0, 5.0, 1001)
     for w in (0.5, 1.0, 2.0):
-        c, _ = hardcore_channel(w, 2)
+        c = hardcore_channel(w)
         assert np.max(np.diff(gap_kernel(c, x), 2)) <= 1e-9
 
 
@@ -386,7 +414,7 @@ def test_kernel_peak_matches_grid():
 
 
 def test_kernel_peak_rejects_zero_entry():
-    c, _ = hardcore_channel(1.0, 2)
+    c = hardcore_channel(1.0)
     with pytest.raises(InvalidParameter):
         gap_kernel_peak(c)
 

@@ -428,25 +428,38 @@ CLI_CHANNELS = {"--symmetric": 1, "--hardcore-w": 1, "--hardcore-lambda": 1,
 @st.composite
 def cli_argv(draw):
     command = draw(st.sampled_from(["evolve", "evolve-population", "couple",
-                                    "verify", "bounds"]))
-    flag = draw(st.sampled_from(sorted(CLI_CHANNELS)))
-    values = [repr(draw(st.sampled_from(CLI_VALUES)))
-              for _ in range(CLI_CHANNELS[flag])]
-    argv = [command.split("-")[0], flag, *values,
+                                    "verify", "bounds", "threshold",
+                                    "hardcore-check"]))
+
+    def value():
+        return repr(draw(st.sampled_from(CLI_VALUES)))
+
+    if command == "threshold":
+        channel = [draw(st.sampled_from(["--symmetric", "--hardcore"]))]
+    else:
+        flag = draw(st.sampled_from(sorted(CLI_CHANNELS)))
+        channel = [flag] + [value() for _ in range(CLI_CHANNELS[flag])]
+    argv = [command.removesuffix("-population"), *channel,
             "--k", str(draw(st.integers(-1, 3)))]
-    if command in ("evolve", "evolve-population", "couple"):
+    if command in ("evolve", "evolve-population", "couple", "hardcore-check"):
         argv += ["--depth", str(draw(st.integers(-1, 3)))]
     if command == "evolve-population":
         argv += ["--engine", "population", "--pop-size", "1000"]
+    if command == "hardcore-check":
+        argv += ["--pop-size", "1000"]
+    if command == "threshold":
+        argv += ["--bracket", value(), value(),
+                 "--engine", "exact", "--depth", "3", "--tol", "0.1"]
     return argv
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=280, deadline=None)
 @given(cli_argv())
 @example(["evolve", "--matrix", "1.0", "1e-20", "--depth", "3"])
 @example(["evolve", "--matrix", "0.5", "1e-17", "--depth", "3"])
 @example(["evolve", "--hardcore-lambda", "1e308", "--depth", "2"])
 @example(["evolve", "--matrix", "0.0", "1.0", "--depth", "2"])
+@example(["evolve", "--symmetric", "1e-300", "--k", "2", "--depth", "2"])
 def test_cli_never_leaks_a_python_exception(argv):
     """Edge channels end in a documented exit code, never a traceback."""
     with contextlib.redirect_stdout(io.StringIO()), \
@@ -474,6 +487,11 @@ def test_edge_channels_answer_or_refuse(capsys):
                                               "--depth", "3"])] == [1.0] * 3
     c = make_channel(1.0, 1e-20)
     assert diagnostics(evolve_to_depth(c, 2, 3, deep_policy()), c)["tv"] == 1.0
+    # p01 rounds to 0 and the finite root-1 mass (1e-300)**k to 0: the
+    # lattice step puts all of root 1 at -inf, where it made 0/0
+    for k in ("2", "3"):
+        assert [row["tv"] for row in evolve_rows(["--symmetric", "1e-300", "--k", k,
+                                                  "--depth", "3"])] == [1.0] * 3
     # llr_step would round ln(c0/c1) = ln(1e-17) to -inf
     for argv in (["evolve", "--matrix", "0.5", "1e-17", "--depth", "3"],
                  ["verify", "--matrix", "0.5", "1e-17"]):
@@ -499,11 +517,12 @@ def test_verify_broken_channel_exits_2(capsys):
 
 
 def test_threshold_degenerate_bracket_exits_4(capsys):
-    code, _, err = run_cli(
-        ["threshold", "--symmetric", "--k", "2", "--engine", "exact",
-         "--depth", "6", "--bracket", "0.3", "0.3"], capsys)
-    assert code == 4
-    assert "error:" in err
+    for bracket in (["0.3", "0.3"], ["0.1", "inf"], ["nan", "5"], ["0.1", "nan"]):
+        code, _, err = run_cli(
+            ["threshold", "--symmetric", "--k", "2", "--engine", "exact",
+             "--depth", "6", "--bracket", *bracket], capsys)
+        assert code == 4, bracket
+        assert err.startswith("error: bracket must be finite with lo < hi"), err
 
 
 def test_threshold_bad_tol_exits_2(capsys):

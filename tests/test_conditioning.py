@@ -136,7 +136,7 @@ def test_coupling_depth_two_exhaustive():
 def test_coupling_small_grid():
     """Marginals and crossing across families, branching, and depth."""
     cases = [(symmetric_channel(0.1), 1), (symmetric_channel(0.3), 2),
-             (hardcore_channel(1.0, 1)[0], 1), (hardcore_channel(1.0, 2)[0], 2)]
+             (hardcore_channel(1.0), 1), (hardcore_channel(1.0), 2)]
     for c, k in cases:
         for depth in (1, 2, 4):
             pair = evolve_to_depth(c, k, depth, deep_policy())
@@ -182,7 +182,7 @@ def test_exact_step_and_coupling_memory_at_depth_six():
 
 def test_coupling_infinite_gap():
     """Hard-core base case: infinite atoms force an infinite mean difference."""
-    c, _ = hardcore_channel(1.0, 2)
+    c = hardcore_channel(1.0)
     pair = base_pair(c, 2)
     cpl = build_coupling(pair, c)
     assert cpl.mean_difference() == math.inf
@@ -253,7 +253,7 @@ def test_merged_pairing_equals_searched_pairing_on_edge_cases():
         assert_pairing_matches_search(
             ConditionalPair(depth=1, values=values, w0=np.array(w0), w1=np.array(w1)))
     # +-inf atoms: the hard-core base pair and two steps on from it
-    c, _ = hardcore_channel(w_of_lambda(1.0, 2), 2)
+    c = hardcore_channel(w_of_lambda(1.0, 2))
     pair = base_pair(c, 2)
     assert np.isinf(pair.values).any()
     for _ in range(3):

@@ -60,7 +60,7 @@ def test_base_pair_symmetric_single_child():
 
 def test_base_pair_hardcore_single_child():
     """Occupied root forces an empty child: the root-1 law is a point mass."""
-    c, _ = hardcore_channel(1.0, 1)
+    c = hardcore_channel(1.0)
     pair = base_pair(c, 1)
     support1 = pair.values[pair.w1 > 0]
     assert len(support1) == 1
@@ -122,7 +122,7 @@ def test_evolution_matches_enumeration_grid():
     """Exact evolution equals full enumeration for k <= 2, depth <= 3."""
     rng = np.random.default_rng(22)
     channels = [symmetric_channel(0.2), make_channel(0.85, 0.35),
-                hardcore_channel(1.0, 2)[0]]
+                hardcore_channel(1.0)]
     channels += [make_channel(*random_channel(rng, 0.05, 0.95)) for _ in range(5)]
     for c in channels:
         for k in (1, 2):
@@ -169,7 +169,7 @@ def test_weight_conservation_and_dominance():
 def test_martingale_mean_through_depth():
     """E[posterior] = pi0 at every depth under the stationary mixture."""
     for c in (symmetric_channel(0.3), make_channel(0.8, 0.3),
-              hardcore_channel(0.8, 2)[0]):
+              hardcore_channel(0.8)):
         pair = base_pair(c, 2)
         for _ in range(4):
             pair = evolve(pair, c, 2, exact_policy())
@@ -206,7 +206,7 @@ def test_mean_gap_contracts_when_kernel_slope_small():
 def test_mean_gap_special_values():
     assert mean_gap(evolve_to_depth(symmetric_channel(0.5), 2, 3)) == 0.0
     assert mean_gap(evolve_to_depth(make_channel(0.6, 0.6), 2, 2)) == 0.0
-    c, _ = hardcore_channel(w_of_lambda(1.0, 2), 2)
+    c = hardcore_channel(w_of_lambda(1.0, 2))
     assert mean_gap(base_pair(c, 2)) == math.inf
 
 
@@ -389,7 +389,7 @@ def test_self_fold_agrees_with_full_product_on_random_channels():
 @pytest.mark.parametrize("c, k, depth", [
     (make_channel(0.6, 0.3), 2, 5),
     (make_channel(0.9, 0.05), 3, 3),
-    (hardcore_channel(w_of_lambda(1.0, 2), 2)[0], 2, 6),
+    (hardcore_channel(w_of_lambda(1.0, 2)), 2, 6),
 ], ids=["asym-k2-d5", "near-deterministic-k3-d3", "hardcore-k2-d6"])
 def test_self_fold_bitwise_equal_to_full_product(c, k, depth):
     exact, full = _both_folds(c, k, depth)
@@ -411,8 +411,8 @@ def test_lattice_tv_bounds_exact_tv_from_above():
     """The lattice law is an upper law wherever the exact engine computes."""
     channels = [symmetric_channel(0.1), symmetric_channel(0.25),
                 make_channel(0.81, 0.27), make_channel(0.6, 0.15),
-                hardcore_channel(w_of_lambda(1.0, 2), 2)[0],
-                hardcore_channel(w_of_lambda(30.0, 2), 2)[0]]
+                hardcore_channel(w_of_lambda(1.0, 2)),
+                hardcore_channel(w_of_lambda(30.0, 2))]
     checked = 0
     for c in channels:
         for k in (1, 2, 3):
@@ -435,7 +435,7 @@ def test_lattice_tv_bounds_exact_tv_from_above():
 def test_lattice_identity_and_posterior_mean_through_depth_12():
     for c, k in [(symmetric_channel(0.15), 2), (symmetric_channel(0.2), 5),
                  (make_channel(0.81, 0.27), 3),
-                 (hardcore_channel(w_of_lambda(78.0, 2), 2)[0], 2)]:
+                 (hardcore_channel(w_of_lambda(78.0, 2)), 2)]:
         pairs = trajectory(base_pair(c, k), lambda p: evolve(p, c, k, deep_policy()), 12)
         for pair in itertools.islice(pairs, 1, None):
             assert lattice_identity_residual(pair) <= 1e-15, (c, k, pair.depth)

@@ -52,7 +52,7 @@ def test_deterministic_channels():
 
 
 def test_hardcore_occupied_root_forces_empty_children():
-    c, _ = hardcore_channel(2.0, 2)
+    c = hardcore_channel(2.0)
     levels = sample_broadcast_batch(c, 2, 3, 200, root_value=1, seed=6)
     assert np.all(levels[1] == 0)
 
@@ -83,7 +83,7 @@ def test_sampler_deterministic():
 
 def test_sampler_stationary_root():
     """Unpinned roots are drawn from the stationary law."""
-    c, _ = hardcore_channel(1.0, 2)
+    c = hardcore_channel(1.0)
     levels = sample_broadcast_batch(c, 2, 0, 100_000, seed=11)
     frac1 = float(levels[0].mean())
     sigma = math.sqrt(c.pi1 * c.pi0 / 100_000)
@@ -132,7 +132,7 @@ def test_posterior_matches_bayes_all_patterns():
 
 
 def test_posterior_matches_bayes_k3():
-    c, _ = hardcore_channel(0.7, 3)
+    c = hardcore_channel(0.7)
     for key in range(8):
         leaves = np.array([(key >> j) & 1 for j in range(3)])
         got = bp_root_posterior(leaves, c, 3, depth=1)
@@ -142,7 +142,7 @@ def test_posterior_matches_bayes_k3():
 
 def test_posterior_hardcore_certainty():
     """An occupied child is impossible under an occupied root."""
-    c, _ = hardcore_channel(1.0, 2)
+    c = hardcore_channel(1.0)
     assert bp_root_posterior(np.array([1, 0]), c, 2, depth=1) == 1.0
 
 
@@ -232,7 +232,7 @@ def test_population_from_pair_sizes():
 def test_population_from_pair_skips_zero_weight_atoms():
     """The hard-core base pair has a +inf atom that root value 1 never
     reaches: no root-1 sample lands on it, while root-0 samples do."""
-    c, _ = hardcore_channel(1.0, 2)
+    c = hardcore_channel(1.0)
     pair = base_pair(c, 2)
     assert pair.values[-1] == math.inf and pair.w1[-1] == 0.0
     pop = population_from_pair(pair, 5000, seed=13)
@@ -344,7 +344,7 @@ def test_anchored_population_p01_zero_matches_lattice():
 
 def test_anchored_population_refuses_without_finite_sample():
     """Every depth-1 sample at +inf leaves no sample of the root-1 law."""
-    c, _ = hardcore_channel(w_of_lambda(1e6, 3), 3)
+    c = hardcore_channel(w_of_lambda(1e6, 3))
     pop = population_from_pair(base_pair(c, 3), 1000, seed=23)
     assert np.all(np.isposinf(pop.samples0))
     with pytest.raises(ResourceLimit):

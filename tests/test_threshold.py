@@ -150,9 +150,13 @@ def test_bisect_hardcore_cheap_config():
 
 
 def test_bisect_rejects_degenerate_bracket():
+    """An empty, reversed or non-finite bracket is refused before the tol
+    check, which would refuse tol = 0."""
     fam = ChannelFamily(kind="symmetric", k=2)
-    with pytest.raises(BadBracket):
-        bisect_threshold(fam, depth=6, bracket=(0.3, 0.3))
+    for bracket in ((0.3, 0.3), (0.4, 0.3), (0.1, math.inf), (-math.inf, 0.3),
+                    (math.nan, 0.3), (0.1, math.nan)):
+        with pytest.raises(BadBracket, match="bracket must be finite with lo < hi"):
+            bisect_threshold(fam, depth=6, tol=0.0, bracket=bracket)
 
 
 def test_bisect_rejects_agreeing_endpoints():
