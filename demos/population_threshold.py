@@ -3,11 +3,14 @@
 Runs the sampled-score population recursion for the symmetric family at
 a few noise levels, prints the estimated diagnostics with their standard
 errors, then bisects the decaying/non-decaying boundary and compares the
-estimate against the closed form.  A standard error is the spread of the
-last generation only: in a deep run the error carried from earlier
-generations can be larger (eps = 0.1757 at the defaults prints tv 0.07981
-+- 0.00074, above the lattice upper law 0.07686).  Defaults are sized for
-a quick run; pass --pop-size 100000 --depth 40 for production-quality
+estimate against the closed form.  Each statistic is a mean over the
+root-0 samples, the root-1 law read through the weight exp(-L).  A
+standard error is the spread of the last generation only: in a deep run
+the error carried from earlier generations can be larger.  At the
+defaults eps = 0.1757 prints tv 0.07714 +- 0.00071, against the lattice
+upper law 0.07686; over 30 seeds at eps = 0.15, depth 12, the tv spread
+is about twice the median standard error.  Defaults are sized for a
+quick run; pass --pop-size 100000 --depth 40 for production-quality
 estimates.
 
 Run

@@ -361,12 +361,23 @@ def gap_identity_residual(pair_d: ConditionalPair, pair_dm1: ConditionalPair,
     -------
     float
         ``|mean_gap(pair_d) - k*(E0[f] - E1[f])|``; at most ~1e-9 for
-        unpruned evolution.
+        unpruned evolution.  Each expectation runs over its atoms of
+        positive weight only, so a ``-inf`` kernel value where a law has
+        no mass adds nothing.  Equal infinities on both sides give
+        residual 0, but then the identity is not tested at all: for a
+        ``p01 = 0`` channel the root-1 law has mass at ``-inf``, so both
+        sides are ``+inf`` by the convention of :func:`mean_gap`, and a
+        residual of 0 there says only that the sides agree on that.
     """
     if pair_d.depth != pair_dm1.depth + 1:
         raise InvalidParameter(
             f"pair depths must be consecutive, got {pair_d.depth} and {pair_dm1.depth}")
     lhs = mean_gap(pair_d)
     f = np.asarray(gap_kernel(c, pair_dm1.values), dtype=np.float64)
-    rhs = k * float(f @ pair_dm1.w0 - f @ pair_dm1.w1)
-    return abs(lhs - rhs)
+
+    def expect(w):
+        keep = w > 0
+        return float(f[keep] @ w[keep])
+
+    rhs = k * (expect(pair_dm1.w0) - expect(pair_dm1.w1))
+    return 0.0 if lhs == rhs else abs(lhs - rhs)

@@ -6,17 +6,19 @@ generator.  Level-wise streams are derived by ``SeedSequence.spawn`` so a
 broadcast can be generated level-parallel and still reproduce exactly.
 
 One population step is provided, ``population_evolve_anchored``
-(Mezard & Montanari, J. Stat. Phys. 2006).  The plain scheme, in which
-each conditional array advances on its own by drawing child LLRs from the
-array matching the child's value, ties the two empirical laws together
-only weakly: near criticality their coupled fluctuation mode grows by
-about ``k * |1 - 2*eps|`` per level, and deep runs drift to spurious
-attractors.  The anchored step removes that mode: the root-1 children are
-drawn from the root-0 array reweighted by ``exp(-L)`` (the exact density
-ratio between the two conditional laws), and each new level is shifted so
-the empirical mean of ``exp(-L)`` is 1, a constraint the true law
-satisfies at every depth when ``p01 > 0``.  The CLI and the threshold
-engine both step with it.
+(Mezard & Montanari, J. Stat. Phys. 2006).  A population holds one array,
+samples of the LLR law under root value 0.  The root-1 law is not stored:
+the two laws satisfy ``dP1/dP0 = exp(-L)``, so it is the same samples
+weighted by ``exp(-L)``, plus a mass at ``-inf`` when ``p00 = 0`` or
+``p01 = 0``, and every root-1 statistic is read through that weight.  The
+plain scheme, in which two conditional arrays each advance on their own,
+ties the two empirical laws together only weakly: near criticality their
+coupled fluctuation mode grows by about ``k * |1 - 2*eps|`` per level,
+and deep runs drift to spurious attractors.  The anchored step removes
+that mode: the root-1 children are drawn from the array reweighted by
+``exp(-L)``, and each new level is shifted so the empirical mean of
+``exp(-L)`` is 1, a constraint the true law satisfies at every depth when
+``p01 > 0``.  The CLI and the threshold engine both step with it.
 """
 
 from __future__ import annotations
@@ -152,23 +154,26 @@ def _safe_log(p: float) -> float:
 
 @dataclass
 class Population:
-    """Sampled representation of the two conditional LLR laws at one depth.
+    """Sampled conditional LLR laws at one depth, held as one array.
 
-    ``samples0`` and ``samples1`` are arrays of N extended-real LLR values
-    conditional on root value 0 and 1; ``rng`` is the live Philox stream
-    that subsequent evolution steps consume.
+    ``samples0`` holds N extended-real LLR values drawn under root value 0;
+    ``rng`` is the live Philox stream that later steps consume.  The
+    root-1 law is read from the same samples, weighted by ``exp(-L)``; see
+    :func:`estimate_diagnostics`.  A sample at ``-inf`` is refused, since
+    the root-0 law has no mass there.
     """
 
     depth: int
     samples0: np.ndarray
-    samples1: np.ndarray
     rng: np.random.Generator
 
     def __post_init__(self):
         self.samples0 = np.asarray(self.samples0, dtype=np.float64)
-        self.samples1 = np.asarray(self.samples1, dtype=np.float64)
-        if self.samples0.shape != self.samples1.shape or self.samples0.ndim != 1:
-            raise InvalidParameter("samples0 and samples1 must be 1-d arrays of equal length")
+        if self.samples0.ndim != 1:
+            raise InvalidParameter("samples0 must be a 1-d array")
+        if np.isneginf(self.samples0).any():
+            raise InvalidParameter(
+                "a root-0 sample cannot be -inf: the root-0 law has no mass there")
 
     @property
     def size(self) -> int:
@@ -176,22 +181,19 @@ class Population:
 
 
 def population_from_pair(pair: ConditionalPair, n: int, seed: int) -> Population:
-    """Initialize a population by sampling each conditional law of a pair.
+    """Initialize a population by sampling the root-0 law of a pair.
 
-    Each law is drawn from its atoms of positive weight only, so an atom
-    that one root value cannot reach (such as ``+inf`` under root value 1
-    of the hard-core channel) never enters that root value's samples.
+    The law is drawn from its atoms of positive weight only, so an atom
+    that root value 0 cannot reach (``-inf``) never enters the samples.
     """
     if n < 1:
         raise InvalidParameter(f"population size must be positive, got {n}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-    def draw(w):
-        keep = w > 0
-        return pair.values[keep][_weighted_draw(rng, w[keep] / w[keep].sum(), n)]
-
-    return Population(depth=pair.depth, samples0=draw(pair.w0),
-                      samples1=draw(pair.w1), rng=rng)
+    keep = pair.w0 > 0
+    w = pair.w0[keep]
+    return Population(depth=pair.depth,
+                      samples0=pair.values[keep][_weighted_draw(rng, w / w.sum(), n)],
+                      rng=rng)
 
 
 def _weighted_draw(rng: np.random.Generator, p: np.ndarray, shape) -> np.ndarray:
@@ -244,18 +246,15 @@ def _project_unit_mean(s: np.ndarray) -> np.ndarray:
 def population_evolve_anchored(pop: Population, c: BinaryChannel, k: int) -> Population:
     """Population-dynamics step: depth ``d`` to depth ``d+1``.
 
-    Each new conditional-0 sample draws k child values from the first
-    channel row; a 0-child takes an LLR drawn uniformly from the
-    conditional-0 array, a 1-child one drawn from that array reweighted by
-    ``exp(-L)`` (the exact density ratio between the two laws).  The new
-    level is shifted so the empirical mean of ``exp(-L)`` is 1, and the
-    conditional-1 array is its tilted resample.  Both devices remove the
-    slow noise mode that otherwise grows by a factor of about
-    ``k * |1-2*eps|`` per level and derails deep runs.  When ``p01 = 0`` no
-    child of a root-0 node is 1, so the conditional-0 array is left
-    unshifted, and the conditional-1 array puts the share
-    ``1 - mean(exp(-L))`` it loses on ``-inf``.  Consumes the population's
-    own stream.
+    Each new sample draws k child values from the first channel row; a
+    0-child takes an LLR drawn uniformly from the array, a 1-child one
+    drawn from the array reweighted by ``exp(-L)`` (the exact density
+    ratio of the root-1 law to the root-0 law).  The new level is shifted
+    so the empirical mean of ``exp(-L)`` is 1, as it is under the true law
+    when ``p01 > 0``.  Both devices remove the slow noise mode that
+    otherwise grows by a factor of about ``k * |1-2*eps|`` per level and
+    derails deep runs.  When ``p01 = 0`` no child of a root-0 node is 1 and
+    the level is left unshifted.  Consumes the population's own stream.
     """
     if pop.size < 1000:
         raise InvalidParameter(f"population size must be >= 1000, got {pop.size}")
@@ -272,23 +271,11 @@ def population_evolve_anchored(pop: Population, c: BinaryChannel, k: int) -> Pop
     s_new = k * math.log(c.p00 / c.p10) + g_sum
     if c.p01 > 0:
         s_new = _project_unit_mean(s_new)
-    # slaved conditional-1 array: tilted resample of the new level
-    s1_new = s_new[_weighted_draw(rng, _tilt_weights(s_new), n)]
-    if c.p01 == 0:
-        # the root-0 leaves are all 0, so L >= 0 and exp(-L) <= 1
-        sure = 1.0 - float(np.mean(np.exp(-s_new)))
-        if sure > 0:
-            s1_new[rng.random(n) < sure] = -np.inf
-    return Population(depth=pop.depth + 1, samples0=s_new, samples1=s1_new, rng=rng)
+    return Population(depth=pop.depth + 1, samples0=s_new, rng=rng)
 
 
 def _tilt_weights(s: np.ndarray) -> np.ndarray:
     """Normalized importance weights proportional to exp(-L), inf-safe."""
-    neg = np.isneginf(s)
-    if neg.any():
-        # exp(-L) diverges there: the tilted law is carried by those samples
-        w = neg.astype(np.float64)
-        return w / w.sum()
     finite = np.isfinite(s)
     if not finite.any():
         # every sample is +inf, where the root-1 law has no mass
@@ -302,87 +289,77 @@ def _tilt_weights(s: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _tv_terms(s0: np.ndarray) -> np.ndarray:
-    """Per-sample terms ``max(1 - exp(-L), 0)`` of the TV estimator."""
+def _ratio(s: np.ndarray) -> np.ndarray:
+    """Per-sample density ratio ``r = exp(-L)`` of the root-1 law to the
+    root-0 law, 0 at ``+inf``."""
     with np.errstate(over="ignore"):
-        return np.clip(1.0 - np.exp(-s0), 0.0, None)
+        return np.exp(-s)
+
+
+def _tv_terms(r: np.ndarray) -> np.ndarray:
+    """Per-sample terms ``max(1 - r, 0)`` of the TV estimator."""
+    return np.clip(1.0 - r, 0.0, None)
 
 
 def population_tv(pop: Population) -> float:
     """The ``tv`` of ``estimate_diagnostics`` alone, without its other statistics."""
-    return float(_tv_terms(pop.samples0).mean())
+    return float(_tv_terms(_ratio(pop.samples0)).mean())
+
+
+def _mean_se(t: np.ndarray) -> tuple[float, float]:
+    se = float(t.std(ddof=1) / math.sqrt(len(t))) if len(t) > 1 else math.inf
+    return float(t.mean()), se
 
 
 def estimate_diagnostics(pop: Population, c: BinaryChannel) -> dict:
-    """Plug-in diagnostics with jackknife standard errors.
+    """Plug-in diagnostics, each the mean of one per-sample term.
 
-    Every standard error is the spread of the last generation's samples
-    alone.  It leaves out the error that earlier generations carried into
-    that sample, which in a deep run can be the larger part: at depth 20,
-    N = 2e4, seed 0, symmetric eps = 0.1757 and k = 2 give
-    ``tv`` = 0.07981 with ``se_tv`` = 0.00074, while the lattice upper
-    law, which the exact TV cannot exceed, is 0.07686, about 4 SE lower.
+    The root-1 law is the root-0 samples weighted by ``r = exp(-L)`` (0 at
+    ``+inf``), plus a mass ``q`` at ``-inf``: ``q = max(1 - mean(r), 0)``
+    when ``p00 = 0`` or ``p01 = 0`` (a root-0 node's children are then
+    fixed, so a pattern can be impossible under root value 0 alone), and
+    0 otherwise.  So every statistic is the mean over the root-0 array of
+    one per-sample term, with ``a`` the posterior of root value 0:
+
+    - ``tv``: ``max(1 - r, 0)``;
+    - ``mean_gap``: ``L * (1 - r)``, and ``+inf`` when ``inf_mass0 > 0``
+      or ``q > 0``;
+    - ``var_A`` (posterior variance under the stationary mixture):
+      ``(pi0 + pi1*r) * (a - pi0)**2``, plus ``pi1 * pi0**2 * (1 - r)``
+      when ``q > 0``: the ``-inf`` atom, where ``a = 0``, has mixture
+      weight ``pi1 * q`` and ``q`` is the mean of ``1 - r``.
+
+    Each ``se_*`` is ``std(ddof=1) / sqrt(N)`` of its term: the spread of
+    the last generation alone.  It leaves out the error that earlier
+    generations carried into that sample, which can be the larger part.
+    Over seeds 0..29 at N = 2e4 and k = 2, symmetric eps = 0.25 at depth 6
+    gives a median ``se_mean_gap`` of 4.2e-4 against a seed-to-seed
+    spread of 8.4e-4, and eps = 0.15 at depth 12 a median ``se_tv`` of
+    2.1e-3 against a spread of 4.5e-3.  At depth 20, seed 0 and eps =
+    0.1757, ``tv`` = 0.07714 with ``se_tv`` = 0.00071, against the
+    lattice upper law 0.07686, which the exact TV cannot exceed.
 
     Returns
     -------
     dict
-        ``tv`` and ``se_tv`` (estimator ``mean(max(1 - exp(-L), 0))`` over
-        the conditional-0 samples, exact under the density identity
-        between the laws); ``mean_gap`` and ``se_mean_gap``; ``var_A`` and
-        ``se_var_A`` (posterior variance under the stationary mixture);
-        ``inf_mass0`` / ``inf_mass1``: fractions of infinite samples.  A
-        positive infinite fraction makes ``mean_gap`` +inf.
+        ``tv``, ``mean_gap``, ``var_A`` and their ``se_*``; ``inf_mass0``,
+        the fraction of samples at ``+inf``, and ``inf_mass1`` = ``q``.
     """
-    s0, s1 = pop.samples0, pop.samples1
-    n = pop.size
-    inf0 = float(np.mean(~np.isfinite(s0)))
-    inf1 = float(np.mean(~np.isfinite(s1)))
+    s = pop.samples0
+    r = _ratio(s)
+    inf0 = float(np.mean(~np.isfinite(s)))
+    q = max(1.0 - float(r.mean()), 0.0) if c.p00 == 0 or c.p01 == 0 else 0.0
 
-    t = _tv_terms(s0)
-    tv = float(t.mean())
-    se_tv = float(t.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-
-    if inf0 > 0 or inf1 > 0:
+    tv, se_tv = _mean_se(_tv_terms(r))
+    if inf0 > 0 or q > 0:
         gap, se_gap = math.inf, math.inf
     else:
-        gap = float(s0.mean() - s1.mean())
-        se_gap = float(math.sqrt(s0.var(ddof=1) / n + s1.var(ddof=1) / n))
-
-    # a component of stationary weight 0 is dropped, as in ``diagnostics``
-    parts = [(np.asarray(posterior_from_llr(s, c)), weight)
-             for s, weight in ((s0, c.pi0), (s1, c.pi1)) if weight > 0]
-    var_a, se_var = _mixture_variance_jackknife(parts)
+        gap, se_gap = _mean_se(s * (1.0 - r))
+    a = np.asarray(posterior_from_llr(s, c))
+    var_terms = (c.pi0 + c.pi1 * r) * (a - c.pi0) ** 2
+    if q > 0:
+        var_terms += c.pi1 * c.pi0 ** 2 * (1.0 - r)
+    var_a, se_var = _mean_se(var_terms)
     return {"tv": tv, "se_tv": se_tv, "mean_gap": gap, "se_mean_gap": se_gap,
             "var_A": var_a, "se_var_A": se_var,
-            "inf_mass0": inf0, "inf_mass1": inf1}
-
-
-def _mixture_variance_jackknife(parts) -> tuple[float, float]:
-    """Variance of a mixture and its delete-one jackknife SE.
-
-    ``parts`` holds one ``(samples, weight)`` pair per component, all
-    arrays of one length and the weights summing to 1.  The statistic is
-    smooth in each component's mean and second moment, so the
-    leave-one-out values have a closed form and the jackknife runs in
-    linear time over each array.
-    """
-    n = len(parts[0][0])
-    weights = [w for _, w in parts]
-
-    def stat(moments):
-        mean = sum(w * m for w, (m, _) in zip(weights, moments))
-        return sum(w * q for w, (_, q) in zip(weights, moments)) - mean ** 2
-
-    moments = [(float(a.mean()), float((a ** 2).mean())) for a, _ in parts]
-    value = stat(moments)
-    if n < 2:
-        return value, math.inf
-
-    spread = 0.0
-    for i, (a, _) in enumerate(parts):
-        m, q = moments[i]
-        loo = list(moments)
-        loo[i] = ((n * m - a) / (n - 1), (n * q - a ** 2) / (n - 1))
-        t = stat(loo)
-        spread += float(((t - t.mean()) ** 2).sum())
-    return value, math.sqrt((n - 1) / n * spread)
+            "inf_mass0": inf0, "inf_mass1": q}

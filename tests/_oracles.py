@@ -3,10 +3,10 @@
 Everything here works from first principles: exhaustive enumeration over
 binary tree configurations, finite differences on dense grids, or direct
 formula evaluation.  None of it calls the recursive machinery under test
-(the plain population step borrows only the ``Population`` container), so
-a library bug cannot leak into its own reference values.  The exceptions
-are the three straightforward forms that the library replaced with faster
-ones, kept to pin the faster forms down: the full outer-product
+(the plain population's initial draw borrows only the library's weighted
+draw), so a library bug cannot leak into its own reference values.  The
+exceptions are the three straightforward forms that the library replaced
+with faster ones, kept to pin the faster forms down: the full outer-product
 convolution, the searched comonotone coupling and the merge by a stable
 sort.  The convolution merges each fold's sums with the library's
 ``grid_merge``, the same runs of atoms closer than ``MERGE_TOL``, so it
@@ -19,12 +19,13 @@ the hard-core sweep is checked against.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from treecast.atoms import _run_edges, _snap, grid_merge
 from treecast.evolution import MERGE_TOL
-from treecast.sampling import Population
+from treecast.sampling import _weighted_draw
 
 
 def bfs_tree(k, depth, root_degree=None):
@@ -253,6 +254,31 @@ def genuine_pair_arrays(rng, n=12):
     return v[keep], q[keep], r[keep]
 
 
+class PlainPopulation(NamedTuple):
+    """The plain scheme's state: one sample array per root value."""
+
+    depth: int
+    samples0: np.ndarray
+    samples1: np.ndarray
+    rng: np.random.Generator
+
+
+def plain_population_from_pair(pair, n, seed):
+    """Draw n samples of each conditional law of a pair, root 0 first.
+
+    Each law is drawn from its atoms of positive weight only, with the
+    library's weighted draw on a Philox stream seeded by ``seed``.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+    def draw(w):
+        keep = w > 0
+        return pair.values[keep][_weighted_draw(rng, w[keep] / w[keep].sum(), n)]
+
+    samples0 = draw(pair.w0)
+    return PlainPopulation(pair.depth, samples0, draw(pair.w1), rng)
+
+
 def population_evolve(pop, c, k):
     """Plain population-dynamics step: two independent conditional arrays.
 
@@ -266,7 +292,7 @@ def population_evolve(pop, c, k):
     anchored scheme instead.  Consumes the population's own stream.
     """
     rng = pop.rng
-    n = pop.size
+    n = len(pop.samples0)
     c0 = c.p01 / c.p00
     c1 = c.p11 / c.p10
     const = k * math.log(c.p00 / c.p10)
@@ -280,7 +306,7 @@ def population_evolve(pop, c, k):
             g = np.log1p((c0 - c1) / (np.exp(child) + c1))
         g = np.where(np.isposinf(child), 0.0, g)
         new.append(const + g.sum(axis=1))
-    return Population(depth=pop.depth + 1, samples0=new[0], samples1=new[1], rng=rng)
+    return PlainPopulation(pop.depth + 1, new[0], new[1], rng)
 
 
 def full_product_convolve(h, m0, m1, k):

@@ -246,7 +246,7 @@ def evolve_rows(argv):
     (["--matrix", "1.0", "0.3", "--depth", "8"], True),
 ])
 def test_evolve_population_agrees_with_lattice_at_depth(flags, every_depth):
-    """The population curve stays within 4 jackknife SEs of the lattice
+    """The population curve stays within 4 SEs of the lattice
     upper law, which is within ~LATTICE_WIDTH of the exact law."""
     pop = evolve_rows([*flags, "--engine", "population", "--pop-size", "20000",
                        "--seed", "7"])
@@ -254,6 +254,15 @@ def test_evolve_population_agrees_with_lattice_at_depth(flags, every_depth):
     pairs = list(zip(pop, lattice)) if every_depth else [(pop[-1], lattice[-1])]
     for p, ref in pairs:
         assert abs(p["tv"] - ref["tv"]) <= 4 * p["se_tv"] + 1e-9, (p["depth"], p, ref)
+
+
+def test_evolve_population_gap_and_variance_never_negative():
+    """The mean gap and var_A are means of non-negative per-sample terms,
+    so no row reads below 0, even where both fall below 1e-9."""
+    rows = evolve_rows(["--symmetric", "0.3", "--depth", "20", "--engine", "population",
+                        "--pop-size", "20000", "--seed", "1"])
+    assert len(rows) == 20 and rows[-1]["mean_gap"] < 1e-9
+    assert all(row["mean_gap"] >= 0.0 and row["var_A"] >= 0.0 for row in rows)
 
 
 def test_evolve_json_format(capsys):
@@ -382,6 +391,7 @@ def test_exit_3_hint_names_flags_the_subcommand_takes(capsys):
 # verify
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_default_suite_passes(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code, _, _ = run_cli(["verify", "--out", str(out)], capsys)
@@ -393,6 +403,13 @@ def test_verify_default_suite_passes(tmp_path, capsys):
             "single_site_conditional", "bound_ordering",
             "kernel_peak"} <= names
     assert all(chk["passed"] for chk in payload["checks"])
+    # p01 = 0: the root-1 law has mass at -inf, so both sides of the
+    # mean-gap identity are +inf, which is agreement, not NaN
+    for matrix in (["1.0", "0.5"], ["1.0", "0.3"]):
+        code, out, _ = run_cli(["verify", "--matrix", *matrix], capsys)
+        assert code == 0, matrix
+        by_name = {chk["name"]: chk for chk in json.loads(out)["checks"]}
+        assert by_name["mean_gap_identity"]["residual"] == 0.0
 
 
 def test_verify_rows_equal_matrix_reports_zero_gap(capsys):
@@ -421,8 +438,7 @@ def test_verify_channel_uses_k(capsys, monkeypatch):
 
 CLI_VALUES = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e-17, 1e-9,
               0.3, 0.5, 1.0, 2.0, 1e308]
-CLI_CHANNELS = {"--symmetric": 1, "--hardcore-w": 1, "--hardcore-lambda": 1,
-                "--matrix": 2}
+CLI_CHANNELS = ["--hardcore-lambda", "--hardcore-w", "--matrix", "--symmetric"]
 
 
 @st.composite
@@ -436,9 +452,13 @@ def cli_argv(draw):
 
     if command == "threshold":
         channel = [draw(st.sampled_from(["--symmetric", "--hardcore"]))]
+    elif (flag := draw(st.sampled_from(CLI_CHANNELS))) == "--matrix":
+        # argparse reads a separate "-inf" as an option, so here (and after
+        # "--bracket") it exits 2 before the channel checks run
+        channel = [flag, value(), value()]
     else:
-        flag = draw(st.sampled_from(sorted(CLI_CHANNELS)))
-        channel = [flag] + [value() for _ in range(CLI_CHANNELS[flag])]
+        # "--flag=VALUE" hands even "-inf" to the channel checks
+        channel = [f"{flag}={value()}"]
     argv = [command.removesuffix("-population"), *channel,
             "--k", str(draw(st.integers(-1, 3)))]
     if command in ("evolve", "evolve-population", "couple", "hardcore-check"):
@@ -460,6 +480,7 @@ def cli_argv(draw):
 @example(["evolve", "--hardcore-lambda", "1e308", "--depth", "2"])
 @example(["evolve", "--matrix", "0.0", "1.0", "--depth", "2"])
 @example(["evolve", "--symmetric", "1e-300", "--k", "2", "--depth", "2"])
+@example(["evolve", "--symmetric=-inf", "--depth", "2"])
 def test_cli_never_leaks_a_python_exception(argv):
     """Edge channels end in a documented exit code, never a traceback."""
     with contextlib.redirect_stdout(io.StringIO()), \
@@ -642,7 +663,7 @@ PINNED_OUTPUTS = {
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "4",
          "--engine", "population", "--pop-size", "4000", "--seed", "9",
          "--out", "pop.csv"],
-        "846831966c54f9c49731569cadf7c4d6bdbdd6cc02b1ba191500be24f587fdfa"),
+        "46f260742cdf9de45fdba1f9007dd2806aca6b0097bc63a7e4bb371a96291bdf"),
     "couple-csv": (
         ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
          "--out", "coupling.csv"],
@@ -667,7 +688,7 @@ PINNED_OUTPUTS = {
         ["threshold", "--symmetric", "--k", "2", "--pop-size", "2000",
          "--depth", "12", "--tol", "0.05", "--seed", "3",
          "--out", "threshold_pop.json"],
-        "a681a6a7577ae6e279990539f915210cc134fc195b4a5a0cf43828a5db346316"),
+        "5de652ab7d33fec8d98074c82f009846b00de3639b9a28ef343a1dad0920196d"),
 }
 
 

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from treecast import (
     InvalidParameter,
+    Population,
     ResourceLimit,
     base_pair,
     bp_root_posterior,
@@ -31,7 +32,7 @@ from treecast import (
 
 from treecast.sampling import _weighted_draw, population_tv
 
-from _oracles import brute_root_posterior, population_evolve
+from _oracles import brute_root_posterior, plain_population_from_pair, population_evolve
 
 
 # ----------------------------------------------------------------- sampler
@@ -230,14 +231,20 @@ def test_population_from_pair_sizes():
 
 
 def test_population_from_pair_skips_zero_weight_atoms():
-    """The hard-core base pair has a +inf atom that root value 1 never
-    reaches: no root-1 sample lands on it, while root-0 samples do."""
-    c = hardcore_channel(1.0)
-    pair = base_pair(c, 2)
-    assert pair.values[-1] == math.inf and pair.w1[-1] == 0.0
+    """A p01 = 0 base pair has a -inf atom that root value 0 never
+    reaches: no sample lands on it.  The hard-core +inf atom has root-0
+    weight, so samples do land there."""
+    pair = base_pair(make_channel(1.0, 0.3), 2)
+    assert pair.values[0] == -math.inf and pair.w0[0] == 0.0
     pop = population_from_pair(pair, 5000, seed=13)
-    assert not np.any(np.isposinf(pop.samples1))
+    assert np.all(np.isfinite(pop.samples0))
+    pop = population_from_pair(base_pair(hardcore_channel(1.0), 2), 5000, seed=13)
     assert np.any(np.isposinf(pop.samples0))
+
+
+def test_population_refuses_a_neg_inf_sample():
+    with pytest.raises(InvalidParameter):
+        Population(1, [0.0, -math.inf], np.random.Generator(np.random.Philox(0)))
 
 
 def test_population_uninformative_stays_at_zero():
@@ -245,7 +252,7 @@ def test_population_uninformative_stays_at_zero():
     pop = population_from_pair(base_pair(c, 2), 2000, seed=14)
     for _ in range(3):
         pop = population_evolve_anchored(pop, c, 2)
-    assert np.all(pop.samples0 == 0.0) and np.all(pop.samples1 == 0.0)
+    assert np.all(pop.samples0 == 0.0)
 
 
 def test_population_requires_minimum_size():
@@ -262,14 +269,17 @@ def test_population_deterministic():
     a = population_evolve_anchored(a, c, 2)
     b = population_evolve_anchored(b, c, 2)
     assert np.array_equal(a.samples0, b.samples0)
-    assert np.array_equal(a.samples1, b.samples1)
 
 
 def test_population_mean_matches_exact_depth3():
-    """Population means land within 4 SE of the exact depth-3 laws."""
+    """Population means land within 4 SE of the exact depth-3 laws.
+
+    The population is the two-array reference in ``_oracles``, stepped by
+    its own plain step: this pins that oracle against the exact law, and
+    covers neither ``population_from_pair`` nor the anchored step."""
     c = symmetric_channel(0.2)
     n = 100_000
-    pop = population_from_pair(base_pair(c, 2), n, seed=17)
+    pop = plain_population_from_pair(base_pair(c, 2), n, seed=17)
     for _ in range(2):
         pop = population_evolve(pop, c, 2)
     exact = evolve_to_depth(c, 2, 3)
@@ -279,22 +289,54 @@ def test_population_mean_matches_exact_depth3():
 
 
 def test_estimates_match_exact_small_depths():
-    """tv, mean_gap, var_A within 4 SE of exact values for depths 2..6."""
+    """tv, mean_gap, var_A read from the root-0 samples alone lie within
+    4 SE of exact values for depths 2..6."""
     from treecast import exact_policy
     c = symmetric_channel(0.25)
     n = 100_000
     pairs = trajectory(base_pair(c, 2), lambda p: evolve(p, c, 2, exact_policy()), 6)
     refs = [diagnostics(p, c) for p in pairs]
-    pop = population_from_pair(base_pair(c, 2), n, seed=18)
+    pop = plain_population_from_pair(base_pair(c, 2), n, seed=18)
     for depth in range(2, 7):
         pop = population_evolve(pop, c, 2)
-        est = estimate_diagnostics(pop, c)
+        est = estimate_diagnostics(Population(depth, pop.samples0, pop.rng), c)
         exact = refs[depth - 1]
         for key in ("tv", "mean_gap", "var_A"):
             se = est["se_" + key] + 1e-12
             assert abs(est[key] - exact[key]) < 4 * se, (depth, key)
         assert 0.0 <= est["var_A"] <= c.pi0 * c.pi1 + 1e-12
         assert est["mean_gap"] > -4 * est["se_mean_gap"]
+
+
+def test_estimates_match_exact_law_on_asymmetric_channels():
+    """At depth 1 the samples are i.i.d. draws of the exact root-0 law, so
+    every estimate lies within 4 SE; pi0 != 1/2 here, so the root-1
+    weight ``r`` in the var_A term matters."""
+    for c, k in ((make_channel(0.7, 0.2), 2), (make_channel(0.9, 0.4), 3)):
+        pair = base_pair(c, k)
+        exact = diagnostics(pair, c)
+        est = estimate_diagnostics(population_from_pair(pair, 100_000, seed=25), c)
+        for key in ("tv", "mean_gap", "var_A"):
+            assert abs(est[key] - exact[key]) < 4 * est["se_" + key], (c, key)
+
+
+def test_estimates_match_exact_law_when_p00_is_zero():
+    """p00 = 0: a root-0 node's children are all 1, so the depth-1 root-0
+    law is one atom and the estimates are exact.  The root-1 law has a
+    -inf atom (any 0 child), which the estimates must read from the
+    missing weight 1 - mean(exp(-L)): mean_gap is +inf, inf_mass1 is that
+    atom, and var_A counts it with posterior 0."""
+    for c, k in ((make_channel(0.0, 0.5), 2), (make_channel(0.0, 0.5), 3),
+                 (symmetric_channel(1.0), 2)):
+        pair = base_pair(c, k)
+        exact = diagnostics(pair, c)
+        est = estimate_diagnostics(population_from_pair(pair, 1000, seed=25), c)
+        assert est["mean_gap"] == exact["mean_gap"] == math.inf, c
+        assert est["inf_mass1"] == pytest.approx(
+            float(pair.w1[np.isneginf(pair.values)].sum()), abs=1e-12), c
+        assert est["inf_mass1"] > 0, c
+        for key in ("tv", "var_A"):
+            assert est[key] == pytest.approx(exact[key], abs=1e-12), (c, key)
 
 
 def test_estimates_uninformative_exact_zero():
@@ -306,10 +348,13 @@ def test_estimates_uninformative_exact_zero():
 
 
 def test_population_ks_against_exact_law():
-    """KS distance in posterior coordinates beats the 99% quantile."""
+    """KS distance in posterior coordinates beats the 99% quantile.
+
+    Like the test above, this checks the ``_oracles`` reference
+    population, not the library's one-array population."""
     c = symmetric_channel(0.2)
     n = 100_000
-    pop = population_from_pair(base_pair(c, 2), n, seed=20)
+    pop = plain_population_from_pair(base_pair(c, 2), n, seed=20)
     for _ in range(3):
         pop = population_evolve(pop, c, 2)
     exact = evolve_to_depth(c, 2, 4)
@@ -327,7 +372,8 @@ def test_population_ks_against_exact_law():
 
 def test_anchored_population_p01_zero_matches_lattice():
     """p01 = 0: the root-0 law is one atom, so the population is exact, and
-    the root-1 array puts the share the tilt cannot reach on -inf."""
+    the root-1 mass at -inf is the share 1 - mean(exp(-L)) that the
+    weighted samples do not carry."""
     for c, k in ((make_channel(1.0, 0.3), 2), (make_channel(1.0, 0.05), 3),
                  (make_channel(1.0, 0.6), 2)):
         n = 20_000
@@ -337,9 +383,8 @@ def test_anchored_population_p01_zero_matches_lattice():
         for pop, pair in zip(pops, pairs):
             est = estimate_diagnostics(pop, c)
             assert abs(est["tv"] - diagnostics(pair, c)["tv"]) <= 1e-9, (c, pop.depth)
-            sure = pair.w1[0]  # the lattice's -inf atom
-            se = math.sqrt(sure * (1 - sure) / n)
-            assert abs(est["inf_mass1"] - sure) <= 4 * se + 1e-12
+            # the lattice's -inf atom
+            assert abs(est["inf_mass1"] - pair.w1[0]) <= 1e-9, (c, pop.depth)
 
 
 def test_anchored_population_refuses_without_finite_sample():
