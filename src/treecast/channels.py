@@ -27,6 +27,7 @@ from .errors import BadBracket, DegenerateChannel, InvalidParameter, UndefinedLi
 
 _ROW_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
 # 40 digits and no exponent limits: a binomial term or an activity keeps
 # its digits however small or large it is, and only its final conversion
 # to float64 rounds
@@ -345,7 +346,10 @@ def llr_step(c: BinaryChannel, x):
     d = c.c0 - c.c1
     with np.errstate(over="ignore", divide="ignore"):
         if c.c0 == 0.0 and d:
-            u, lo = c.c1 * np.exp(-arr), np.minimum(arr, 0.0)
+            # where exp(-x) leaves the normal range it has lost digits, or
+            # is 0 where c1*exp(-x) is not: u is formed as one exp there
+            e, lo = np.exp(-arr), np.minimum(arr, 0.0)
+            u = np.where(e < _TINY, np.exp(math.log(c.c1) - arr), c.c1 * e)
             out = np.where(np.isfinite(u), -np.log1p(u),
                            lo - math.log(c.c1) - np.log1p(np.exp(lo) / c.c1))
         else:

@@ -254,7 +254,14 @@ def population_evolve_anchored(pop: Population, c: BinaryChannel, k: int) -> Pop
     when ``p01 > 0``.  Both devices remove the slow noise mode that
     otherwise grows by a factor of about ``k * |1-2*eps|`` per level and
     derails deep runs.  When ``p01 = 0`` no child of a root-0 node is 1 and
-    the level is left unshifted.  Consumes the population's own stream.
+    the level is left unshifted.
+
+    Each child is drawn once, from the law it needs: the stream gives the
+    ``(k, N)`` child types first, then a tilted index for each of the
+    ``m`` 1-children, then a uniform index for each of the other
+    ``N*k - m``.  The one-child update is evaluated once per parent
+    sample and gathered, which is elementwise the same.  Consumes the
+    population's own stream.
     """
     if pop.size < 1000:
         raise InvalidParameter(f"population size must be >= 1000, got {pop.size}")
@@ -263,19 +270,20 @@ def population_evolve_anchored(pop: Population, c: BinaryChannel, k: int) -> Pop
 
     s = pop.samples0
     tilt = _tilt_weights(s)
-    ones = rng.random((n, k)) < c.p01
-    idx_plain = rng.integers(0, n, size=(n, k))
-    idx_tilt = _weighted_draw(rng, tilt, (n, k))
-    child = np.where(ones, s[idx_tilt], s[idx_plain])
-    g_sum = llr_step(c, child).sum(axis=1)  # rejects p00 = 0 or p10 = 0
-    s_new = k * math.log(c.p00 / c.p10) + g_sum
+    g = llr_step(c, s)  # rejects p00 = 0 or p10 = 0
+    ones = rng.random((k, n)) < c.p01
+    m = int(np.count_nonzero(ones))
+    child = np.empty((k, n))
+    child[ones] = g[_weighted_draw(rng, tilt, m)]
+    child[~ones] = g[rng.integers(0, n, size=n * k - m)]
+    s_new = k * math.log(c.p00 / c.p10) + child.sum(axis=0)
     if c.p01 > 0:
         s_new = _project_unit_mean(s_new)
     return Population(depth=pop.depth + 1, samples0=s_new, rng=rng)
 
 
 def _tilt_weights(s: np.ndarray) -> np.ndarray:
-    """Normalized importance weights proportional to exp(-L), inf-safe."""
+    """Importance weights proportional to exp(-L), the largest 1, inf-safe."""
     finite = np.isfinite(s)
     if not finite.any():
         # every sample is +inf, where the root-1 law has no mass
@@ -286,7 +294,7 @@ def _tilt_weights(s: np.ndarray) -> np.ndarray:
     peak = t[finite].max()
     w = np.exp(np.clip(t - peak, -745.0, 0.0))
     w[~finite] = 0.0  # +inf LLR has zero mass under the tilted law
-    return w / w.sum()
+    return w
 
 
 def _ratio(s: np.ndarray) -> np.ndarray:
@@ -334,16 +342,23 @@ def estimate_diagnostics(pop: Population, c: BinaryChannel) -> dict:
     generations carried into that sample, which can be the larger part.
     Over seeds 0..29 at N = 2e4 and k = 2, symmetric eps = 0.25 at depth 6
     gives a median ``se_mean_gap`` of 4.2e-4 against a seed-to-seed
-    spread of 8.4e-4, and eps = 0.15 at depth 12 a median ``se_tv`` of
-    2.1e-3 against a spread of 4.5e-3.  At depth 20, seed 0 and eps =
-    0.1757, ``tv`` = 0.07714 with ``se_tv`` = 0.00071, against the
+    spread of 8.8e-4, and eps = 0.15 at depth 12 a median ``se_tv`` of
+    2.1e-3 against a spread of 4.2e-3.  At depth 20, seed 0 and eps =
+    0.1757, ``tv`` = 0.07617 with ``se_tv`` = 0.00070, against the
     lattice upper law 0.07686, which the exact TV cannot exceed.
+
+    ``tilt_ess`` = ``(sum r)**2 / sum r**2`` is the effective sample size
+    of that weighting, the number of equally weighted samples that every
+    root-1 statistic above rests on: N when every sample is equal, near 1
+    when one sample carries almost all of the weight, and 0 when every
+    sample is ``+inf``.  The ``se_*`` do not see it.
 
     Returns
     -------
     dict
         ``tv``, ``mean_gap``, ``var_A`` and their ``se_*``; ``inf_mass0``,
-        the fraction of samples at ``+inf``, and ``inf_mass1`` = ``q``.
+        the fraction of samples at ``+inf``, ``inf_mass1`` = ``q`` and
+        ``tilt_ess``.
     """
     s = pop.samples0
     r = _ratio(s)
@@ -360,6 +375,11 @@ def estimate_diagnostics(pop: Population, c: BinaryChannel) -> dict:
     if q > 0:
         var_terms += c.pi1 * c.pi0 ** 2 * (1.0 - r)
     var_a, se_var = _mean_se(var_terms)
+    if inf0 < 1.0:
+        t = _tilt_weights(s)
+        ess = float(t.sum() ** 2 / (t @ t))
+    else:
+        ess = 0.0
     return {"tv": tv, "se_tv": se_tv, "mean_gap": gap, "se_mean_gap": se_gap,
             "var_A": var_a, "se_var_A": se_var,
-            "inf_mass0": inf0, "inf_mass1": q}
+            "inf_mass0": inf0, "inf_mass1": q, "tilt_ess": ess}

@@ -5,13 +5,16 @@ binary tree configurations, finite differences on dense grids, or direct
 formula evaluation.  None of it calls the recursive machinery under test
 (the plain population's initial draw borrows only the library's weighted
 draw), so a library bug cannot leak into its own reference values.  The
-exceptions are the three straightforward forms that the library replaced
+exceptions are the four straightforward forms that the library replaced
 with faster ones, kept to pin the faster forms down: the full outer-product
-convolution, the searched comonotone coupling and the merge by a stable
-sort.  The convolution merges each fold's sums with the library's
-``grid_merge``, the same runs of atoms closer than ``MERGE_TOL``, so it
-pins the folds down but not the merging, which ``test_atoms`` checks
-property by property.
+convolution, the searched comonotone coupling, the merge by a stable sort
+and the anchored population step that draws both a tilted and a uniform
+index for every child.  The convolution merges each fold's sums with the
+library's ``grid_merge``, the same runs of atoms closer than
+``MERGE_TOL``, so it pins the folds down but not the merging, which
+``test_atoms`` checks property by property.  The population step borrows
+the library's tilt weights, draws, one-child update and projection, so it
+pins down only how the children are drawn.
 
 Every truncated tree here comes from ``bfs_tree``: the brute-force laws,
 the full-joint Gibbs residual and the list of interior-node shapes that
@@ -24,8 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from treecast.atoms import _run_edges, _snap, grid_merge
+from treecast.channels import llr_step
 from treecast.evolution import MERGE_TOL
-from treecast.sampling import _weighted_draw
+from treecast.sampling import (Population, _project_unit_mean, _tilt_weights,
+                               _weighted_draw)
 
 
 def bfs_tree(k, depth, root_degree=None):
@@ -307,6 +312,28 @@ def population_evolve(pop, c, k):
         g = np.where(np.isposinf(child), 0.0, g)
         new.append(const + g.sum(axis=1))
     return PlainPopulation(pop.depth + 1, new[0], new[1], rng)
+
+
+def every_child_anchored_step(pop, c, k):
+    """The anchored population step with two draws for every child.
+
+    Draws the ``(N, k)`` child types, then a uniform and a tilted index
+    for every child, and keeps the one its type needs.  Same Markov kernel
+    as ``population_evolve_anchored``, which draws each child once, so the
+    two agree in law but not in bytes.  Consumes the population's stream.
+    """
+    rng = pop.rng
+    n = pop.size
+    s = pop.samples0
+    tilt = _tilt_weights(s)
+    ones = rng.random((n, k)) < c.p01
+    idx_plain = rng.integers(0, n, size=(n, k))
+    idx_tilt = _weighted_draw(rng, tilt, (n, k))
+    child = np.where(ones, s[idx_tilt], s[idx_plain])
+    s_new = k * math.log(c.p00 / c.p10) + llr_step(c, child).sum(axis=1)
+    if c.p01 > 0:
+        s_new = _project_unit_mean(s_new)
+    return Population(depth=pop.depth + 1, samples0=s_new, rng=rng)
 
 
 def full_product_convolve(h, m0, m1, k):

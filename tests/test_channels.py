@@ -293,6 +293,23 @@ def test_llr_step_p01_zero_far_left(x):
     assert abs(llr_step(c, x) - want) <= 2 * math.ulp(want)
 
 
+@pytest.mark.parametrize("x", [750.0, 800.0, 1000.0])
+def test_llr_step_p01_zero_huge_c1_far_right(x):
+    """With p01 = 0 and c1 = 1e300, g(x) = -ln(1 + c1*e^-x) is tiny but
+    not 0 where e^-x leaves the normal range.  There u = c1*e^-x is formed
+    as exp(ln c1 - x), good to the rounding of ln c1 (about 1e-13
+    relative); where e^-x is normal the product form is kept, bit for bit."""
+    mpmath = pytest.importorskip("mpmath")
+    c = make_channel(1.0, 1e-300)
+    got = llr_step(c, x)
+    with mpmath.workdps(50):
+        want = -mpmath.log1p(mpmath.mpf(c.c1) * mpmath.exp(-mpmath.mpf(x)))
+        assert got < 0.0
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+    assert llr_step(c, np.array([x]))[0] == got
+    assert llr_step(c, 700.0) == -math.log1p(c.c1 * math.exp(-700.0))
+
+
 @st.composite
 def extreme_channels(draw):
     """Channels with p00, p10 > 0 whose entries reach down to 1e-300; a

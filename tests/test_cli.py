@@ -225,7 +225,7 @@ def test_evolve_population_csv_has_se_columns(tmp_path, capsys):
     assert code == 0
     config, header, rows = read_csv(out)
     assert header == ["depth", "tv", "se_tv", "mean_gap", "se_mean_gap",
-                      "var_A", "se_var_A", "inf_mass0", "inf_mass1"]
+                      "var_A", "se_var_A", "inf_mass0", "inf_mass1", "tilt_ess"]
     assert config["engine"] == "population"
     assert config["seed"] == 5
     assert all(se >= 0.0 for se in column(header, rows, "se_tv"))
@@ -663,7 +663,7 @@ PINNED_OUTPUTS = {
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "4",
          "--engine", "population", "--pop-size", "4000", "--seed", "9",
          "--out", "pop.csv"],
-        "46f260742cdf9de45fdba1f9007dd2806aca6b0097bc63a7e4bb371a96291bdf"),
+        "cc452a55853ec785064187be3f24abe6edd6c0b900e5e40d156a76f27fef39fa"),
     "couple-csv": (
         ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
          "--out", "coupling.csv"],
@@ -688,7 +688,7 @@ PINNED_OUTPUTS = {
         ["threshold", "--symmetric", "--k", "2", "--pop-size", "2000",
          "--depth", "12", "--tol", "0.05", "--seed", "3",
          "--out", "threshold_pop.json"],
-        "5de652ab7d33fec8d98074c82f009846b00de3639b9a28ef343a1dad0920196d"),
+        "11135dd2b98cf30bc6562ea4d5a0fe89745bdf2f15d437320b01f505922584cf"),
 }
 
 

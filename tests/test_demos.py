@@ -1,7 +1,6 @@
 """Smoke test of the demos: each runs to completion with its defaults.
 
-``population_threshold.py`` is left out: at its defaults it runs for
-about 15 s.  RuntimeWarnings are errors here, as in the rest of the suite.
+RuntimeWarnings are errors here, as in the rest of the suite.
 """
 
 import os
@@ -17,7 +16,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.mark.parametrize("name", ["channel_bounds", "density_evolution",
-                                  "coupling_demo", "hardcore_gibbs"])
+                                  "coupling_demo", "hardcore_gibbs",
+                                  "population_threshold"])
 def test_demo_runs(name, tmp_path):
     src = Path(treecast.__file__).resolve().parents[1]
     proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Forward tree sampling, exact root posterior, population dynamics."""
 
+import copy
 import math
 import time
 import tracemalloc
@@ -30,9 +31,12 @@ from treecast import (
     w_of_lambda,
 )
 
-from treecast.sampling import _weighted_draw, population_tv
+from treecast.channels import llr_step
+from treecast.sampling import (_project_unit_mean, _tilt_weights, _weighted_draw,
+                               population_tv)
 
-from _oracles import brute_root_posterior, plain_population_from_pair, population_evolve
+from _oracles import (brute_root_posterior, every_child_anchored_step,
+                      plain_population_from_pair, population_evolve)
 
 
 # ----------------------------------------------------------------- sampler
@@ -388,12 +392,89 @@ def test_anchored_population_p01_zero_matches_lattice():
 
 
 def test_anchored_population_refuses_without_finite_sample():
-    """Every depth-1 sample at +inf leaves no sample of the root-1 law."""
+    """Every depth-1 sample at +inf leaves no sample of the root-1 law;
+    the step refuses even at p01 = 0, where it would draw no tilted index."""
     c = hardcore_channel(w_of_lambda(1e6, 3))
     pop = population_from_pair(base_pair(c, 3), 1000, seed=23)
     assert np.all(np.isposinf(pop.samples0))
+    assert estimate_diagnostics(pop, c)["tilt_ess"] == 0.0
     with pytest.raises(ResourceLimit):
         population_evolve_anchored(pop, c, 3)
+    pop = Population(1, np.full(1000, math.inf), np.random.Generator(np.random.Philox(23)))
+    with pytest.raises(ResourceLimit):
+        population_evolve_anchored(pop, make_channel(1.0, 0.3), 2)
+
+
+@pytest.mark.parametrize("c,k", [(symmetric_channel(0.2), 2), (make_channel(0.7, 0.2), 3),
+                                 (make_channel(1.0, 0.3), 2)])
+def test_anchored_step_draws_each_child_once(c, k):
+    """Rebuilt by hand from a copy of the generator, bit for bit: the
+    (k, N) child types, then a tilted index for each of the m 1-children,
+    then a uniform index for each of the others, and the one-child update
+    of each drawn value.  At p01 = 0 (the last case) m = 0."""
+    n = 3000
+    pop = population_evolve_anchored(population_from_pair(base_pair(c, k), n, seed=26), c, k)
+    rng = copy.deepcopy(pop.rng)
+    got = population_evolve_anchored(pop, c, k)
+
+    s = pop.samples0
+    ones = rng.random((k, n)) < c.p01
+    m = int(np.count_nonzero(ones))
+    idx = np.empty((k, n), dtype=np.intp)
+    idx[ones] = _weighted_draw(rng, _tilt_weights(s), m)
+    idx[~ones] = rng.integers(0, n, size=n * k - m)
+    want = k * math.log(c.p00 / c.p10) + llr_step(c, s[idx]).sum(axis=0)
+    if c.p01 > 0:
+        want = _project_unit_mean(want)
+    else:
+        assert m == 0
+    assert np.array_equal(got.samples0, want)
+    assert got.rng.random() == rng.random()
+
+
+@pytest.mark.parametrize("c,k", [(symmetric_channel(0.2), 2), (make_channel(0.7, 0.2), 3)])
+def test_anchored_step_agrees_in_law_with_every_child_form(c, k):
+    """One step of the library and one of the ``_oracles`` form that draws
+    a tilted and a uniform index for every child, from the same parent
+    population on fixed streams: the two-sample KS distance is below its
+    99.9% quantile.  The parent is at depth 6, where nearly every sample
+    value is distinct, so the unit-mean shift of each step moves no atom."""
+    n = 100_000
+    pop = population_from_pair(base_pair(c, k), n, seed=27)
+    for _ in range(5):
+        pop = population_evolve_anchored(pop, c, k)
+
+    def step(form, seed):
+        fresh = Population(pop.depth, pop.samples0,
+                           np.random.Generator(np.random.Philox(seed)))
+        return np.sort(form(fresh, c, k).samples0)
+
+    a = step(population_evolve_anchored, 28)
+    b = step(every_child_anchored_step, 29)
+    grid = np.concatenate((a, b))
+    ks = float(np.max(np.abs(np.searchsorted(a, grid, side="right")
+                             - np.searchsorted(b, grid, side="right")))) / n
+    assert ks < 1.949 * math.sqrt(2.0 / n)
+
+
+def test_tilt_ess_spans_equal_samples_to_a_few():
+    """The tilt ESS is N when every sample is equal (eps = 0.5, all at 0).
+    Near eps = 0.02, the low end of the symmetric bracket, a few samples
+    carry nearly all the exp(-L) weight: at N = 2000 the ESS stays below
+    2.5% of N at every depth to 12, against most of N at eps = 0.3."""
+    n = 2000
+    c = symmetric_channel(0.5)
+    pop = population_evolve_anchored(population_from_pair(base_pair(c, 2), n, seed=14), c, 2)
+    assert estimate_diagnostics(pop, c)["tilt_ess"] == n
+
+    def ess_curve(eps):
+        c = symmetric_channel(eps)
+        pops = trajectory(population_from_pair(base_pair(c, 2), n, seed=3),
+                          lambda p: population_evolve_anchored(p, c, 2), 12)
+        return [estimate_diagnostics(p, c)["tilt_ess"] for p in pops]
+
+    assert max(ess_curve(0.02)) < 0.025 * n
+    assert min(ess_curve(0.3)[3:]) > 0.9 * n
 
 
 def test_population_tv_is_the_diagnostics_tv():
