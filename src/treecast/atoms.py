@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .channels import BinaryChannel
+from .channels import BinaryChannel, _count, _probabilities
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,8 @@ class ConditionalPair:
     ``w0[i]`` and ``w1[i]`` are the probabilities that the root LLR equals
     ``values[i]`` given root value 0 and 1 respectively.  Either vector may
     contain zeros: an atom can be reachable from one root value only.
+    ``depth`` must be an integer >= 1, the support strictly increasing and
+    each weight vector non-negative with sum 1; a NaN atom or weight is refused.
     """
 
     depth: int
@@ -39,23 +41,14 @@ class ConditionalPair:
     w1: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        a = np.asarray(self.w0, dtype=np.float64)
-        b = np.asarray(self.w1, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "w0", a)
-        object.__setattr__(self, "w1", b)
-        if not (v.shape == a.shape == b.shape) or v.ndim != 1:
+        depth, v = _count("depth", self.depth), np.asarray(self.values, dtype=np.float64)
+        a, b = _probabilities("w0", self.w0), _probabilities("w1", self.w1)
+        for name, x in (("depth", depth), ("values", v), ("w0", a), ("w1", b)):
+            object.__setattr__(self, name, x)
+        if not v.shape == a.shape == b.shape:
             raise InvalidParameter("values, w0, w1 must be 1-d arrays of equal length")
-        if self.depth < 1:
-            raise InvalidParameter(f"depth must be >= 1, got {self.depth}")
         if np.any(np.isnan(v)) or np.any(np.diff(v) <= 0):
             raise InvalidParameter("shared support must be strictly increasing, without NaN")
-        if np.any(a < 0) or np.any(b < 0):
-            raise InvalidParameter("weights must be non-negative")
-        for name, w in (("w0", a), ("w1", b)):
-            if abs(float(w.sum()) - 1.0) > 1e-10:
-                raise InvalidParameter(f"{name} sums to {w.sum()}, not 1")
 
     def __len__(self) -> int:
         return len(self.values)

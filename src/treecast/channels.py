@@ -143,16 +143,6 @@ class BinaryChannel:
             return -math.inf
         return math.log(self.pi0 / self.pi1)
 
-    def as_dict(self) -> dict:
-        return {"p00": self.p00, "p01": self.p01, "p10": self.p10, "p11": self.p11}
-
-
-def branching_number(k, least: int = 1) -> int:
-    """``k`` as an int; :class:`InvalidParameter` unless it is an integer >= ``least``."""
-    if not (isinstance(k, (int, np.integer)) and k >= least):
-        raise InvalidParameter(f"need an integer k >= {least}, got k={k!r}")
-    return int(k)
-
 
 def _real(name: str, v) -> float:
     """``v`` as a float; :class:`InvalidParameter` unless it is a real number
@@ -163,6 +153,27 @@ def _real(name: str, v) -> float:
         return float(v)
     except OverflowError:
         raise InvalidParameter(f"{name} is beyond the float64 range") from None
+
+
+def _count(name: str, v, least: int = 1) -> int:
+    """``v`` as an int; :class:`InvalidParameter` unless it is an integer
+    (a Python or numpy int, so neither 2.0 nor NaN) of at least ``least``."""
+    if not (isinstance(v, (int, np.integer)) and v >= least):
+        # an int of over 4,300 digits cannot be printed (Python's limit)
+        shown = "a huge negative int" if isinstance(v, int) and v < -10**100 else repr(v)
+        raise InvalidParameter(f"need an integer {name} >= {least}, got {name}={shown}")
+    return int(v)
+
+
+def _probabilities(name: str, w) -> np.ndarray:
+    """``w`` as a 1-d float64 array; :class:`InvalidParameter` unless its
+    entries are non-negative (NaN is not) and sum to 1 within 1e-10."""
+    a = np.asarray(w, dtype=np.float64)
+    if a.ndim != 1 or not (a >= 0).all():
+        raise InvalidParameter(f"{name} must be a 1-d array of non-negative numbers, not NaN")
+    if not abs(a.sum() - 1.0) <= 1e-10:
+        raise InvalidParameter(f"{name} sums to {a.sum()}, not 1")
+    return a
 
 
 def _probability(name: str, v) -> float:
@@ -228,7 +239,7 @@ def hardcore_channel(w: float) -> BinaryChannel:
 def lambda_of_w(w: float, k: int) -> float:
     """Activity ``w*(1+w)**k``, evaluated in log space to avoid overflow."""
     w = _positive("w", w)
-    k = branching_number(k)
+    k = _count("k", k)
     log_lam = math.log(w) + k * math.log1p(w)
     if log_lam > _LOG_FLOAT_MAX:
         raise InvalidParameter(f"activity w*(1+w)**k overflows float64 (w={w}, k={k})")
@@ -248,7 +259,7 @@ def w_of_lambda(lam: float, k: int) -> float:
     on the adjacent floats across the root in ``w``.
     """
     lam = _positive("lambda", lam)
-    k = branching_number(k)
+    k = _count("k", k)
     target = math.log(lam)
 
     def h(t: float) -> float:
@@ -300,7 +311,7 @@ def geometric_mean_bound_lhs(c: BinaryChannel) -> float:
 
 def kesten_stigum_eps_c(k: int) -> float:
     """Critical flip probability ``(1 - 1/sqrt(k))/2`` of the symmetric family."""
-    k = branching_number(k)
+    k = _count("k", k)
     return 0.5 * (1.0 - 1.0 / math.sqrt(k))
 
 
@@ -309,7 +320,7 @@ def kelly_threshold(k: int) -> float:
 
     Computed in log space so large ``k`` does not overflow.
     """
-    k = branching_number(k, 2)
+    k = _count("k", k, 2)
     return math.exp(k * math.log(k) - (k + 1) * math.log(k - 1))
 
 
@@ -347,9 +358,10 @@ def llr_step(c: BinaryChannel, x):
     with np.errstate(over="ignore", divide="ignore"):
         if c.c0 == 0.0 and d:
             # where exp(-x) leaves the normal range it has lost digits, or
-            # is 0 where c1*exp(-x) is not: u is formed as one exp there
-            e, lo = np.exp(-arr), np.minimum(arr, 0.0)
-            u = np.where(e < _TINY, np.exp(math.log(c.c1) - arr), c.c1 * e)
+            # is 0 where c1*exp(-x) is not: u is formed there as (c1*h)*h
+            # with h = exp(-x/2), which stays normal as long as u can
+            e, h, lo = np.exp(-arr), np.exp(-arr / 2), np.minimum(arr, 0.0)
+            u = np.where(e < _TINY, (c.c1 * h) * h, c.c1 * e)
             out = np.where(np.isfinite(u), -np.log1p(u),
                            lo - math.log(c.c1) - np.log1p(np.exp(lo) / c.c1))
         else:
@@ -422,5 +434,5 @@ def brightwell_winkler_lower_w(k: int) -> float:
     Defined for ``k >= 3`` only (``ln ln k`` must be positive for the bound
     to carry information).
     """
-    k = branching_number(k, 3)
+    k = _count("k", k, 3)
     return (math.log(k) - math.log(math.log(k))) / k

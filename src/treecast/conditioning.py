@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (DegenerateEvent, DominanceViolation, InvalidParameter,
                      PreconditionViolation)
-from .channels import BinaryChannel
+from .channels import BinaryChannel, _probabilities
 from .atoms import ConditionalPair
 
 DOMINANCE_TOL = 1e-10  # largest admissible violation of the weight ordering
@@ -43,7 +43,8 @@ class Coupling:
     pair ``j`` carries ``weight[j]`` at ``(y0[j], y1[j]) = (support[i0[j]],
     support[i1[j]])``, so each marginal is one ``bincount`` of a position
     array, with no search of the support.  Positive-weight pairs satisfy
-    ``i0 == i1`` or ``y1 <= 0 <= y0``.
+    ``i0 == i1`` or ``y1 <= 0 <= y0``.  The weights must be non-negative
+    (a NaN weight is refused) and sum to 1.
     """
 
     support: np.ndarray
@@ -54,15 +55,11 @@ class Coupling:
     def __post_init__(self):
         s = np.asarray(self.support, dtype=np.float64)
         a, b = np.asarray(self.i0), np.asarray(self.i1)
-        w = np.asarray(self.weight, dtype=np.float64)
-        if not (a.shape == b.shape == w.shape) or w.ndim != 1 or s.ndim != 1:
+        w = _probabilities("coupling weight", self.weight)
+        if not (a.shape == b.shape == w.shape) or s.ndim != 1:
             raise InvalidParameter("need a 1-d support and 1-d i0, i1, weight of equal length")
         if not (np.issubdtype(a.dtype, np.integer) and np.issubdtype(b.dtype, np.integer)):
             raise InvalidParameter("positions i0, i1 must be integer arrays")
-        if np.any(w < 0):
-            raise InvalidParameter("coupling weights must be non-negative")
-        if abs(float(w.sum()) - 1.0) > 1e-10:
-            raise InvalidParameter(f"coupling weights sum to {w.sum()}, not 1")
         a, b = a.astype(np.intp, copy=False), b.astype(np.intp, copy=False)
         if min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= len(s):
             raise InvalidParameter(f"positions must lie in [0, {len(s)})")
@@ -235,7 +232,7 @@ def verify_sandwich(probs, b_mask, cell_labels, d_mask,
     Parameters
     ----------
     probs : array of float
-        Outcome probabilities, summing to 1.
+        Outcome probabilities: non-negative, without NaN, summing to 1.
     b_mask : array of bool
         The event ``B``.
     cell_labels : array of int
@@ -262,14 +259,12 @@ def verify_sandwich(probs, b_mask, cell_labels, d_mask,
     InvalidParameter
         If the inputs are malformed.
     """
-    p = np.asarray(probs, dtype=np.float64)
+    p = _probabilities("probs", probs)
     b = np.asarray(b_mask, dtype=bool)
     g = np.asarray(cell_labels)
     d = np.asarray(d_mask, dtype=bool)
-    if not (p.shape == b.shape == g.shape == d.shape) or p.ndim != 1:
+    if not p.shape == b.shape == g.shape == d.shape:
         raise InvalidParameter("probs, b_mask, cell_labels, d_mask must be parallel 1-d arrays")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-10:
-        raise InvalidParameter("probs must be non-negative and sum to 1")
     if not (0.0 <= p0 <= p1 <= 1.0):
         raise InvalidParameter(f"need 0 <= p0 <= p1 <= 1, got p0={p0}, p1={p1}")
 

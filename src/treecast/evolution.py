@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .errors import AtomExplosion, InvalidParameter
-from .channels import DECIMAL_40, BinaryChannel, branching_number, llr_step, gap_kernel
+from .channels import DECIMAL_40, BinaryChannel, _count, llr_step, gap_kernel
 from .atoms import ConditionalPair, grid_merge, run_count
 
 
@@ -100,7 +100,7 @@ def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
     ConditionalPair
         Depth-1 pair on a shared support.
     """
-    k = branching_number(k)
+    k = _count("k", k)
 
     def log_ratio(num: float, den: float) -> float:
         if num > 0 and den > 0:
@@ -165,7 +165,7 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
     """
     if policy is None:
         policy = exact_policy()
-    k = branching_number(k)
+    k = _count("k", k)
 
     # child mixtures share the pair's support: only weights mix
     mix0 = c.p00 * pair.w0 + c.p01 * pair.w1
@@ -300,9 +300,10 @@ def trajectory(state, step, depth: int):
     ``state`` is a depth-1 :class:`ConditionalPair` or
     :class:`~treecast.sampling.Population`; ``step`` maps a state to the
     next depth's (for example ``lambda p: evolve(p, c, k, policy)``).
+    Raises :class:`InvalidParameter` at call time unless ``depth`` is an
+    integer >= 1 (so not 2.0, 2.5 or NaN).
     """
-    if depth < 1:
-        raise InvalidParameter(f"depth must be >= 1, got {depth}")
+    depth = _count("depth", depth)
     return itertools.accumulate(range(depth - 1), lambda s, _: step(s),
                                 initial=state)
 

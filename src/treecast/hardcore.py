@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .channels import BinaryChannel, hardcore_channel, lambda_of_w
+from .channels import BinaryChannel, _count, hardcore_channel, lambda_of_w
 from .sampling import sample_broadcast_batch
 
 
@@ -53,13 +53,12 @@ def gibbs_conditional_sweep(w: float, k: int, depth: int,
     Raises
     ------
     InvalidParameter
-        If :func:`lambda_of_w` refuses ``w`` or ``k``, if ``depth < 1``,
-        or if the truncation has no interior node (depth 1 without
-        ``center_root``).
+        If :func:`lambda_of_w` refuses ``w`` or ``k``, if ``depth`` is not
+        an integer >= 1, or if the truncation has no interior node (depth
+        1 without ``center_root``).
     """
     lam = lambda_of_w(w, k)
-    if depth < 1:
-        raise InvalidParameter(f"depth must be >= 1, got {depth}")
+    depth = _count("depth", depth)
     shapes = [(False, k)] if depth >= 2 else []
     if center_root:
         shapes.append((True, k + 1))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, ResourceLimit
-from .channels import BinaryChannel, branching_number, llr_step
+from .channels import BinaryChannel, _count, llr_step
 from .atoms import ConditionalPair, posterior_from_llr
 
 # Cap on the nodes of one broadcast batch (samples x nodes per sample).  A
@@ -64,12 +64,10 @@ def sample_broadcast_batch(c: BinaryChannel, k: int, depth: int, n: int,
     ------
     ResourceLimit
         If the batch holds more than ``NODE_CAP`` nodes in all; checked
-        before anything is allocated.  ``InvalidParameter`` if ``k < 1``,
-        ``n < 1`` or ``depth < 0``.
+        before anything is allocated.  ``InvalidParameter`` unless ``k``
+        and ``n`` are integers >= 1 and ``depth`` an integer >= 0.
     """
-    k = branching_number(k)
-    if depth < 0 or n < 1:
-        raise InvalidParameter(f"need depth >= 0 and sample count n >= 1, got {depth} and {n}")
+    k, depth, n = _count("k", k), _count("depth", depth, 0), _count("sample count", n)
     # n * (1 + k + ... + k**depth) nodes; at k >= 2 depth 64 is already far
     # past the cap, and counting no deeper keeps k**depth from growing to
     # thousands of digits, too many to compute quickly or print
@@ -117,7 +115,7 @@ def bp_root_posterior(leaves, c: BinaryChannel, k: int, depth: int | None = None
     float or ndarray
         Posterior(s) in [0, 1].
     """
-    k = branching_number(k)
+    k = _count("k", k)
     arr = np.asarray(leaves)
     single = arr.ndim == 1
     if single:
@@ -126,7 +124,8 @@ def bp_root_posterior(leaves, c: BinaryChannel, k: int, depth: int | None = None
     if depth is None:
         if k == 1:
             raise InvalidParameter("depth is required when k = 1")
-        depth = round(math.log(m) / math.log(k))
+        depth = round(math.log(max(m, 1)) / math.log(k))
+    depth = _count("depth", depth, 0)
     if k ** depth != m:
         raise InvalidParameter(f"got {m} leaves, expected k**depth = {k ** depth}")
 
@@ -160,7 +159,8 @@ class Population:
     ``rng`` is the live Philox stream that later steps consume.  The
     root-1 law is read from the same samples, weighted by ``exp(-L)``; see
     :func:`estimate_diagnostics`.  A sample at ``-inf`` is refused, since
-    the root-0 law has no mass there.
+    the root-0 law has no mass there, and so are a NaN sample, an empty
+    array and a depth that is not an integer >= 1.
     """
 
     depth: int
@@ -168,12 +168,11 @@ class Population:
     rng: np.random.Generator
 
     def __post_init__(self):
-        self.samples0 = np.asarray(self.samples0, dtype=np.float64)
-        if self.samples0.ndim != 1:
-            raise InvalidParameter("samples0 must be a 1-d array")
-        if np.isneginf(self.samples0).any():
-            raise InvalidParameter(
-                "a root-0 sample cannot be -inf: the root-0 law has no mass there")
+        self.depth = _count("depth", self.depth)
+        s = self.samples0 = np.asarray(self.samples0, dtype=np.float64)
+        if s.ndim != 1 or not s.size or not (s > -np.inf).all():
+            raise InvalidParameter("samples0 must be a non-empty 1-d array without NaN or "
+                                   "-inf (the root-0 law has no mass there)")
 
     @property
     def size(self) -> int:
@@ -186,8 +185,7 @@ def population_from_pair(pair: ConditionalPair, n: int, seed: int) -> Population
     The law is drawn from its atoms of positive weight only, so an atom
     that root value 0 cannot reach (``-inf``) never enters the samples.
     """
-    if n < 1:
-        raise InvalidParameter(f"population size must be positive, got {n}")
+    n = _count("population size", n)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     keep = pair.w0 > 0
     w = pair.w0[keep]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BadBracket, InvalidParameter
 from .channels import (BinaryChannel, _LOG_FLOAT_MAX, _bisect_root, _real,
-                       branching_number, symmetric_channel, hardcore_channel,
+                       _count, symmetric_channel, hardcore_channel,
                        w_of_lambda, lambda_of_w, kelly_threshold, kesten_stigum_eps_c,
                        brightwell_winkler_lower_w, mossel_peres_lhs,
                        geometric_mean_bound_lhs)
@@ -60,7 +60,7 @@ class ChannelFamily:
     def __post_init__(self):
         if self.kind not in ("symmetric", "hardcore"):
             raise InvalidParameter(f"unknown family kind {self.kind!r}")
-        branching_number(self.k)
+        _count("k", self.k)
 
     def channel(self, param: float) -> BinaryChannel:
         param = _real(f"{self.kind} parameter", param)
@@ -125,8 +125,7 @@ def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
     -------
     Decision
     """
-    if depth < 2:
-        raise InvalidParameter(f"depth must be >= 2, got {depth}")
+    depth = _count("depth", depth, 2)
     if engine not in ("exact", "population"):
         raise InvalidParameter(f"unknown engine {engine!r}")
     c, k = family.channel(param), family.k
@@ -274,7 +273,7 @@ def restricted_bound_crossover(k: int, which: str = "geometric") -> float:
     activity; for both supported bounds the crossing reproduces the
     uniqueness threshold ``k**k/(k-1)**(k+1)``.
     """
-    k = branching_number(k, 2)
+    k = _count("k", k, 2)
     if which == "geometric":
         stat = geometric_mean_bound_lhs
     elif which == "mossel_peres":
@@ -328,7 +327,7 @@ def bounds_report(k: int, family_kind: str) -> BoundsReport:
     """
     if family_kind not in ("symmetric", "hardcore"):
         raise InvalidParameter(f"unknown family kind {family_kind!r}")
-    k = branching_number(k, 2)
+    k = _count("k", k, 2)
     if family_kind == "symmetric":
         def eps_cross(stat):
             def excess(eps: float) -> float:

@@ -11,13 +11,20 @@ from hypothesis import given, settings, strategies as st
 from treecast import (
     BinaryChannel,
     ChannelFamily,
+    ConditionalPair,
+    Coupling,
     DegenerateChannel,
     InvalidParameter,
+    Population,
     UndefinedLimit,
+    base_pair,
+    bp_root_posterior,
     brightwell_winkler_lower_w,
+    decide_reconstruction,
     gap_kernel,
     gap_kernel_peak,
     geometric_mean_bound_lhs,
+    gibbs_conditional_sweep,
     hardcore_channel,
     hardcore_contraction,
     kelly_threshold,
@@ -26,7 +33,11 @@ from treecast import (
     llr_step,
     make_channel,
     mossel_peres_lhs,
+    population_from_pair,
+    sample_broadcast_batch,
     symmetric_channel,
+    trajectory,
+    verify_sandwich,
     w_of_lambda,
 )
 
@@ -176,6 +187,49 @@ def test_int_beyond_float_range_is_invalid(fn, args, position):
             assert isinstance(got, str) and re.search(expected, got), (value, got)
 
 
+# one count check and one weight-vector check: every depth, size and k
+# argument below is refused unless it is an integer, and every weight or
+# sample vector is refused when it holds NaN (or, for samples, is empty)
+BAD_COUNTS = (1.5, 2.0, 2.5, math.nan, -10 ** 5000)
+NAN_VECTORS = ([math.nan, 1.0], [0.5, math.nan], [math.nan, math.nan])
+_C = symmetric_channel(0.2)
+_PAIR = dict(depth=1, values=[-1.0, 1.0], w0=[0.25, 0.75], w1=[0.75, 0.25])
+_EDGE_INPUTS = {
+    "pair_depth": (BAD_COUNTS, lambda v: ConditionalPair(**{**_PAIR, "depth": v})),
+    "pair_w0": (NAN_VECTORS, lambda w: ConditionalPair(**{**_PAIR, "w0": w})),
+    "pair_w1": (NAN_VECTORS, lambda w: ConditionalPair(**{**_PAIR, "w1": w})),
+    "coupling_weight": (NAN_VECTORS, lambda w: Coupling([-1.0, 1.0], [0, 1], [0, 1], w)),
+    "sandwich_probs": (NAN_VECTORS, lambda w: verify_sandwich(
+        w, [True, False], [0, 1], [True, False], 0.0, 1.0)),
+    "population_samples": ((*NAN_VECTORS, []), lambda s: Population(1, s, None)),
+    "population_depth": (BAD_COUNTS, lambda v: Population(v, [0.0], None)),
+    "trajectory_depth": (BAD_COUNTS, lambda v: trajectory(base_pair(_C, 2), lambda p: p, v)),
+    "gibbs_sweep_depth": (BAD_COUNTS, lambda v: gibbs_conditional_sweep(
+        1.0, 2, v, center_root=True)),
+    "decide_depth": (BAD_COUNTS, lambda v: decide_reconstruction(
+        ChannelFamily("symmetric", 2), 0.2, v)),
+    "broadcast_depth": (BAD_COUNTS, lambda v: sample_broadcast_batch(_C, 2, v, 3)),
+    "broadcast_count": (BAD_COUNTS, lambda v: sample_broadcast_batch(_C, 2, 2, v)),
+    "population_size": (BAD_COUNTS, lambda v: population_from_pair(base_pair(_C, 2), v, 0)),
+    "bp_depth": (BAD_COUNTS, lambda v: bp_root_posterior(
+        np.zeros(4, dtype=np.int8), _C, 2, depth=v)),
+    "bp_no_leaves": ((np.zeros(0, np.int8), np.zeros((3, 0), np.int8)),
+                     lambda leaves: bp_root_posterior(leaves, _C, 2)),
+    "k": (BAD_COUNTS, kesten_stigum_eps_c),
+}
+
+
+@pytest.mark.parametrize("bad, call", _EDGE_INPUTS.values(), ids=_EDGE_INPUTS.keys())
+def test_counts_and_weight_vectors_are_checked(bad, call):
+    """A fractional, float or NaN depth or size, an int too long to print,
+    a NaN weight or sample, no samples and no leaves raise
+    InvalidParameter: never a bare TypeError or ValueError, and never a
+    silent result."""
+    for value in bad:
+        with pytest.raises(InvalidParameter):
+            call(value)
+
+
 # ------------------------------------------------------------- bound values
 
 def test_column_bound_examples():
@@ -293,19 +347,20 @@ def test_llr_step_p01_zero_far_left(x):
     assert abs(llr_step(c, x) - want) <= 2 * math.ulp(want)
 
 
-@pytest.mark.parametrize("x", [750.0, 800.0, 1000.0])
+@pytest.mark.parametrize("x", [709.0, 750.0, 800.0, 1000.0, 1400.0])
 def test_llr_step_p01_zero_huge_c1_far_right(x):
     """With p01 = 0 and c1 = 1e300, g(x) = -ln(1 + c1*e^-x) is tiny but
     not 0 where e^-x leaves the normal range.  There u = c1*e^-x is formed
-    as exp(ln c1 - x), good to the rounding of ln c1 (about 1e-13
-    relative); where e^-x is normal the product form is kept, bit for bit."""
+    as (c1*h)*h with h = e^(-x/2), which stays normal, so u is good to a
+    few roundings; where e^-x is normal the product form is kept, bit for
+    bit."""
     mpmath = pytest.importorskip("mpmath")
     c = make_channel(1.0, 1e-300)
     got = llr_step(c, x)
     with mpmath.workdps(50):
         want = -mpmath.log1p(mpmath.mpf(c.c1) * mpmath.exp(-mpmath.mpf(x)))
         assert got < 0.0
-        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+        assert abs(got - want) <= 1e-15 * abs(want), (got, want)
     assert llr_step(c, np.array([x]))[0] == got
     assert llr_step(c, 700.0) == -math.log1p(c.c1 * math.exp(-700.0))
 
