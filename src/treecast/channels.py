@@ -338,11 +338,16 @@ def llr_step(c: BinaryChannel, x):
     InvalidParameter
         When ``p00 = 0`` or ``p10 = 0`` (the coefficients are infinite).
     DegenerateChannel
-        When a value leaves float64 although ``g`` is finite there: it
-        overflows to ``+inf`` (``c0/exp(x)`` above ~1.8e308), or it rounds
-        to ``-inf`` although ``c0 > 0`` keeps ``g`` above ``ln(c0/c1)``
-        (``c0/c1`` below ~1e-16), where it would pose as a ``p01 = 0``
-        certainty.
+        When a value leaves float64 although ``g`` is finite there: the
+        quotient overflows, to ``+inf`` where ``c0/(exp(x) + c1)`` is above
+        ~1.8e308, or to ``-inf`` where ``c1/(exp(x) + c0)`` is, although
+        ``c0 > 0`` keeps ``g`` above ``ln(c0/c1)``; there it would pose as
+        a ``p01 = 0`` certainty.  A ratio ``c0/c1`` as small as 1e-300 is
+        answered.
+
+    For ``c0 < c1`` the step is formed as ``-ln(1 + (c1-c0)/(exp(x)+c0))``,
+    so ``log1p`` never sees an argument near -1, and ``g`` keeps a few ulps
+    of relative accuracy up to ``ln(c0/c1)``.
     """
     if c.p00 <= 0.0 or c.p10 <= 0.0:
         raise InvalidParameter("llr_step requires p00 > 0 and p10 > 0")
@@ -364,8 +369,14 @@ def llr_step(c: BinaryChannel, x):
             u = np.where(e < _TINY, (c.c1 * h) * h, c.c1 * e)
             out = np.where(np.isfinite(u), -np.log1p(u),
                            lo - math.log(c.c1) - np.log1p(np.exp(lo) / c.c1))
+        elif d > 0:
+            out = np.log1p(d / (np.exp(arr) + c.c1))
+        elif d < 0:
+            # g = -ln((e^x + c1)/(e^x + c0)): log1p sees a non-negative
+            # argument, where the forward form's nears -1 and loses digits
+            out = -np.log1p(-d / (np.exp(arr) + c.c0))
         else:
-            out = np.log1p(d / (np.exp(arr) + c.c1)) if d else np.zeros_like(arr)
+            out = np.zeros_like(arr)
     out = np.where(np.isposinf(arr), 0.0, out)
     # g is finite at finite x, and g(-inf) = ln(c0/c1) is -inf only when c0 = 0
     if np.any(np.isposinf(out) if c.c0 == 0.0 else np.isinf(out)):

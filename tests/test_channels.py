@@ -365,6 +365,23 @@ def test_llr_step_p01_zero_huge_c1_far_right(x):
     assert llr_step(c, 700.0) == -math.log1p(c.c1 * math.exp(-700.0))
 
 
+@pytest.mark.parametrize("entries", [(1 - 2e-12, 0.9), (0.999, 0.001), (0.9, 0.05),
+                                     (0.6, 0.3)])
+def test_llr_step_relative_accuracy(entries):
+    """g to a few ulps on x in [-45, 45], also where it nears ln(c0/c1),
+    against 50-digit mpmath on the channel's own c0 and c1."""
+    mpmath = pytest.importorskip("mpmath")
+    c = make_channel(*entries)
+    x = np.linspace(-45.0, 45.0, 2001)
+    got = llr_step(c, x)
+    with mpmath.workdps(50):
+        c0, c1 = mpmath.mpf(c.c0), mpmath.mpf(c.c1)
+        worst = max(float(abs((g - mpmath.log((e + c0) / (e + c1)))
+                              / mpmath.log((e + c0) / (e + c1))))
+                    for g, e in zip(got, (mpmath.exp(mpmath.mpf(xi)) for xi in x)))
+    assert worst <= 1e-15, worst
+
+
 @st.composite
 def extreme_channels(draw):
     """Channels with p00, p10 > 0 whose entries reach down to 1e-300; a
@@ -400,10 +417,6 @@ def test_llr_step_extreme_channels(c, xs):
     log_c1 = math.log(c.c1) if c.c1 > 0 else -math.inf
     bound = 0.0 if c.c0 == c.c1 else log_c0 - log_c1
     slack = 1e-12 * max(1.0, abs(bound)) if math.isfinite(bound) else 0.0
-    if 0.0 < c.c0 < c.c1:
-        # log1p(u) is ill-conditioned as u = (c0 - c1)/(e^x + c1) nears its
-        # floor c0/c1 - 1: a rounding of u moves g by up to ~eps * c1/c0
-        slack += 4 * np.finfo(float).eps * (c.c1 / c.c0)
     assert np.all(g >= min(0.0, bound) - slack)
     assert np.all(g <= max(0.0, bound) + slack)
     if c.c0 > c.c1:

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import treecast
 from treecast import (DominanceViolation, cli, deep_policy, evolve_to_depth,
-                      diagnostics, make_channel)
+                      diagnostics, llr_step, make_channel)
 from treecast.cli import main
 
 KS_EPS_K2 = 0.14644660940672624  # root of 2*(1-2*eps)**2 = 1 in (0, 1/2)
@@ -513,11 +513,17 @@ def test_edge_channels_answer_or_refuse(capsys):
     for k in ("2", "3"):
         assert [row["tv"] for row in evolve_rows(["--symmetric", "1e-300", "--k", k,
                                                   "--depth", "3"])] == [1.0] * 3
-    # llr_step would round ln(c0/c1) = ln(1e-17) to -inf
-    for argv in (["evolve", "--matrix", "0.5", "1e-17", "--depth", "3"],
-                 ["verify", "--matrix", "0.5", "1e-17"]):
-        code, out, err = run_cli(argv, capsys)
-        assert code == 2 and out == "" and "too close to deterministic" in err
+    # g nears ln(c0/c1) = ln(1e-17), which llr_step keeps to a few ulps
+    mpmath = pytest.importorskip("mpmath")
+    c = make_channel(0.5, 1e-17)
+    with mpmath.workdps(50):
+        e, c0, c1 = mpmath.exp(-50), mpmath.mpf(c.c0), mpmath.mpf(c.c1)
+        want = float(mpmath.log((e + c0) / (e + c1)))
+    assert abs(llr_step(c, -50.0) - want) <= 2 * math.ulp(want)
+    code, out, _ = run_cli(["verify", "--matrix", "0.5", "1e-17"], capsys)
+    assert code == 0 and json.loads(out)["all_passed"]
+    code, _, err = run_cli(["evolve", "--matrix", "0.5", "1e-17", "--depth", "3"], capsys)
+    assert code == 3 and "atom pairs" in err
     # the exact law needs 1.3e11 pairs; no sample of root 0 is finite
     code, _, err = run_cli(["evolve", "--hardcore-lambda", "1e308", "--depth", "2"],
                            capsys)
@@ -663,7 +669,7 @@ PINNED_OUTPUTS = {
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "4",
          "--engine", "population", "--pop-size", "4000", "--seed", "9",
          "--out", "pop.csv"],
-        "cc452a55853ec785064187be3f24abe6edd6c0b900e5e40d156a76f27fef39fa"),
+        "68aa71d7b686903673e55d1ce4cc871c9403b8b620e076e2e16ceeec64f72596"),
     "couple-csv": (
         ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
          "--out", "coupling.csv"],
@@ -674,10 +680,10 @@ PINNED_OUTPUTS = {
         "34c3e30f7201bee050ae6947327ae07b713206c405c122e399904f7f8764bba0"),
     "verify-suite": (
         ["verify", "--out", "suite.json"],
-        "726e71fe381ef9243b0c6b7f24e32287e17d39245eccc44011aa3c8611900bfa"),
+        "dfb3cf703d8071b394ff2081364806fcd20b1dc3dcd013363a49e27ba73f14f7"),
     "verify-matrix": (
         ["verify", "--matrix", "0.6", "0.3", "--out", "verify.json"],
-        "b238b74b38d924ae6f486238f7c3af33de5372df671ebc942166c07d8c92e655"),
+        "f14afce310280c82d5dcf53b718cba183d7c4bb49454e669344a7435c78384e6"),
     "threshold-exact": (
         ["threshold", "--symmetric", "--k", "2", "--engine", "exact",
          "--depth", "4", "--tol", "0.1", "--bracket", "0.05", "0.45",
@@ -688,7 +694,7 @@ PINNED_OUTPUTS = {
         ["threshold", "--symmetric", "--k", "2", "--pop-size", "2000",
          "--depth", "12", "--tol", "0.05", "--seed", "3",
          "--out", "threshold_pop.json"],
-        "11135dd2b98cf30bc6562ea4d5a0fe89745bdf2f15d437320b01f505922584cf"),
+        "713b069668c50ba61992f2a7d74f12e9bb771c4e755b2784f40c5f832d19bd5e"),
 }
 
 
