@@ -9,9 +9,8 @@ the hard-core occupancy model as the central worked example.
 """
 
 from .errors import (TreecastError, DegenerateChannel, InvalidParameter,
-                     UndefinedLimit, AtomExplosion, DominanceViolation,
-                     PreconditionViolation, DegenerateEvent, ResourceLimit,
-                     BadBracket)
+                     UndefinedLimit, AtomExplosion, PreconditionViolation,
+                     DegenerateEvent, ResourceLimit, BadBracket)
 from .channels import (BinaryChannel, make_channel,
                        symmetric_channel, hardcore_channel, lambda_of_w,
                        w_of_lambda, mossel_peres_lhs, geometric_mean_bound_lhs,
@@ -39,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TreecastError", "DegenerateChannel", "InvalidParameter", "UndefinedLimit",
-    "AtomExplosion", "DominanceViolation", "PreconditionViolation",
+    "AtomExplosion", "PreconditionViolation",
     "DegenerateEvent", "ResourceLimit", "BadBracket",
     "BinaryChannel", "make_channel", "symmetric_channel",
     "hardcore_channel", "lambda_of_w", "w_of_lambda", "mossel_peres_lhs",

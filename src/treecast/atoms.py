@@ -1,11 +1,12 @@
 """Finite atomic laws on the extended real line.
 
 The central object is :class:`ConditionalPair`, the one exact-law type:
-it stores the two conditional laws of the root log-likelihood ratio on
-one shared sorted support with two weight vectors.  The shared support is
-what makes exact density evolution cheap: mixtures and couplings become
-elementwise operations, and the per-atom identity ``w1 = w0 * exp(-value)``
-ties the two weight vectors together.
+it holds the two conditional laws of the root log-likelihood ratio on one
+shared sorted support.  Only the root-0 weights and the root-1 mass at
+``-inf`` are given; the root-1 weights follow from them through the
+per-atom identity ``w1 = w0 * exp(-value)``, which every LLR law obeys.
+The shared support is what makes exact density evolution cheap: mixtures
+and couplings become elementwise operations.
 
 Merging nearby atoms sorts them once and combines each run of atoms whose
 consecutive gaps are below the tolerance by weighted mean.  A run never
@@ -16,39 +17,75 @@ two conditional laws (only sign-straddling merges can destroy it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameter
-from .channels import BinaryChannel, _count, _probabilities
+from .errors import DegenerateChannel, InvalidParameter
+from .channels import _TINY, BinaryChannel, _count, _probabilities, _probability
+
+_LOG_TINY = math.log(_TINY)  # a weight below exp(_LOG_TINY) is subnormal
 
 
 @dataclass(frozen=True)
 class ConditionalPair:
     """The two conditional root-LLR laws at one depth, on a shared support.
 
-    ``w0[i]`` and ``w1[i]`` are the probabilities that the root LLR equals
-    ``values[i]`` given root value 0 and 1 respectively.  Either vector may
-    contain zeros: an atom can be reachable from one root value only.
-    ``depth`` must be an integer >= 1, the support strictly increasing and
-    each weight vector non-negative with sum 1; a NaN atom or weight is refused.
+    ``w0[i]`` is the probability that the root LLR equals ``values[i]``
+    given root value 0, and ``q`` the probability that it is ``-inf``
+    given root value 1.  The root-1 weights are not given but derived,
+    once, as the attribute ``w1``: dP1/dP0 = exp(-L) gives
+    ``w1 = w0 * exp(-values)`` on finite atoms, 0 at ``+inf`` and ``q`` at
+    ``-inf``, where root value 0 puts no mass.  ``depth`` must be an
+    integer >= 1, the support strictly increasing, ``w0`` non-negative
+    with sum 1, and so must the derived ``w1`` be: a ``w0`` and ``q`` of
+    two different laws are refused, and so is a NaN atom or weight.  Once
+    checked, the finite part of ``w1`` is scaled to its exact mass
+    ``1 - q``, a factor within 1e-10 of 1.
+
+    Raises :class:`DegenerateChannel` for a finite atom below ``ln(tiny)``
+    (about -708.4): its ``w0`` is subnormal or 0 in float64, so ``w1``
+    could not be derived from it.
     """
 
     depth: int
     values: np.ndarray
     w0: np.ndarray
-    w1: np.ndarray
+    q: float = 0.0
+    w1: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         depth, v = _count("depth", self.depth), np.asarray(self.values, dtype=np.float64)
-        a, b = _probabilities("w0", self.w0), _probabilities("w1", self.w1)
-        for name, x in (("depth", depth), ("values", v), ("w0", a), ("w1", b)):
-            object.__setattr__(self, name, x)
-        if not v.shape == a.shape == b.shape:
-            raise InvalidParameter("values, w0, w1 must be 1-d arrays of equal length")
+        a, q = _probabilities("w0", self.w0), _probability("q", self.q)
+        if v.shape != a.shape:
+            raise InvalidParameter("values and w0 must be 1-d arrays of equal length")
         if np.any(np.isnan(v)) or np.any(np.diff(v) <= 0):
             raise InvalidParameter("shared support must be strictly increasing, without NaN")
+        sure = int(len(v) > 0 and v[0] == -np.inf)  # -inf can only be the first atom
+        if (a[0] > 0) if sure else (q > 0):
+            raise InvalidParameter("the -inf atom holds root-1 mass q only, and q > 0 needs one")
+        if len(v) > sure and v[sure] < _LOG_TINY:
+            raise DegenerateChannel(
+                f"atom {v[sure]:.6g} lies below ln(tiny) = {_LOG_TINY:.1f}, where w0 cannot "
+                "hold its root-1 weight: the channel is too close to deterministic")
+        # exp(-inf) = 0 at +inf; the -inf atom's 0 * inf is replaced by q
+        w1 = np.negative(v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp(w1, out=w1)
+            w1 *= a
+        if sure:
+            w1[0] = q
+        _probabilities("w1", w1)
+        # the finite part is then scaled to its exact mass 1 - q: rounding in
+        # a value moves its weight by ~|value| ulps, and fed back through the
+        # child mixtures an error in the total would grow up to k-fold a depth
+        finite = w1[sure:]
+        total = finite.sum()
+        if total > 0:
+            finite *= (1.0 - q) / total
+        for name, x in (("depth", depth), ("values", v), ("w0", a), ("q", q), ("w1", w1)):
+            object.__setattr__(self, name, x)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -75,24 +112,8 @@ class ConditionalPair:
         live = mix > 0
         return posterior_from_llr(self.values[live], c), mix[live]
 
-    def dominance_violation(self) -> float:
-        """Largest violation of the one-sided weight ordering.
 
-        For atoms left of 0 the root-0 weight should not exceed the root-1
-        weight, and symmetrically right of 0.  Returns the worst excess
-        (0.0 when the ordering holds exactly).
-        """
-        neg = self.values < 0
-        pos = self.values > 0
-        worst = 0.0
-        if np.any(neg):
-            worst = max(worst, float(np.max(self.w0[neg] - self.w1[neg], initial=0.0)))
-        if np.any(pos):
-            worst = max(worst, float(np.max(self.w1[pos] - self.w0[pos], initial=0.0)))
-        return worst
-
-
-def grid_merge(values: np.ndarray, *weight_vectors: np.ndarray, tol: float):
+def grid_merge(values: np.ndarray, weights: np.ndarray, tol: float):
     """Merge each run of sorted atoms whose consecutive gaps are below ``tol``.
 
     Parameters
@@ -100,21 +121,20 @@ def grid_merge(values: np.ndarray, *weight_vectors: np.ndarray, tol: float):
     values : ndarray
         Atom locations, any order, ``+-inf`` allowed.  Values within 1e-12
         of 0 are first set to exactly 0.
-    *weight_vectors : ndarray
-        One or more parallel weight vectors; merged jointly so all vectors
-        keep a shared support.
+    weights : ndarray
+        The atoms' weights, summed over each run.
     tol : float
         Run gap.  A run never holds atoms of both signs (negative and
         non-negative), and it may be wider than ``tol`` when it chains
-        several close gaps.  The merged value is the mean of the run's
-        finite members weighted by the sum of all weight vectors, clipped
-        to the run's range, so infinite atoms keep their value.
+        several close gaps.  The merged value is the weighted mean of the
+        run's finite members, clipped to the run's range, so infinite
+        atoms keep their value.
 
     Returns
     -------
-    (values, *weights) : tuple of ndarray
+    (values, weights) : tuple of ndarray
         Strictly increasing support, consecutive atoms of one sign at least
-        ``tol`` apart, and the merged weight vectors.
+        ``tol`` apart, and the merged weights.
 
     Raises
     ------
@@ -137,28 +157,18 @@ def grid_merge(values: np.ndarray, *weight_vectors: np.ndarray, tol: float):
     gid -= 1
     runs = np.count_nonzero(edge[:-1])
 
-    # gather each weight vector once, for its run sums and the per-atom total
-    merged_w = []
-    combined = np.zeros(len(vs))
-    for w in weight_vectors:
-        ws = np.asarray(w, dtype=np.float64)[order]
-        merged_w.append(np.bincount(gid, weights=ws, minlength=runs))
-        combined += ws
-        del ws  # at most one gathered copy is alive at a time
+    ws = np.asarray(weights, dtype=np.float64)[order]
     del order
-    combined *= np.where(np.isfinite(vs), vs, 0.0)
-    num = np.bincount(gid, weights=combined, minlength=runs)
-    del gid, combined
-    total = np.zeros(runs)
-    for mw in merged_w:
-        total += mw
-    total[~(total > 0)] = 1.0
-    mv = np.divide(num, total, out=total)  # bincount of no atoms is int64
-    del num
+    merged = np.bincount(gid, weights=ws, minlength=runs)
+    ws *= np.where(np.isfinite(vs), vs, 0.0)
+    # bincount of no atoms is int64
+    mv = np.bincount(gid, weights=ws, minlength=runs).astype(np.float64, copy=False)
+    del gid, ws
+    np.divide(mv, merged, out=mv, where=merged > 0)
     # the clip keeps infinite runs infinite, gives a weightless run a member's
     # value, and keeps the merged values strictly increasing
     np.clip(mv, vs[edge[:-1]], vs[edge[1:]], out=mv)
-    return (mv, *merged_w)
+    return mv, merged
 
 
 def run_count(values: np.ndarray, tol: float) -> int:

@@ -4,8 +4,9 @@ conditional-probability sandwich that underpins it.
 The coupling puts as much mass as possible on the diagonal (the two laws
 agree there) and pairs the leftover mass so that every off-diagonal pair
 straddles 0 in LLR coordinates: the root-0 law's surplus lives on the
-non-negative side, the root-1 law's surplus on the non-positive side, a
-consequence of the per-atom weight ordering.  Off the diagonal the pairing
+positive side, the root-1 law's surplus on the negative side, since
+``w1 = w0 * exp(-value)`` is below ``w0`` exactly where the value is
+positive.  Off the diagonal the pairing
 is the sorted (comonotone) transport between the two residuals; any
 measurable pairing would satisfy the same marginal and crossing
 guarantees, so sorted order is chosen for determinism.  A pair is kept as
@@ -27,12 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateEvent, DominanceViolation, InvalidParameter,
-                     PreconditionViolation)
-from .channels import BinaryChannel, _probabilities
+from .errors import DegenerateEvent, InvalidParameter, PreconditionViolation
+from .channels import BinaryChannel, _probabilities, _real
 from .atoms import ConditionalPair
-
-DOMINANCE_TOL = 1e-10  # largest admissible violation of the weight ordering
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,6 @@ def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
     Parameters
     ----------
     pair : ConditionalPair
-        Must satisfy the per-atom weight ordering up to
-        :data:`DOMINANCE_TOL`.
     c : BinaryChannel
         Unused by the construction itself (the sign barrier sits at LLR 0
         in every coordinate system) but kept for interface symmetry and
@@ -125,24 +121,12 @@ def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
     Coupling
         On ``pair.values`` itself (the same array): diagonal mass
         ``min(w0, w1)`` at every atom; residual mass paired in sorted
-        order between the non-negative-side surplus of law 0 and the
-        non-positive-side surplus of law 1.
-
-    Raises
-    ------
-    DominanceViolation
-        If the weight ordering fails beyond :data:`DOMINANCE_TOL` (an
-        upstream evolution bug, not a fixable input).
+        order between the positive-side surplus of law 0 and the
+        negative-side surplus of law 1.
     """
-    violation = pair.dominance_violation()
-    if violation > DOMINANCE_TOL:
-        raise DominanceViolation(
-            f"per-atom weight ordering violated by {violation:.3e} "
-            f"(tolerance {DOMINANCE_TOL:.1e})")
-
     v, w0, w1 = pair.values, pair.w0, pair.w1
-    # the diagonal carries min(w0, w1); the surplus of law 0 (on v >= 0 up
-    # to tolerance) sits where w0 > w1, that of law 1 (v <= 0) where w1 > w0
+    # the diagonal carries min(w0, w1); the surplus of law 0 (v > 0) sits
+    # where w0 > w1, that of law 1 (v < 0) where w1 > w0
     live = np.flatnonzero((w0 > 0) & (w1 > 0))
     s0 = np.flatnonzero(w0 > w1)
     s1 = np.flatnonzero(w1 > w0)
@@ -243,7 +227,7 @@ def verify_sandwich(probs, b_mask, cell_labels, d_mask,
         Bounds with ``0 <= p0 <= p1 <= 1``; every positive-probability
         cell inside ``D`` must have ``P(B | cell)`` within ``[p0, p1]``.
     tol : float
-        Verification tolerance.
+        Verification tolerance: finite and non-negative.
 
     Returns
     -------
@@ -267,6 +251,9 @@ def verify_sandwich(probs, b_mask, cell_labels, d_mask,
         raise InvalidParameter("probs, b_mask, cell_labels, d_mask must be parallel 1-d arrays")
     if not (0.0 <= p0 <= p1 <= 1.0):
         raise InvalidParameter(f"need 0 <= p0 <= p1 <= 1, got p0={p0}, p1={p1}")
+    tol = _real("tol", tol)
+    if not 0.0 <= tol < math.inf:
+        raise InvalidParameter(f"tol must be finite and non-negative, got {tol}")
 
     prob_b = float(p[b].sum())
     if prob_b <= 0.0 or prob_b >= 1.0:

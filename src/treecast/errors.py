@@ -50,11 +50,6 @@ class AtomExplosion(TreecastError):
         self.count = count
 
 
-class DominanceViolation(TreecastError):
-    """A conditional pair violates the one-sided weight ordering that the
-    coupling construction relies on; signals an upstream bug."""
-
-
 class PreconditionViolation(TreecastError):
     """A structural precondition of a verifier failed (for example the
     conditioning event is not a union of partition cells)."""

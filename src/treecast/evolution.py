@@ -5,11 +5,16 @@ One evolution step takes the depth-``d`` pair of conditional laws to depth
 the appropriate mixture of the two laws, passed through the one-child
 update to ``h = g + ln(p00/p10)``, and the ``k`` contributions are summed.
 All arithmetic stays in log-likelihood coordinates; products of
-likelihoods never appear.
+likelihoods never appear.  A step forms the root-0 law only: the root-1
+law follows from it through ``w1 = w0 * exp(-value)``, which
+:class:`~treecast.atoms.ConditionalPair` derives, except for its mass at
+``-inf``, which :func:`evolve` forms from the child contributions at
+``-inf`` (only when ``p01 = 0``) for both step functions.
 
-Two step functions ``policy(h, m0, m1, k)`` form the sum from the child
-contributions and their child weights, and :func:`evolve` calls the one
-it is given.  :func:`exact_policy` returns the exact one, which convolves
+Two step functions ``policy(h, m0, m1, k)`` form the sum from the finite
+child contributions and their child weights, and return the sums and
+their root-0 weights; :func:`evolve` calls the one it is given.
+:func:`exact_policy` returns the exact one, which convolves
 atoms and merges each run of sorted sums whose consecutive gaps are below
 :data:`MERGE_TOL`, so no value is held as two atoms.  A run chains every
 such gap, so on a law whose distinct sums lie that close (8.4e-11 wide at
@@ -22,8 +27,8 @@ oracle-grade runs.
 :func:`deep_policy` returns the lattice one, which splits each child
 contribution onto the lattice of width :data:`LATTICE_WIDTH` anchored at
 0 and takes the k-fold convolution power of the lattice vector.  The
-split keeps both conditional masses and the per-atom identity
-``w1 = w0 * exp(-value)``; the true child law is a degraded version of the
+split keeps both conditional masses, so the per-atom identity holds on
+the lattice too; the true child law is a degraded version of the
 split one (Tal & Vardy's upgrading quantizer), so the lattice law is an
 *upper law*: its total variation, at every depth, is at least that of the
 exact law, and exceeds it by O(``LATTICE_WIDTH``).
@@ -59,19 +64,21 @@ def deep_policy():
     return _lattice_power
 
 
-def _binomial_pmf(k: int, p: float) -> np.ndarray:
+def _binomial_pmf(k: int, p: float, fail: float | None = None) -> np.ndarray:
     """Binomial(k, p) probabilities of 0..k successes, each rounded once.
 
-    ``(1-p)**k``, then ``* (k-n)/(n+1) * p/(1-p)`` per step, in
-    ``DECIMAL_40``; a term below the float64 range becomes 0.
+    ``q**k``, then ``* (k-n)/(n+1) * p/q`` per step, in ``DECIMAL_40``; a
+    term below the float64 range becomes 0.  The failure probability ``q``
+    is ``fail`` when given (a channel row's other entry, which keeps a
+    ``p00`` of 1e-103 where ``1 - p01`` rounds to 0), else ``1 - p``.
     """
     out = np.zeros(k + 1)
-    if p == 1.0:
-        out[k] = 1.0
-        return out
     with decimal.localcontext(DECIMAL_40):
         p_dec = decimal.Decimal(p)
-        q = 1 - p_dec
+        q = 1 - p_dec if fail is None else decimal.Decimal(fail)
+        if q == 0:
+            out[k] = 1.0
+            return out
         odds = p_dec / q
         term = q ** k
         for n in range(k + 1):
@@ -87,7 +94,8 @@ def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
     them equal 1, so the k+1 count values are enumerated with binomial
     weights under each root value.  Extended-real atoms are produced where
     a count is impossible under one root value (for example the hard-core
-    channel sends any occupied child to ``+inf``).
+    channel sends any occupied child to ``+inf``).  Of the root-1 weights
+    only the mass at ``-inf`` is kept; the pair derives the rest.
 
     Parameters
     ----------
@@ -99,6 +107,13 @@ def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
     -------
     ConditionalPair
         Depth-1 pair on a shared support.
+
+    Raises
+    ------
+    DegenerateChannel
+        If a count that root value 1 reaches has a root-0 weight below the
+        float64 range, so its value falls below ``ln(tiny)`` (for example
+        ``make_channel(1 - 1e-15, 0.5)`` at k = 25).
     """
     k = _count("k", k)
 
@@ -115,19 +130,18 @@ def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
     lr1 = log_ratio(c.p01, c.p11)  # per child with value 1
 
     counts = np.arange(k + 1)
-    w0 = _binomial_pmf(k, c.p01)
-    w1 = _binomial_pmf(k, c.p11)
+    w0 = _binomial_pmf(k, c.p01, c.p00)
+    w1 = _binomial_pmf(k, c.p11, c.p10)
     # only rows of positive weight are formed: a row that neither root
-    # value reaches can add -inf to +inf
+    # value reaches can add -inf to +inf.  A row only root 1 reaches sits at
+    # -inf, or below ln(tiny) where w0 underflowed, which the pair refuses
     n1 = counts[(w0 > 0) | (w1 > 0)]
     values = np.array([(0.0 if n == k else (k - n) * lr0) + (0.0 if n == 0 else n * lr1)
                        for n in n1])
-    w0, w1 = w0[n1], w1[n1]
-
-    values, w0, w1 = grid_merge(values, w0, w1, tol=MERGE_TOL)
-    w0 = w0 / w0.sum()
-    w1 = w1 / w1.sum()
-    return ConditionalPair(depth=1, values=values, w0=w0, w1=w1)
+    # the root-1 law follows from w0 and the values, except its -inf mass
+    q = float(w1[n1][values == -np.inf].sum())
+    values, w0 = grid_merge(values, w0[n1], tol=MERGE_TOL)
+    return ConditionalPair(depth=1, values=values, w0=w0 / w0.sum(), q=q)
 
 
 def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
@@ -145,9 +159,10 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
         Branching number.
     policy : callable, optional
         The step's k-fold sum of child contributions, ``policy(h, m0, m1, k)``
-        with ``h = g + ln(p00/p10)`` and child weights ``m0``, ``m1``.
-        Defaults to :func:`exact_policy`; :func:`deep_policy` gives the
-        lattice upper law.
+        with finite ``h = g + ln(p00/p10)`` and child weights ``m0``,
+        ``m1``; it returns the sums and their root-0 weights.  Defaults to
+        :func:`exact_policy`; :func:`deep_policy` gives the lattice upper
+        law.
 
     Returns
     -------
@@ -162,6 +177,10 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
         pairs.
     UndefinedLimit
         If an atom sits at ``-inf`` while ``p11 = 0``.
+    DegenerateChannel
+        If ``llr_step`` leaves float64, or a sum falls below ``ln(tiny)``,
+        where ``w0`` cannot hold the root-1 weight (see
+        :class:`~treecast.atoms.ConditionalPair`).
     """
     if policy is None:
         policy = exact_policy()
@@ -171,8 +190,20 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
     mix0 = c.p00 * pair.w0 + c.p01 * pair.w1
     mix1 = c.p10 * pair.w0 + c.p11 * pair.w1
     h = llr_step(c, pair.values) + math.log(c.p00 / c.p10)  # may raise UndefinedLimit
-    values, w0, w1 = policy(h, mix0, mix1, k)
-    return ConditionalPair(depth=pair.depth + 1, values=values, w0=w0, w1=w1)
+    # h is finite except h(-inf) = -inf when p01 = 0, a contribution only
+    # root 1 makes: a sum is -inf with root-1 probability 1 - (1 - q_child)**k
+    q = 0.0
+    if len(h) and h[0] == -np.inf:
+        q_child = min(float(mix1[0]), 1.0)
+        q = -math.expm1(k * math.log1p(-q_child)) if q_child < 1 else 1.0
+        h, mix0, mix1 = h[1:], mix0[1:], mix1[1:]
+    values, w0 = policy(h, mix0, mix1, k)
+    # the root-0 mass is reset to 1 each step: fed back through the child
+    # mixtures, a rounding error in it would grow by a factor of up to k
+    w0 /= w0.sum()
+    if q > 0:
+        values, w0 = np.concatenate(([-np.inf], values)), np.concatenate(([0.0], w0))
+    return ConditionalPair(depth=pair.depth + 1, values=values, w0=w0, q=q)
 
 
 def _fold_budget(n_pairs: int) -> None:
@@ -186,22 +217,16 @@ def _fold_budget(n_pairs: int) -> None:
 def _lattice_power(h, m0, m1, k):
     """k-fold i.i.d. sum of child contributions split onto the lattice.
 
-    The child contributions ``h`` have child weights ``m0``, ``m1``.  Each
-    finite atom moves to the two lattice points around it, ``beta0`` of its
+    The finite child contributions ``h`` have child weights ``m0``, ``m1``.
+    Each moves to the two lattice points around it, ``beta0`` of its
     root-0 weight up and the rest down, with ``beta0`` chosen so its root-1
     weight ``m1`` is kept too.  Every lattice law then has root-1 weights
-    ``w0 * exp(-value)``, which is how they are formed, so only the root-0
-    vector is convolved.  Contributions at ``-inf`` (only when ``p01 = 0``)
-    carry no root-0 weight and stay off the lattice: a sum is ``-inf`` with
-    root-1 probability ``1 - (1 - q)**k``, which is 1 when ``q`` is.
+    ``w0 * exp(-value)``, so only the root-0 vector is convolved.
     The whole fold chain is checked against :data:`PAIR_BUDGET` before the
     first fold: fold ``j`` forms ``(j*(L-1) + 1) * L`` pairs for an
     ``L``-point lattice vector, so the last fold decides.
     """
     t = LATTICE_WIDTH
-    sure = np.isneginf(h)  # g is finite except g(-inf) = -inf when p01 = 0
-    q = min(float(m1[sure].sum()), 1.0)
-    h, m0, m1 = h[~sure], m0[~sure], m1[~sure]
     cell = np.floor(h / t)
     # beta0 = (m0*exp(-a) - m1) / (exp(-a) - exp(-a-t)) at a = cell*t; m1
     # stands in for m0*exp(-h), which rounding in h would move by ~1e-14
@@ -217,22 +242,7 @@ def _lattice_power(h, m0, m1, k):
     for _ in range(k - 1):
         s = np.convolve(s, f)
     live = np.flatnonzero(s > 0)
-    values = (live + k * low) * t
-    # both masses are reset to their exact totals each step: fed back
-    # through the child mixtures, a rounding error in either total would
-    # grow by a factor of up to k per depth
-    # root-1 mass (1 - q)**k off -inf; none when it rounds to 0, where
-    # exp(-values) may have underflowed too
-    log_finite1 = k * math.log1p(-q) if q < 1 else -math.inf
-    finite1 = math.exp(log_finite1)
-    w0 = s[live] / s[live].sum()
-    w1 = w0 * np.exp(-values)
-    w1 *= finite1 / w1.sum() if finite1 > 0 else 0.0
-    if q > 0:
-        values = np.concatenate(([-np.inf], values))
-        w0 = np.concatenate(([0.0], w0))
-        w1 = np.concatenate(([-math.expm1(log_finite1)], w1))
-    return values, w0, w1
+    return (live + k * low) * t, s[live]
 
 
 def _convolve(h, m0, m1, k):
@@ -247,33 +257,33 @@ def _convolve(h, m0, m1, k):
     before it is formed; when a second fold follows, its pair count (one
     pair per run of the first fold's sums and atom of the law) is counted
     from the sums alone, so a refused step forms no weights and no merge.
+    Only the root-0 weights ``m0`` are folded: the root-1 law of the sums
+    follows from theirs, so ``m1`` is not read.
     """
-    y, m0, m1 = grid_merge(h, m0, m1, tol=MERGE_TOL)
+    y, w = grid_merge(h, m0, tol=MERGE_TOL)
     if k == 1:
-        return y, m0, m1
+        return y, w
     m = len(y)
     _fold_budget(m * (m + 1) // 2)
     total = _self_pairs(np.add, y)
     if k > 2:
         _fold_budget(run_count(total, MERGE_TOL) * m)
     # an off-diagonal pair i < j stands for both ordered pairs, so its
-    # weight is doubled, bitwise m[i]*m[j] + m[j]*m[i]; row i starts at i = j
+    # weight is doubled, bitwise w[i]*w[j] + w[j]*w[i]; row i starts at i = j
     rows = np.arange(m, 0, -1)
     diagonal = np.cumsum(rows) - rows
-    t0, t1 = _self_pairs(np.multiply, m0), _self_pairs(np.multiply, m1)
-    t0 *= 2.0
-    t1 *= 2.0
-    t0[diagonal], t1[diagonal] = m0 * m0, m1 * m1
-    s, sw0, sw1 = grid_merge(total, t0, t1, tol=MERGE_TOL)
-    del total, t0, t1  # a later fold forms its own
+    t = _self_pairs(np.multiply, w)
+    t *= 2.0
+    t[diagonal] = w * w
+    s, sw = grid_merge(total, t, tol=MERGE_TOL)
+    del total, t  # a later fold forms its own
     for _ in range(k - 2):
         _fold_budget(len(s) * m)
         total = (s[:, None] + y[None, :]).ravel()
-        t0 = (sw0[:, None] * m0[None, :]).ravel()
-        t1 = (sw1[:, None] * m1[None, :]).ravel()
-        s, sw0, sw1 = grid_merge(total, t0, t1, tol=MERGE_TOL)
-        del total, t0, t1
-    return s, sw0, sw1
+        t = (sw[:, None] * w[None, :]).ravel()
+        s, sw = grid_merge(total, t, tol=MERGE_TOL)
+        del total, t
+    return s, sw
 
 
 def _self_pairs(op, x):

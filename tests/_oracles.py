@@ -9,10 +9,12 @@ exceptions are the four straightforward forms that the library replaced
 with faster ones, kept to pin the faster forms down: the full outer-product
 convolution, the searched comonotone coupling, the merge by a stable sort
 and the anchored population step that draws both a tilted and a uniform
-index for every child.  The convolution merges each fold's sums with the
-library's ``grid_merge``, the same runs of atoms closer than
-``MERGE_TOL``, so it pins the folds down but not the merging, which
-``test_atoms`` checks property by property.  The population step borrows
+index for every child.  The convolution carries both conditional weight
+vectors through every fold, where the library folds the root-0 weights
+alone and derives the root-1 ones, and merges each fold's sums with the
+stable-sort merge below: the same runs of atoms closer than ``MERGE_TOL``,
+so it pins the folds and the derived weights down but not the merging,
+which ``test_atoms`` checks property by property.  The population step borrows
 the library's tilt weights, draws, one-child update and projection, so it
 pins down only how the children are drawn.
 
@@ -26,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from treecast.atoms import _run_edges, _snap, grid_merge
+from treecast.atoms import _run_edges, _snap
 from treecast.channels import llr_step
 from treecast.evolution import MERGE_TOL
 from treecast.sampling import (Population, _project_unit_mean, _tilt_weights,
@@ -338,20 +340,37 @@ def every_child_anchored_step(pop, c, k):
 
 def full_product_convolve(h, m0, m1, k):
     """The exact step's k-fold sum of child contributions ``h``, with every
-    fold a full outer product.
+    fold a full outer product of both weight vectors.
 
     Forms all ``m*m`` ordered pairs in the first fold, so each unordered
-    pair twice; the library's self-fold forms each once.  Same signature
-    and return value as ``exact_policy()``; no pair or atom budget.
+    pair twice; the library's self-fold forms each once.  Same arguments as
+    ``exact_policy()``; returns the sums and both their weight vectors, the
+    root-1 one folded from ``m1`` rather than derived.  Each run of sums is
+    valued at its mean under both weight vectors.  No pair or atom budget.
     """
-    y, m0, m1 = grid_merge(h, m0, m1, tol=MERGE_TOL)
+    y, m0, m1 = stable_grid_merge(h, m0, m1, tol=MERGE_TOL)
     s, sw0, sw1 = y, m0, m1
     for _ in range(k - 1):
         total = (s[:, None] + y[None, :]).ravel()
         t0 = (sw0[:, None] * m0[None, :]).ravel()
         t1 = (sw1[:, None] * m1[None, :]).ravel()
-        s, sw0, sw1 = grid_merge(total, t0, t1, tol=MERGE_TOL)
+        s, sw0, sw1 = stable_grid_merge(total, t0, t1, tol=MERGE_TOL)
     return s, sw0, sw1
+
+
+def full_product_evolve(law, c, k):
+    """One depth of the recursion on a carried law ``(values, w0, w1)``,
+    folded by :func:`full_product_convolve`.
+
+    Both weight vectors are carried: none is derived from the other.
+    Contributions at ``-inf`` (``p01 = 0``) stay in the folds as atoms of
+    root-0 weight 0.
+    """
+    values, w0, w1 = law
+    mix0 = c.p00 * w0 + c.p01 * w1
+    mix1 = c.p10 * w0 + c.p11 * w1
+    h = llr_step(c, values) + math.log(c.p00 / c.p10)
+    return full_product_convolve(h, mix0, mix1, k)
 
 
 def searched_coupling(v, w0, w1):
@@ -385,11 +404,13 @@ def searched_coupling(v, w0, w1):
 
 
 def stable_grid_merge(values, *weight_vectors, tol):
-    """``grid_merge`` as it was with a stable ``argsort``, verbatim.
+    """``grid_merge`` with a stable ``argsort``, for any number of weight
+    vectors merged on one support.
 
     The library sorts with numpy's default argsort and puts each block of
-    equal values back in index order; this form pins that down bitwise.
-    Same signature and return value as ``grid_merge``.
+    equal values back in index order; with one weight vector this form
+    pins that down bitwise (same return value as ``grid_merge``).  With
+    several, each run is valued at its mean under their sum.
     """
     v = _snap(values)
     order = np.argsort(v, kind="stable")

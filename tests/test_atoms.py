@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from treecast import (
     ConditionalPair,
+    DegenerateChannel,
     InvalidParameter,
+    base_pair,
     grid_merge,
     hardcore_channel,
     make_channel,
@@ -25,27 +27,59 @@ from _oracles import genuine_pair_arrays, stable_grid_merge
 
 def genuine_pair(rng, n=12, depth=1):
     """Random pair arising from an actual binary experiment."""
-    v, q, r = genuine_pair_arrays(rng, n)
-    return ConditionalPair(depth=depth, values=v, w0=q, w1=r)
+    v, q, _ = genuine_pair_arrays(rng, n)
+    return ConditionalPair(depth=depth, values=v, w0=q)
 
 
 # ------------------------------------------------------------------- pairs
 
 def test_pair_validation():
-    v = np.array([-1.0, 1.0])
-    w = np.array([0.5, 0.5])
+    # a genuine pair: values = ln(w0/w1) with w1 = [0.75, 0.25]
+    v = np.array([-math.log(3.0), math.log(3.0)])
+    w = np.array([0.25, 0.75])
+    ConditionalPair(depth=1, values=v, w0=w)
     with pytest.raises(InvalidParameter):
-        ConditionalPair(depth=0, values=v, w0=w, w1=w)
+        ConditionalPair(depth=0, values=v, w0=w)
     with pytest.raises(InvalidParameter):
-        ConditionalPair(depth=1, values=v[::-1].copy(), w0=w, w1=w)
+        ConditionalPair(depth=1, values=v[::-1].copy(), w0=w[::-1].copy())
     with pytest.raises(InvalidParameter):
-        ConditionalPair(depth=1, values=v, w0=np.array([1.2, -0.2]), w1=w)
+        ConditionalPair(depth=1, values=v, w0=np.array([1.2, -0.2]))
     with pytest.raises(InvalidParameter):
-        ConditionalPair(depth=1, values=v, w0=np.array([0.5, 0.4]), w1=w)
+        ConditionalPair(depth=1, values=v, w0=np.array([0.25, 0.65]))
     with pytest.raises(InvalidParameter):
-        ConditionalPair(depth=1, values=np.array([0.0, math.nan]), w0=w, w1=w)
+        ConditionalPair(depth=1, values=np.array([0.0, math.nan]), w0=w)
     with pytest.raises(InvalidParameter):
-        ConditionalPair(depth=1, values=np.array([]), w0=np.array([]), w1=np.array([]))
+        ConditionalPair(depth=1, values=np.array([]), w0=np.array([]))
+    # w0 of one law with the values of another: the derived w1 sums to 1.27
+    with pytest.raises(InvalidParameter, match="w1 sums to"):
+        ConditionalPair(depth=1, values=np.array([-1.0, 1.0]), w0=w)
+    # root value 0 puts no mass at -inf, and a -inf mass needs a -inf atom
+    with pytest.raises(InvalidParameter):
+        ConditionalPair(depth=1, values=np.array([-math.inf, 0.0]), w0=np.array([0.5, 0.5]))
+    with pytest.raises(InvalidParameter):
+        ConditionalPair(depth=1, values=np.array([0.0]), w0=np.array([1.0]), q=1e-12)
+
+
+def test_pair_derives_root_one_weights():
+    """w1 is w0*exp(-value) on finite atoms, 0 at +inf and q at -inf."""
+    q = 0.25
+    v = np.array([-math.inf, 0.25, math.inf])
+    w0 = np.array([0.0, (1.0 - q) * math.exp(0.25), 0.0])
+    w0[2] = 1.0 - w0[1]
+    pair = ConditionalPair(depth=2, values=v, w0=w0, q=q)
+    assert pair.w1[0] == q and pair.w1[2] == 0.0
+    assert abs(pair.w1[1] - w0[1] * np.exp(-v[1])) <= 1e-16
+    assert pair.q == q
+
+
+@pytest.mark.parametrize("entries, k", [((1 - 1e-15, 0.5), 25), ((1 - 1e-15, 0.5), 30),
+                                        ((0.9999999, 0.3), 60)])
+def test_pair_refuses_root_one_mass_w0_cannot_hold(entries, k):
+    """Base laws whose atoms below ln(tiny) carry root-1 mass (7.8e-5,
+    2.6e-3 and 5.7e-2 here) while their w0 underflowed: deriving w1 would
+    lose that mass, so the pair refuses."""
+    with pytest.raises(DegenerateChannel, match="below ln"):
+        base_pair(make_channel(*entries), k)
 
 
 def test_genuine_pair_is_unbiased_and_dominant():
@@ -56,15 +90,8 @@ def test_genuine_pair_is_unbiased_and_dominant():
     for _ in range(50):
         pair = genuine_pair(rng)
         assert pair.posterior_mean_residual(c) < 1e-12
-        assert pair.dominance_violation() == 0.0
-
-
-def test_dominance_violation_detects_bad_pair():
-    pair = ConditionalPair(depth=1,
-                           values=np.array([-1.0, 1.0]),
-                           w0=np.array([0.6, 0.4]),
-                           w1=np.array([0.4, 0.6]))
-    assert abs(pair.dominance_violation() - 0.2) < 1e-15
+        assert np.all(pair.w1[pair.values > 0] <= pair.w0[pair.values > 0])
+        assert np.all(pair.w1[pair.values < 0] >= pair.w0[pair.values < 0])
 
 
 # ------------------------------------------------------------------ merging
@@ -139,16 +166,15 @@ def merge_inputs(draw):
     values = np.array(draw(st.lists(MERGE_VALUES, min_size=1, max_size=40)))
     weight_list = st.lists(st.floats(0.0, 1.0), min_size=len(values),
                            max_size=len(values))
-    weights = [np.array(draw(weight_list)) for _ in range(draw(st.integers(1, 2)))]
     tol = 10.0 ** draw(st.floats(-12.0, 0.0))
-    return values, weights, tol
+    return values, np.array(draw(weight_list)), tol
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(merge_inputs())
 def test_merge_properties(case):
-    values, weights, tol = case
-    mv, *merged = grid_merge(values, *weights, tol=tol)
+    values, w, tol = case
+    mv, mw = grid_merge(values, w, tol=tol)
     assert np.all(mv[1:] > mv[:-1])
     # consecutive atoms of one sign lie at least tol apart
     neg = mv < 0
@@ -161,17 +187,16 @@ def test_merge_properties(case):
     runs = np.split(s, np.flatnonzero(cut) + 1)
     assert len(runs) == len(mv) == run_count(values, tol)
     assert all(run[0] <= m <= run[-1] for run, m in zip(runs, mv))
-    for w, mw in zip(weights, merged):
-        assert math.isclose(mw.sum(), w.sum(), rel_tol=1e-12, abs_tol=1e-300)
-        for inf in (math.inf, -math.inf):
-            at = values == inf
-            assert np.count_nonzero(mv == inf) == int(at.any())
-            if at.any():
-                assert math.isclose(mw[mv == inf][0], w[at].sum(), rel_tol=1e-12)
+    assert math.isclose(mw.sum(), w.sum(), rel_tol=1e-12, abs_tol=1e-300)
+    for inf in (math.inf, -math.inf):
+        at = values == inf
+        assert np.count_nonzero(mv == inf) == int(at.any())
+        if at.any():
+            assert math.isclose(mw[mv == inf][0], w[at].sum(), rel_tol=1e-12)
     # no atom mixes signs: merging each side alone gives the same atoms
-    sides = [grid_merge(values[side], *(w[side] for w in weights), tol=tol)
+    sides = [grid_merge(values[side], w[side], tol=tol)
              for side in (values < 0, values >= 0)]
-    for got, neg_part, nonneg_part in zip((mv, *merged), *sides):
+    for got, neg_part, nonneg_part in zip((mv, mw), *sides):
         np.testing.assert_array_equal(got, np.concatenate([neg_part, nonneg_part]))
 
 
@@ -184,10 +209,8 @@ def tied_merge_inputs(draw):
     values = np.array(draw(st.lists(TIED_VALUES, max_size=80)), dtype=np.float64)
     weight_list = st.lists(st.floats(0.0, 1.0), min_size=len(values),
                            max_size=len(values))
-    weights = [np.array(draw(weight_list), dtype=np.float64)
-               for _ in range(draw(st.integers(1, 2)))]
     tol = draw(st.sampled_from([1e-12, 0.5, 1.0, 1.5, 3.0]))
-    return values, weights, tol
+    return values, np.array(draw(weight_list), dtype=np.float64), tol
 
 
 def assert_same_merge(got, want):
@@ -201,9 +224,8 @@ def assert_same_merge(got, want):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(tied_merge_inputs())
 def test_merge_is_the_stable_sort_merge_on_ties(case):
-    values, weights, tol = case
-    assert_same_merge(grid_merge(values, *weights, tol=tol),
-                      stable_grid_merge(values, *weights, tol=tol))
+    values, w, tol = case
+    assert_same_merge(grid_merge(values, w, tol=tol), stable_grid_merge(values, w, tol=tol))
 
 
 def test_merge_is_the_stable_sort_merge_on_exact_laws(monkeypatch):
@@ -212,9 +234,9 @@ def test_merge_is_the_stable_sort_merge_on_exact_laws(monkeypatch):
     stable-sort merge, bit for bit."""
     sizes = []
 
-    def both(values, *weights, tol):
-        got = grid_merge(values, *weights, tol=tol)
-        assert_same_merge(got, stable_grid_merge(values, *weights, tol=tol))
+    def both(values, weights, tol):
+        got = grid_merge(values, weights, tol=tol)
+        assert_same_merge(got, stable_grid_merge(values, weights, tol=tol))
         sizes.append(len(values))
         return got
 
@@ -226,14 +248,18 @@ def test_merge_is_the_stable_sort_merge_on_exact_laws(monkeypatch):
 
 
 def test_merge_joint_weight_vectors():
-    """Parallel weight vectors are merged on one shared support."""
-    v = np.array([1.0, 1.0 + 1e-14, 3.0])
+    """A root-1 vector tied to the merged one by w1 = w0*exp(-v) needs no
+    merge of its own: on the merged support, w0*exp(-value) is each run's
+    root-1 sum, to within the run's width."""
+    v = np.array([1.0, 1.0 + 1e-13, 3.0])
     a = np.array([0.2, 0.3, 0.5])
-    b = np.array([0.6, 0.1, 0.3])
-    mv, ma, mb = grid_merge(v, a, b, tol=1e-12)
+    b = a * np.exp(-v)
+    mv, ma = grid_merge(v, a, tol=1e-12)
     assert len(mv) == 2
     assert abs(ma[0] - 0.5) < 1e-15
-    assert abs(mb[0] - 0.7) < 1e-15
+    derived = ma * np.exp(-mv)
+    assert abs(derived[0] - (b[0] + b[1])) <= 1e-13 * derived[0]
+    assert derived[1] == b[2]
 
 
 def test_merge_conserves_total_weight():
@@ -241,10 +267,8 @@ def test_merge_conserves_total_weight():
     for _ in range(50):
         v = rng.normal(scale=2.0, size=500)
         a = rng.dirichlet(np.ones(500))
-        b = rng.dirichlet(np.ones(500))
-        mv, ma, mb = grid_merge(v, a, b, tol=0.05)
+        mv, ma = grid_merge(v, a, tol=0.05)
         assert abs(ma.sum() - 1.0) < 1e-10
-        assert abs(mb.sum() - 1.0) < 1e-10
         assert np.all(np.diff(mv) > 0)
 
 

@@ -193,14 +193,18 @@ def test_int_beyond_float_range_is_invalid(fn, args, position):
 BAD_COUNTS = (1.5, 2.0, 2.5, math.nan, -10 ** 5000)
 NAN_VECTORS = ([math.nan, 1.0], [0.5, math.nan], [math.nan, math.nan])
 _C = symmetric_channel(0.2)
-_PAIR = dict(depth=1, values=[-1.0, 1.0], w0=[0.25, 0.75], w1=[0.75, 0.25])
+# a genuine LLR pair: values = ln(w0/w1) with w1 = [0.75, 0.25]
+_PAIR = dict(depth=1, values=[-math.log(3.0), math.log(3.0)], w0=[0.25, 0.75])
 _EDGE_INPUTS = {
     "pair_depth": (BAD_COUNTS, lambda v: ConditionalPair(**{**_PAIR, "depth": v})),
     "pair_w0": (NAN_VECTORS, lambda w: ConditionalPair(**{**_PAIR, "w0": w})),
-    "pair_w1": (NAN_VECTORS, lambda w: ConditionalPair(**{**_PAIR, "w1": w})),
+    # the -inf mass: NaN, outside [0, 1], or positive with no -inf atom to hold it
+    "pair_q": ((math.nan, -0.5, math.inf, 0.5), lambda q: ConditionalPair(**_PAIR, q=q)),
     "coupling_weight": (NAN_VECTORS, lambda w: Coupling([-1.0, 1.0], [0, 1], [0, 1], w)),
     "sandwich_probs": (NAN_VECTORS, lambda w: verify_sandwich(
         w, [True, False], [0, 1], [True, False], 0.0, 1.0)),
+    "sandwich_tol": ((math.nan, -1.0, math.inf), lambda t: verify_sandwich(
+        [0.5, 0.5], [True, False], [0, 1], [True, False], 0.0, 1.0, tol=t)),
     "population_samples": ((*NAN_VECTORS, []), lambda s: Population(1, s, None)),
     "population_depth": (BAD_COUNTS, lambda v: Population(v, [0.0], None)),
     "trajectory_depth": (BAD_COUNTS, lambda v: trajectory(base_pair(_C, 2), lambda p: p, v)),

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import treecast
-from treecast import (DominanceViolation, cli, deep_policy, evolve_to_depth,
+from treecast import (InvalidParameter, cli, deep_policy, evolve_to_depth,
                       diagnostics, llr_step, make_channel)
 from treecast.cli import main
 
@@ -492,14 +492,14 @@ def test_cli_never_leaks_a_python_exception(argv):
 @pytest.mark.parametrize("command", ["couple", "verify"])
 def test_refused_coupling_exits_2(command, capsys, monkeypatch):
     """Every typed error the handlers raise maps to an exit code, including
-    the DominanceViolation that build_coupling raises."""
+    one that build_coupling raises."""
     def refuse(pair, c):
-        raise DominanceViolation("per-atom weight ordering violated")
+        raise InvalidParameter("coupling weight sums to 0.5, not 1")
 
     monkeypatch.setattr(cli, "build_coupling", refuse)
     code, out, err = run_cli([command, "--symmetric", "0.3"], capsys)
     assert code == 2 and out == ""
-    assert err == "error: per-atom weight ordering violated\n"
+    assert err == "error: coupling weight sums to 0.5, not 1\n"
 
 
 def test_edge_channels_answer_or_refuse(capsys):
@@ -658,13 +658,13 @@ PINNED_OUTPUTS = {
     "evolve-exact": (
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "5",
          "--out", "evolve.csv"],
-        "f3189e859a8fa6d4941fb54867fe8e443570403d5461283dfbba5216c6dcdd5b"),
+        "d721aac417c070fa3af46f74df967614b474ba03f3b21aa458d1a613355c6883"),
     # k=3 at depth 4: a law the exact engine refuses (its last fold is
     # above PAIR_BUDGET), so only the lattice step computes this curve
     "evolve-exact-k3": (
         ["evolve", "--symmetric", "0.2", "--k", "3", "--depth", "4",
          "--out", "evolve_k3_d4.csv"],
-        "24568742f2ab161c370b4accbaf78f3f6a43465489bf8d4e2a50c72212012072"),
+        "424507a0d770afab0020ed16130b1ac925a8dee403eab70f92acb4beae4f734b"),
     "evolve-population": (
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "4",
          "--engine", "population", "--pop-size", "4000", "--seed", "9",
@@ -673,22 +673,22 @@ PINNED_OUTPUTS = {
     "couple-csv": (
         ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
          "--out", "coupling.csv"],
-        "9d178113dd7e490ef97eaead8db0d668555674ea51f9dcc5fa2f6adb7956a79c"),
+        "208c5400661069e1df13bcd3b8e5b32eb791f9ec9cfb28a4e9b684b1850cc9e7"),
     "couple-json": (
         ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
          "--format", "json", "--out", "coupling.json"],
-        "34c3e30f7201bee050ae6947327ae07b713206c405c122e399904f7f8764bba0"),
+        "8d3f93112d72eba183de7f5c790587bfcb9b2be4202b57a2ec4f8c8d37f128c2"),
     "verify-suite": (
         ["verify", "--out", "suite.json"],
-        "dfb3cf703d8071b394ff2081364806fcd20b1dc3dcd013363a49e27ba73f14f7"),
+        "726e71fe381ef9243b0c6b7f24e32287e17d39245eccc44011aa3c8611900bfa"),
     "verify-matrix": (
         ["verify", "--matrix", "0.6", "0.3", "--out", "verify.json"],
-        "f14afce310280c82d5dcf53b718cba183d7c4bb49454e669344a7435c78384e6"),
+        "0bd009771c0b19219e39fecc9fd3c0a86d8218502fee89cde4d4d940ddd438ba"),
     "threshold-exact": (
         ["threshold", "--symmetric", "--k", "2", "--engine", "exact",
          "--depth", "4", "--tol", "0.1", "--bracket", "0.05", "0.45",
          "--seed", "4", "--out", "threshold.json"],
-        "58c1b0a392807f86b0c518ae8e494c20a5713c3c1f284ec366c469bb43a82047"),
+        "b5a1928853e9c6e88115ffadfc76c804b8befedc503d81a2717d711027bb9bf5"),
     # the population bisection path: population draws, steps and TV curve
     "threshold-population": (
         ["threshold", "--symmetric", "--k", "2", "--pop-size", "2000",
