@@ -138,8 +138,11 @@ def base_pair(c: BinaryChannel, k: int) -> ConditionalPair:
     n1 = counts[(w0 > 0) | (w1 > 0)]
     values = np.array([(0.0 if n == k else (k - n) * lr0) + (0.0 if n == 0 else n * lr1)
                        for n in n1])
-    # the root-1 law follows from w0 and the values, except its -inf mass
-    q = float(w1[n1][values == -np.inf].sum())
+    # the root-1 law follows from w0 and the values, except its -inf mass;
+    # a row's two entries sum to 1 only within rounding, so both binomial
+    # rows are normalized
+    w1 = w1[n1]
+    q = float(w1[values == -np.inf].sum() / w1.sum())
     values, w0 = grid_merge(values, w0[n1], tol=MERGE_TOL)
     return ConditionalPair(depth=1, values=values, w0=w0 / w0.sum(), q=q)
 

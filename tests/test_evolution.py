@@ -79,6 +79,24 @@ def test_base_pair_opposite_infinities_warn_nothing():
     assert list(pair.w0) == [0.0, 1.0] and list(pair.w1) == [1.0, 0.0]
 
 
+def test_base_pair_rows_keep_their_small_entry():
+    """Each binomial row takes its failure probability from the channel,
+    so a row whose 1 - p rounds to 0 keeps its small entry, and the
+    derived root-1 law stays a law."""
+    # p01 rounds to 1 and p00 = 2.2e-103: the all-empty count keeps its
+    # root-0 weight p00**2, so its root-1 weight 1 can be derived
+    c = hardcore_channel(w_of_lambda(1e308, 2))
+    pair = base_pair(c, 2)
+    assert pair.w0[0] == pytest.approx(c.p00 ** 2, rel=1e-13)
+    assert diagnostics(pair, c)["tv"] == 1.0
+    # p11 rounds to 1 and the row sums to 1 + 1e-17: the -inf mass stays <= 1
+    assert base_pair(symmetric_channel(1e-17), 25).q == 1.0
+    # both small entries count: 50-digit mpmath on the normalized rows
+    # gives TV 1.99999997900e-9, where 1 - p alone gave 1.99999994294e-9
+    c = make_channel(1e-9, 1e-17)
+    assert abs(diagnostics(base_pair(c, 2), c)["tv"] - 1.99999997900e-9) < 1e-16
+
+
 def test_base_pair_uninformative_channel():
     """eps = 1/2 gives a point mass at 0 under both root values."""
     pair = base_pair(symmetric_channel(0.5), 3)
