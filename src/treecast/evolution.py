@@ -64,18 +64,19 @@ def deep_policy():
     return _lattice_power
 
 
-def _binomial_pmf(k: int, p: float, fail: float | None = None) -> np.ndarray:
-    """Binomial(k, p) probabilities of 0..k successes, each rounded once.
+def _binomial_pmf(k: int, p: float, fail: float) -> np.ndarray:
+    """Binomial probabilities of 0..k successes, each rounded once.
 
-    ``q**k``, then ``* (k-n)/(n+1) * p/q`` per step, in ``DECIMAL_40``; a
-    term below the float64 range becomes 0.  The failure probability ``q``
-    is ``fail`` when given (a channel row's other entry, which keeps a
-    ``p00`` of 1e-103 where ``1 - p01`` rounds to 0), else ``1 - p``.
+    ``fail**k``, then ``* (k-n)/(n+1) * p/fail`` per step, in
+    ``DECIMAL_40``; a term below the float64 range becomes 0.  ``p`` and
+    ``fail`` are a channel row's two entries, taken as given: a ``p00`` of
+    1e-103 is kept where ``1 - p01`` would round to 0, and the terms sum to
+    ``(p + fail)**k``, 1 only within rounding.
     """
     out = np.zeros(k + 1)
     with decimal.localcontext(DECIMAL_40):
         p_dec = decimal.Decimal(p)
-        q = 1 - p_dec if fail is None else decimal.Decimal(fail)
+        q = decimal.Decimal(fail)
         if q == 0:
             out[k] = 1.0
             return out
@@ -232,7 +233,7 @@ def _lattice_power(h, m0, m1, k):
     t = LATTICE_WIDTH
     cell = np.floor(h / t)
     # beta0 = (m0*exp(-a) - m1) / (exp(-a) - exp(-a-t)) at a = cell*t; m1
-    # stands in for m0*exp(-h), which rounding in h would move by ~1e-14
+    # stands in for m0*exp(-h), which rounding in h would move by ~|h| ulps
     up = np.clip((m0 - m1 * np.exp(cell * t)) / -math.expm1(-t), 0.0, m0)
     cell = cell.astype(np.int64)
     low = int(cell.min())

@@ -229,10 +229,11 @@ def test_binomial_weights_within_half_ulp_of_truth(k):
     stats = pytest.importorskip("scipy.stats")
     n = np.arange(k + 1)
     for p in BINOMIAL_PROBS:
-        got = _binomial_pmf(k, p)
+        got = _binomial_pmf(k, p, 1.0 - p)
         with mpmath.workdps(60):
-            mp_p = mpmath.mpf(p)  # the float p, exactly
-            truth = [mpmath.binomial(k, j) * mp_p ** j * (1 - mp_p) ** (k - j)
+            # the float p and its float complement, exactly
+            mp_p, mp_q = mpmath.mpf(p), mpmath.mpf(1.0 - p)
+            truth = [mpmath.binomial(k, j) * mp_p ** j * mp_q ** (k - j)
                      for j in range(k + 1)]
             err = [abs(mpmath.mpf(float(g)) - t) / mpmath.mpf(float(np.spacing(g)))
                    for g, t in zip(got, truth)]
