@@ -390,10 +390,10 @@ def test_self_fold_agrees_with_full_product_on_random_channels():
     """Summing each unordered pair once, and deriving the root-1 weights
     rather than folding them, moves the law by rounding only.
 
-    The reference carries both weight vectors through its own chain.  Each
-    chain runs through depth 4; a cell the exact step refuses (most k=3,
-    depth-4 cells) ends its chain, since the reference would have to form
-    the same refused fold.
+    The reference carries both weight vectors through its own chain, from
+    the enumerated depth-1 laws.  Each chain runs through depth 4; a cell
+    the exact step refuses (most k=3, depth-4 cells) ends its chain, since
+    the reference would have to form the same refused fold.
     """
     rng = np.random.default_rng(91)
     checked = {}
@@ -401,7 +401,7 @@ def test_self_fold_agrees_with_full_product_on_random_channels():
         c = make_channel(*random_channel(rng, 0.05, 0.95))
         for k in (2, 3):
             exact = base_pair(c, k)
-            full = (exact.values, exact.w0, exact.w1)
+            full = brute_pair_laws(c, k, 1)
             for depth in (2, 3, 4):
                 try:
                     exact = evolve(exact, c, k, exact_policy())
