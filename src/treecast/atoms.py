@@ -62,10 +62,12 @@ class ConditionalPair:
             raise InvalidParameter("values and w0 must be 1-d arrays of equal length")
         if np.any(np.isnan(v)) or np.any(np.diff(v) <= 0):
             raise InvalidParameter("shared support must be strictly increasing, without NaN")
-        sure = int(len(v) > 0 and v[0] == -np.inf)  # -inf can only be the first atom
+        # w0 sums to 1, so there is an atom, and -inf can only be the first;
+        # with no root-0 mass there, another atom follows it
+        sure = int(v[0] == -np.inf)
         if (a[0] > 0) if sure else (q > 0):
             raise InvalidParameter("the -inf atom holds root-1 mass q only, and q > 0 needs one")
-        if len(v) > sure and v[sure] < _LOG_TINY:
+        if v[sure] < _LOG_TINY:
             raise DegenerateChannel(
                 f"atom {v[sure]:.6g} lies below ln(tiny) = {_LOG_TINY:.1f}, where w0 cannot "
                 "hold its root-1 weight: the channel is too close to deterministic")

@@ -197,7 +197,7 @@ def evolve(pair: ConditionalPair, c: BinaryChannel, k: int,
     # h is finite except h(-inf) = -inf when p01 = 0, a contribution only
     # root 1 makes: a sum is -inf with root-1 probability 1 - (1 - q_child)**k
     q = 0.0
-    if len(h) and h[0] == -np.inf:
+    if h[0] == -np.inf:
         q_child = min(float(mix1[0]), 1.0)
         q = -math.expm1(k * math.log1p(-q_child)) if q_child < 1 else 1.0
         h, mix0, mix1 = h[1:], mix0[1:], mix1[1:]
