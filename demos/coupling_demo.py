@@ -2,7 +2,7 @@
 
 Builds, at several depths, the coupling that keeps the two root-score
 laws equal wherever their weights overlap and pairs the leftover mass so
-that every off-diagonal pair straddles zero.  Prints the diagonal mass,
+that every crossing pair straddles zero.  Prints the diagonal mass,
 the crossing mass, and the coupling's mean difference, which matches the
 laws' mean gap identically; the crossing structure is what turns the
 one-step contraction of the update kernel into a depth-recursion bound.
@@ -36,16 +36,15 @@ def main():
                        lambda p: evolve(p, c, args.k, deep_policy()), args.depth)
     for pair in pairs:
         coupling = build_coupling(pair, c)
-        off = coupling.i0 != coupling.i1  # positions in the pair's support
-        diag_mass = float(coupling.weight[~off].sum())
-        cross_mass = float(coupling.weight[off].sum())
+        diag_mass = float(coupling.diagonal.sum())
+        cross_mass = float(coupling.weight.sum())
         print(f"  {pair.depth:5d}  {len(pair.values):7d}  {diag_mass:10.6f}  "
               f"{cross_mass:10.6f}  {coupling.mean_difference():12.6e}  "
               f"{mean_gap(pair):12.6e}")
 
-    print("\nevery off-diagonal pair satisfies y1 <= 0 <= y0:")
-    y0, y1 = coupling.y0[off], coupling.y1[off]
-    for a, b, w in zip(y0[:5], y1[:5], coupling.weight[off][:5]):
+    print("\nevery crossing pair satisfies y1 <= 0 <= y0:")
+    y0, y1 = coupling.y0, coupling.y1
+    for a, b, w in zip(y0[:5], y1[:5], coupling.weight[:5]):
         print(f"  y0={a:+.4f}  y1={b:+.4f}  weight={w:.3e}")
     if len(y0) > 5:
         print(f"  ... {len(y0) - 5} more crossing pairs")

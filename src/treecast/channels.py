@@ -165,14 +165,16 @@ def _count(name: str, v, least: int = 1) -> int:
     return int(v)
 
 
-def _probabilities(name: str, w) -> np.ndarray:
+def _probabilities(name: str, w, held: float = 0.0) -> np.ndarray:
     """``w`` as a 1-d float64 array; :class:`InvalidParameter` unless its
-    entries are non-negative (NaN is not) and sum to 1 within 1e-10."""
+    entries are non-negative (NaN is not) and sum, with a mass ``held``
+    elsewhere, to 1 within 1e-10."""
     a = np.asarray(w, dtype=np.float64)
     if a.ndim != 1 or not (a >= 0).all():
         raise InvalidParameter(f"{name} must be a 1-d array of non-negative numbers, not NaN")
-    if not abs(a.sum() - 1.0) <= 1e-10:
-        raise InvalidParameter(f"{name} sums to {a.sum()}, not 1")
+    total = a.sum() + held
+    if not abs(total - 1.0) <= 1e-10:
+        raise InvalidParameter(f"{name} sums to {total}, not 1")
     return a
 
 

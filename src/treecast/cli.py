@@ -250,12 +250,17 @@ def cmd_couple(args) -> int:
         res0, res1 = coupling.marginal_residuals(pair)
         payload = {"config": config,
                    "pairs": [[float(a), float(b), float(w)] for a, b, w in
-                             zip(coupling.y0, coupling.y1, coupling.weight)],
+                             zip(*coupling.pairs())],
                    "marginal_residual0": res0, "marginal_residual1": res1,
                    "crossing_ok": coupling.crossing_ok(),
                    "mean_difference": coupling.mean_difference()}
         _emit(args, serialize.report_json(payload))
     return 0
+
+
+def _check(name: str, residual, passed) -> dict:
+    """One check record of a JSON report: its name, residual and verdict."""
+    return {"name": name, "residual": float(residual), "passed": bool(passed)}
 
 
 def cmd_hardcore_check(args) -> int:
@@ -269,10 +274,8 @@ def cmd_hardcore_check(args) -> int:
     res_rooted = gibbs_conditional_sweep(desc["w"], args.k, depth, center_root=False)
     res_center = gibbs_conditional_sweep(desc["w"], args.k, depth, center_root=True)
     checks = [
-        {"name": "single_site_conditional_rooted", "residual": res_rooted,
-         "passed": res_rooted <= 1e-12},
-        {"name": "single_site_conditional_center_root", "residual": res_center,
-         "passed": res_center <= 1e-12},
+        _check("single_site_conditional_rooted", res_rooted, res_rooted <= 1e-12),
+        _check("single_site_conditional_center_root", res_center, res_center <= 1e-12),
         {"name": "no_adjacent_occupied", "violations": occupancy.violations,
          "samples": occupancy.samples, "passed": occupancy.passed},
     ]
@@ -287,10 +290,6 @@ def _verify_suite(seed: int) -> list:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     checks = []
 
-    def record(name, residual, passed):
-        checks.append({"name": name, "residual": float(residual),
-                       "passed": bool(passed)})
-
     # depth-recursion mean identity on random interior channels
     worst = 0.0
     for _ in range(20):
@@ -299,7 +298,7 @@ def _verify_suite(seed: int) -> list:
             pairs = trajectory(base_pair(c, k), lambda p: evolve(p, c, k, exact_policy()), 3)
             for pair, nxt in itertools.pairwise(pairs):
                 worst = max(worst, gap_identity_residual(nxt, pair, c, k))
-    record("mean_gap_identity", worst, worst <= 1e-9)
+    checks.append(_check("mean_gap_identity", worst, worst <= 1e-9))
 
     # coupling marginals and crossing
     worst = 0.0
@@ -312,7 +311,7 @@ def _verify_suite(seed: int) -> list:
         r0, r1 = coupling.marginal_residuals(pair)
         worst = max(worst, r0, r1)
         crossing = crossing and coupling.crossing_ok()
-    record("coupling_marginals", worst, worst <= 1e-12 and crossing)
+    checks.append(_check("coupling_marginals", worst, worst <= 1e-12 and crossing))
 
     # conditional-probability sandwich on random finite spaces
     violations = 0
@@ -339,12 +338,12 @@ def _verify_suite(seed: int) -> list:
                                   p1=min(1.0, max(conds) + 1e-9))
         if not verdict.passed:
             violations += 1
-    record("sandwich_inequality", violations, violations == 0)
+    checks.append(_check("sandwich_inequality", violations, violations == 0))
 
     # hard-core single-site conditionals
     res = max(gibbs_conditional_sweep(1.0, 2, 3, center_root=False),
               gibbs_conditional_sweep(1.0, 2, 3, center_root=True))
-    record("single_site_conditional", res, res <= 1e-12)
+    checks.append(_check("single_site_conditional", res, res <= 1e-12))
 
     # bound ordering plus the three equality classes
     worst_order = 0.0
@@ -365,8 +364,8 @@ def _verify_suite(seed: int) -> list:
         p = rng.uniform(0.05, 0.95)
         c = make_channel(p, p)
         worst_eq = max(worst_eq, abs(geometric_mean_bound_lhs(c) - mossel_peres_lhs(c)))
-    record("bound_ordering", max(worst_order, worst_eq),
-           worst_order <= 1e-12 and worst_eq <= 1e-12)
+    checks.append(_check("bound_ordering", max(worst_order, worst_eq),
+                         worst_order <= 1e-12 and worst_eq <= 1e-12))
 
     # kernel-peak closed form vs finite differences
     xs = np.linspace(-20.0, 20.0, 10_001)
@@ -377,7 +376,7 @@ def _verify_suite(seed: int) -> list:
         fx = gap_kernel(c, xs)
         grid_max = float(np.max(np.diff(fx) / np.diff(xs)))
         worst = max(worst, abs(value - grid_max))
-    record("kernel_peak", worst, worst <= 1e-6)
+    checks.append(_check("kernel_peak", worst, worst <= 1e-6))
     return checks
 
 
@@ -388,21 +387,17 @@ def _verify_channel(c: BinaryChannel, k: int) -> list:
                                      lambda p: evolve(p, c, k, exact_policy()), 3)
     res = max(gap_identity_residual(pair2, pair1, c, k),
               gap_identity_residual(pair3, pair2, c, k))
-    checks.append({"name": "mean_gap_identity", "residual": float(res),
-                   "passed": bool(res <= 1e-9)})
+    checks.append(_check("mean_gap_identity", res, res <= 1e-9))
     coupling = build_coupling(pair3, c)
-    r0, r1 = coupling.marginal_residuals(pair3)
-    checks.append({"name": "coupling_marginals", "residual": float(max(r0, r1)),
-                   "passed": bool(max(r0, r1) <= 1e-12 and coupling.crossing_ok())})
+    res = max(coupling.marginal_residuals(pair3))
+    checks.append(_check("coupling_marginals", res, res <= 1e-12 and coupling.crossing_ok()))
     if c.p01 == c.p11:
-        gap = mean_gap(pair3)
-        checks.append({"name": "rows_equal_mean_gap", "residual": float(abs(gap)),
-                       "passed": bool(abs(gap) <= 1e-10)})
+        gap = abs(mean_gap(pair3))
+        checks.append(_check("rows_equal_mean_gap", gap, gap <= 1e-10))
     if min(c.p00, c.p01, c.p10, c.p11) > 0:
         _, value = gap_kernel_peak(c)
         diff = abs(value - geometric_mean_bound_lhs(c))
-        checks.append({"name": "kernel_peak_closed_form", "residual": float(diff),
-                       "passed": bool(diff <= 1e-12)})
+        checks.append(_check("kernel_peak_closed_form", diff, diff <= 1e-12))
     return checks
 
 

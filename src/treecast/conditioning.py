@@ -2,17 +2,18 @@
 conditional-probability sandwich that underpins it.
 
 The coupling puts as much mass as possible on the diagonal (the two laws
-agree there) and pairs the leftover mass so that every off-diagonal pair
+agree there) and pairs the leftover mass so that every crossing pair
 straddles 0 in LLR coordinates: the root-0 law's surplus lives on the
 positive side, the root-1 law's surplus on the negative side, since
 ``w1 = w0 * exp(-value)`` is below ``w0`` exactly where the value is
-positive.  Off the diagonal the pairing
-is the sorted (comonotone) transport between the two residuals; any
-measurable pairing would satisfy the same marginal and crossing
-guarantees, so sorted order is chosen for determinism.  A pair is kept as
-two positions in the laws' shared support, not as two values: the
-construction already has them, and each marginal check is then one
-``bincount`` instead of a search of the support for every pair.
+positive.  The diagonal, ``min(w0, w1)`` at every atom, is read from the
+pair being coupled, so only the crossing pairs are stored.  They are the
+sorted (comonotone) transport between the two residuals; any measurable
+pairing would satisfy the same marginal and crossing guarantees, so
+sorted order is chosen for determinism.  A pair is kept as two positions
+in the pair's support, not as two values: the construction already has
+them, and each marginal check is then one ``bincount`` instead of a
+search of the support for every pair.
 
 ``verify_sandwich`` checks the underlying two-sided bound on a finite
 probability space: if the conditional probability of an event ``B`` given
@@ -35,74 +36,102 @@ from .atoms import ConditionalPair
 
 @dataclass(frozen=True)
 class Coupling:
-    """Joint law of a pair ``(y0, y1)`` with prescribed marginals.
+    """Joint law of a pair ``(y0, y1)`` whose marginals are the two laws
+    of ``pair``.
 
-    Pairs are held as positions in the sorted ``support`` they came from:
-    pair ``j`` carries ``weight[j]`` at ``(y0[j], y1[j]) = (support[i0[j]],
-    support[i1[j]])``, so each marginal is one ``bincount`` of a position
-    array, with no search of the support.  Positive-weight pairs satisfy
-    ``i0 == i1`` or ``y1 <= 0 <= y0``.  The weights must be non-negative
-    (a NaN weight is refused) and sum to 1.
+    The diagonal carries ``min(w0, w1)`` at every atom of the pair's
+    support and is derived from the pair (:attr:`diagonal`).  Stored are
+    the crossing pairs only, as positions in that support: crossing pair
+    ``j`` carries ``weight[j]`` at ``(y0[j], y1[j]) = (values[i0[j]],
+    values[i1[j]])``, and when that weight is positive, ``y1 <= 0 <= y0``.
+    The weights must be non-negative (a NaN weight is refused) and sum,
+    with the diagonal, to 1.
     """
 
-    support: np.ndarray
+    pair: ConditionalPair
     i0: np.ndarray
     i1: np.ndarray
     weight: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.support, dtype=np.float64)
+        if not isinstance(self.pair, ConditionalPair):
+            raise InvalidParameter("a coupling couples a ConditionalPair")
         a, b = np.asarray(self.i0), np.asarray(self.i1)
-        w = _probabilities("coupling weight", self.weight)
-        if not (a.shape == b.shape == w.shape) or s.ndim != 1:
-            raise InvalidParameter("need a 1-d support and 1-d i0, i1, weight of equal length")
-        if not (np.issubdtype(a.dtype, np.integer) and np.issubdtype(b.dtype, np.integer)):
-            raise InvalidParameter("positions i0, i1 must be integer arrays")
+        w = _probabilities("coupling weight", self.weight, held=self.diagonal.sum())
+        if not (a.shape == b.shape == w.shape and a.dtype.kind in "iu" and b.dtype.kind in "iu"):
+            raise InvalidParameter("positions i0, i1 must be integer arrays as long as weight")
         a, b = a.astype(np.intp, copy=False), b.astype(np.intp, copy=False)
-        if min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= len(s):
-            raise InvalidParameter(f"positions must lie in [0, {len(s)})")
-        for name, x in (("support", s), ("i0", a), ("i1", b), ("weight", w)):
+        n = len(self.pair)
+        if len(a) and (min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n):
+            raise InvalidParameter(f"positions must lie in [0, {n})")
+        for name, x in (("i0", a), ("i1", b), ("weight", w)):
             object.__setattr__(self, name, x)
 
     @property
+    def diagonal(self) -> np.ndarray:
+        """Mass ``min(w0, w1)`` kept in place at each atom of the support."""
+        return np.minimum(self.pair.w0, self.pair.w1)
+
+    @property
     def y0(self) -> np.ndarray:
-        return self.support[self.i0]
+        return self.pair.values[self.i0]
 
     @property
     def y1(self) -> np.ndarray:
-        return self.support[self.i1]
+        return self.pair.values[self.i1]
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(y0, y1, weight)`` of every pair for output: the diagonal atoms
+        of positive mass in support order, then the crossing pairs."""
+        d = self.diagonal
+        live = d > 0
+        at = self.pair.values[live]
+        return (np.concatenate((at, self.y0)), np.concatenate((at, self.y1)),
+                np.concatenate((d[live], self.weight)))
 
     def crossing_ok(self) -> bool:
-        """True when every positive-weight pair is diagonal or straddles 0."""
-        off = np.flatnonzero((self.i0 != self.i1) & (self.weight > 0))
-        return bool(np.all(self.support[self.i1[off]] <= 0)
-                    and np.all(self.support[self.i0[off]] >= 0))
+        """True when every crossing pair of positive weight straddles 0."""
+        live = self.weight > 0
+        return bool(np.all(self.y1[live] <= 0) and np.all(self.y0[live] >= 0))
 
     def marginal_residuals(self, pair: ConditionalPair) -> tuple[float, float]:
-        """Worst per-atom deviation of each marginal from the pair's laws.
+        """Worst per-atom deviation of each marginal from ``pair``'s laws.
 
-        Raises :class:`InvalidParameter` unless ``support`` is the pair's.
+        Raises :class:`InvalidParameter` unless ``pair`` has the support of
+        the coupled pair.
         """
-        if not (self.support is pair.values or np.array_equal(self.support, pair.values)):
+        v = self.pair.values
+        if not (pair.values is v or np.array_equal(pair.values, v)):
             raise InvalidParameter("coupling support is not the pair's support")
-        n = len(self.support)
-        m0 = np.bincount(self.i0, weights=self.weight, minlength=n)
-        m1 = np.bincount(self.i1, weights=self.weight, minlength=n)
-        return (float(np.abs(m0 - pair.w0).max()),
-                float(np.abs(m1 - pair.w1).max()))
+        d = self.diagonal
+        res = []
+        for at, law in ((self.i0, pair.w0), (self.i1, pair.w1)):
+            m = d - law
+            m += np.bincount(at, weights=self.weight, minlength=len(v))
+            res.append(float(np.abs(m, out=m).max()))
+        return res[0], res[1]
 
     def mean_difference(self) -> float:
-        """E[y0 - y1]; +inf when an infinite atom carries weight."""
-        diff = self.support[self.i0]
-        with np.errstate(invalid="ignore"):  # inf - inf: dropped if weightless, else +inf
-            diff -= self.support[self.i1]
-        weight = self.weight
-        live = weight > 0
-        if not live.all():
-            diff, weight = diff[live], weight[live]
-        if not np.isfinite(diff).all():
-            return math.inf
-        return float(diff @ weight)
+        """E[y0 - y1], to which the diagonal adds 0; +inf when an infinite
+        atom carries crossing weight.  Meaningful when :meth:`crossing_ok`,
+        where every ``y0 - y1`` is ``>= 0``."""
+        live = self.weight > 0
+        return float((self.y0[live] - self.y1[live]) @ self.weight[live])
+
+
+def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
+    """Prefix sums of a non-negative ``x``, each within about an ulp.
+
+    ``np.cumsum`` plus the running sum of each step's exact rounding error
+    (Knuth's TwoSum: for ``c = prev + x``, ``b = c - prev`` and the error
+    is ``(prev - (c - b)) + (x - b)``), kept non-decreasing.  A plain
+    ``cumsum`` over n entries drifts by up to ``n`` ulps.
+    """
+    c = np.cumsum(x)
+    b = c[1:] - c[:-1]
+    err = (c[:-1] - (c[1:] - b)) + (x[1:] - b)
+    c[1:] += np.cumsum(err, out=err)
+    return np.maximum.accumulate(c, out=c)
 
 
 def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
@@ -112,33 +141,29 @@ def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
     ----------
     pair : ConditionalPair
     c : BinaryChannel
-        Unused by the construction itself (the sign barrier sits at LLR 0
-        in every coordinate system) but kept for interface symmetry and
-        future posterior-coordinate output.
+        Unused: the sign barrier sits at LLR 0 whatever the channel.  It is
+        accepted because the CLI and the benchmark harness pass it.
 
     Returns
     -------
     Coupling
-        On ``pair.values`` itself (the same array): diagonal mass
-        ``min(w0, w1)`` at every atom; residual mass paired in sorted
-        order between the positive-side surplus of law 0 and the
-        negative-side surplus of law 1.
+        Of ``pair`` itself: the diagonal ``min(w0, w1)`` is the pair's, and
+        the crossing pairs match, in sorted order, the positive-side
+        surplus of law 0 with the negative-side surplus of law 1.
     """
-    v, w0, w1 = pair.values, pair.w0, pair.w1
-    # the diagonal carries min(w0, w1); the surplus of law 0 (v > 0) sits
-    # where w0 > w1, that of law 1 (v < 0) where w1 > w0
-    live = np.flatnonzero((w0 > 0) & (w1 > 0))
+    w0, w1 = pair.w0, pair.w1
+    # the surplus of law 0 (v > 0) sits where w0 > w1, that of law 1
+    # (v < 0) where w1 > w0; with either empty, the diagonal is all
     s0 = np.flatnonzero(w0 > w1)
     s1 = np.flatnonzero(w1 > w0)
     if len(s0) == 0 or len(s1) == 0:
-        d = np.minimum(w0[live], w1[live])
-        return Coupling(support=v, i0=live, i1=live, weight=d / d.sum())
+        return Coupling(pair, s0[:0], s1[:0], np.empty(0))
 
     # comonotone pairing on the union of the residual cumulative masses:
     # a stable sort merges the two sorted runs, and the first occurrence of
     # each mass m has before it exactly the entries of c0 and of c1 below m
-    c0 = np.cumsum(w0[s0] - w1[s0])
-    c1 = np.cumsum(w1[s1] - w0[s1])
+    c0 = _compensated_cumsum(w0[s0] - w1[s0])
+    c1 = _compensated_cumsum(w1[s1] - w0[s1])
     merged = np.concatenate((c0, c1))
     del c1
     order = np.argsort(merged, kind="stable")
@@ -150,28 +175,18 @@ def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
     del merged
     p0 = np.cumsum(from0)[first] - from0[first]
     del from0
-    # the pairs are written in place: the diagonal first, then one pair per
-    # segment of grid, which rises strictly from above 0, so each carries mass
-    n_live = len(live)
-    size = n_live + len(grid)
-    w = np.empty(size)
-    w[:n_live] = w0[live]
-    np.minimum(w[:n_live], w1[live], out=w[:n_live])
-    w[n_live] = grid[0]
-    np.subtract(grid[1:], grid[:-1], out=w[n_live + 1:])
+    # one pair per segment of grid, which rises strictly from above 0, so
+    # each carries mass
+    w = grid.copy()
+    w[1:] -= grid[:-1]
     del grid
-    w /= w.sum()
     # past the end of the shorter run (totals that differ by rounding),
     # the last atom of that run takes the remainder
     first -= p0  # the entries of c1 below each mass
-    i0 = np.empty(size, dtype=np.intp)
-    i0[:n_live] = live
-    np.take(s0, np.minimum(p0, len(s0) - 1, out=p0), out=i0[n_live:])
+    i0 = np.take(s0, np.minimum(p0, len(s0) - 1, out=p0))
     del p0, s0
-    i1 = np.empty(size, dtype=np.intp)
-    i1[:n_live] = live
-    np.take(s1, np.minimum(first, len(s1) - 1, out=first), out=i1[n_live:])
-    return Coupling(support=v, i0=i0, i1=i1, weight=w)
+    i1 = np.take(s1, np.minimum(first, len(s1) - 1, out=first))
+    return Coupling(pair, i0, i1, w)
 
 
 @dataclass(frozen=True)

@@ -99,9 +99,10 @@ def curve_csv(rows: list, config: dict) -> str:
 
 
 def coupling_csv(coupling: Coupling, config: dict) -> str:
-    """Coupling pairs as ``y0,y1,weight`` CSV with the config in comments."""
+    """Coupling pairs as ``y0,y1,weight`` CSV with the config in comments:
+    the diagonal atoms first, then the crossing pairs (``Coupling.pairs``)."""
     lines = [config_comment(config), "y0,y1,weight"]
-    for a, b, w in zip(coupling.y0, coupling.y1, coupling.weight):
+    for a, b, w in zip(*coupling.pairs()):
         lines.append(f"{fmt_float(a)},{fmt_float(b)},{fmt_float(w)}")
     return "\n".join(lines) + "\n"
 

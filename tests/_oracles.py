@@ -30,6 +30,7 @@ import numpy as np
 
 from treecast.atoms import _run_edges, _snap
 from treecast.channels import llr_step
+from treecast.conditioning import _compensated_cumsum
 from treecast.evolution import MERGE_TOL
 from treecast.sampling import (Population, _project_unit_mean, _tilt_weights,
                                _weighted_draw)
@@ -374,22 +375,23 @@ def full_product_evolve(law, c, k):
 
 
 def searched_coupling(v, w0, w1):
-    """Diagonal-plus-crossing coupling with the residuals paired by search.
+    """Crossing pairs of the diagonal-plus-crossing coupling, paired by search.
 
     The comonotone pairing looks every mass of the union of the two
     residual cumulative masses up in each one with ``searchsorted``; the
-    library merges the two sorted runs instead.  Returns ``(y0, y1, w)``.
+    library merges the two sorted runs instead.  The cumulative masses
+    come from the library's compensated prefix sum, so the two pairings
+    see the same masses.  Returns ``(y0, y1, w)``.
     """
     diag = np.minimum(w0, w1)
     r0 = w0 - diag
     r1 = w1 - diag
     i0 = np.flatnonzero(r0 > 0)
     i1 = np.flatnonzero(r1 > 0)
-    live = diag > 0
     if len(i0) == 0 or len(i1) == 0:
-        return v[live], v[live], diag[live] / diag[live].sum()
-    c0 = np.cumsum(r0[i0])
-    c1 = np.cumsum(r1[i1])
+        return np.empty(0), np.empty(0), np.empty(0)
+    c0 = _compensated_cumsum(r0[i0])
+    c1 = _compensated_cumsum(r1[i1])
     grid = np.union1d(c0, c1)
     seg = np.diff(np.concatenate(([0.0], grid)))
     pos = np.searchsorted(c0, grid - 1e-300, side="left")
@@ -397,10 +399,7 @@ def searched_coupling(v, w0, w1):
     pos = np.searchsorted(c1, grid - 1e-300, side="left")
     b_idx = i1[np.clip(pos, 0, len(i1) - 1)]
     keep = seg > 0
-    y0 = np.concatenate((v[live], v[a_idx[keep]]))
-    y1 = np.concatenate((v[live], v[b_idx[keep]]))
-    w = np.concatenate((diag[live], seg[keep]))
-    return y0, y1, w / w.sum()
+    return v[a_idx[keep]], v[b_idx[keep]], seg[keep]
 
 
 def stable_grid_merge(values, *weight_vectors, tol):

@@ -189,9 +189,7 @@ def test_criterion_06_coupling_suite(capsys):
                 worst_marginal = max(worst_marginal, r0, r1)
                 live = coupling.weight > 0
                 y0, y1 = coupling.y0[live], coupling.y1[live]
-                same = y0 == y1
-                crossing_ok = crossing_ok and bool(
-                    np.all(same | ((y1 <= 0.0) & (y0 >= 0.0))))
+                crossing_ok = crossing_ok and bool(np.all((y1 <= 0.0) & (y0 >= 0.0)))
                 n_couplings += 1
     ok = worst_marginal <= 1e-12 and crossing_ok
     report(capsys, 6, ok,

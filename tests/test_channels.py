@@ -200,7 +200,9 @@ _EDGE_INPUTS = {
     "pair_w0": (NAN_VECTORS, lambda w: ConditionalPair(**{**_PAIR, "w0": w})),
     # the -inf mass: NaN, outside [0, 1], or positive with no -inf atom to hold it
     "pair_q": ((math.nan, -0.5, math.inf, 0.5), lambda q: ConditionalPair(**_PAIR, q=q)),
-    "coupling_weight": (NAN_VECTORS, lambda w: Coupling([-1.0, 1.0], [0, 1], [0, 1], w)),
+    # two crossing pairs from ln 3 to -ln 3 beside the diagonal [0.25, 0.25]
+    "coupling_weight": (NAN_VECTORS, lambda w: Coupling(
+        ConditionalPair(**_PAIR), np.array([1, 1]), np.array([0, 0]), w)),
     "sandwich_probs": (NAN_VECTORS, lambda w: verify_sandwich(
         w, [True, False], [0, 1], [True, False], 0.0, 1.0)),
     "sandwich_tol": ((math.nan, -1.0, math.inf), lambda t: verify_sandwich(

@@ -673,17 +673,17 @@ PINNED_OUTPUTS = {
     "couple-csv": (
         ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
          "--out", "coupling.csv"],
-        "208c5400661069e1df13bcd3b8e5b32eb791f9ec9cfb28a4e9b684b1850cc9e7"),
+        "c76485611a368ca5db4b37aa07926fdf0e183343e0a047fa5c70808be06a121b"),
     "couple-json": (
         ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
          "--format", "json", "--out", "coupling.json"],
-        "8d3f93112d72eba183de7f5c790587bfcb9b2be4202b57a2ec4f8c8d37f128c2"),
+        "9e0608ded46ec45c6e7bf5953d418183c33373930fcbee7ead0440dcad3bdbb0"),
     "verify-suite": (
         ["verify", "--out", "suite.json"],
         "726e71fe381ef9243b0c6b7f24e32287e17d39245eccc44011aa3c8611900bfa"),
     "verify-matrix": (
         ["verify", "--matrix", "0.6", "0.3", "--out", "verify.json"],
-        "0bd009771c0b19219e39fecc9fd3c0a86d8218502fee89cde4d4d940ddd438ba"),
+        "1099357a4f94de9af9b81ac989c61a20c2161709d5a917c91ce3c764c2111cb8"),
     "threshold-exact": (
         ["threshold", "--symmetric", "--k", "2", "--engine", "exact",
          "--depth", "4", "--tol", "0.1", "--bracket", "0.05", "0.45",

@@ -26,42 +26,58 @@ from treecast import (
     w_of_lambda,
 )
 
+from treecast.conditioning import _compensated_cumsum
+
 from _oracles import genuine_pair_arrays, random_sandwich_case, searched_coupling
 
 
 # ----------------------------------------------------------------- coupling
 
+def three_atom_pair():
+    """A genuine pair: ``w1 = [0.3, 0.3, 0.4]``, so the diagonal is
+    ``[0.1, 0.3, 0.4]`` and one crossing pair of mass 0.2 remains."""
+    w0, w1 = np.array([0.1, 0.3, 0.6]), np.array([0.3, 0.3, 0.4])
+    return ConditionalPair(depth=1, values=np.log(w0 / w1), w0=w0)
+
+
 def test_coupling_validation():
-    v = np.array([0.0, 1.0])
-    at = np.array([0, 1])
+    pair = three_atom_pair()
+    at0, at1 = np.array([2]), np.array([0])
+    cpl = Coupling(pair, at0, at1, np.array([0.2]))
+    assert cpl.pair is pair and cpl.weight.tolist() == [0.2]
     with pytest.raises(InvalidParameter):
-        Coupling(support=v, i0=at, i1=at, weight=np.array([1.5, -0.5]))
+        Coupling(pair, np.array([2, 2]), np.array([0, 0]), np.array([0.4, -0.2]))
     with pytest.raises(InvalidParameter):
-        Coupling(support=v, i0=at, i1=at, weight=np.array([0.5, 0.4]))
+        Coupling(pair, at0, at1, np.array([math.nan]))
+    with pytest.raises(InvalidParameter):  # with the diagonal, 0.9 in all
+        Coupling(pair, at0, at1, np.array([0.1]))
+    with pytest.raises(InvalidParameter):
+        Coupling(pair, np.array([2, 2]), at1, np.array([0.2]))
+    with pytest.raises(InvalidParameter):
+        Coupling((pair.values, pair.w0, pair.w1), at0, at1, np.array([0.2]))
 
 
-@pytest.mark.parametrize("i0", [[-1, 1], [0, 2], [0.0, 1.0]],
+@pytest.mark.parametrize("i0", [[-1, 1], [0, 3], [0.0, 1.0]],
                          ids=["negative", "past-the-end", "float"])
 def test_coupling_rejects_bad_positions(i0):
-    v = np.array([0.0, 1.0])
-    w = np.array([0.5, 0.5])
+    pair = three_atom_pair()
+    w = np.array([0.1, 0.1])
     with pytest.raises(InvalidParameter):
-        Coupling(support=v, i0=np.array(i0), i1=np.array([0, 1]), weight=w)
+        Coupling(pair, np.array(i0), np.array([0, 1]), w)
     with pytest.raises(InvalidParameter):
-        Coupling(support=v, i0=np.array([0, 1]), i1=np.array(i0), weight=w)
+        Coupling(pair, np.array([0, 1]), np.array(i0), w)
 
 
 def test_coupling_values_are_support_positions():
-    v = np.array([-1.0, 0.0, 2.0])
-    cpl = Coupling(support=v, i0=np.array([2, 1]), i1=np.array([0, 1]),
-                   weight=np.array([0.25, 0.75]))
-    assert cpl.y0.tolist() == [2.0, 0.0] and cpl.y1.tolist() == [-1.0, 0.0]
+    pair = three_atom_pair()
+    v = pair.values
+    cpl = Coupling(pair, np.array([2, 1]), np.array([0, 1]), np.array([0.15, 0.05]))
+    assert cpl.y0.tolist() == [v[2], 0.0] and cpl.y1.tolist() == [v[0], 0.0]
     assert cpl.crossing_ok()
-    assert cpl.mean_difference() == 0.75
-    # an off-diagonal pair with y0 < 0 or y1 > 0 breaks the crossing
+    assert cpl.mean_difference() == 0.15 * (v[2] - v[0])
+    # a crossing pair with y0 < 0 or y1 > 0 breaks the crossing
     for i0, i1 in (([0, 1], [1, 1]), ([1, 1], [2, 1])):
-        bad = Coupling(support=v, i0=np.array(i0), i1=np.array(i1),
-                       weight=np.array([0.25, 0.75]))
+        bad = Coupling(pair, np.array(i0), np.array(i1), np.array([0.15, 0.05]))
         assert not bad.crossing_ok(), (i0, i1)
 
 
@@ -69,7 +85,7 @@ def test_marginal_residuals_require_the_pairs_support():
     c = symmetric_channel(0.2)
     pair = evolve_to_depth(c, 2, 3)
     cpl = build_coupling(pair, c)
-    assert cpl.support is pair.values
+    assert cpl.pair is pair
     # an equal copy of the support is accepted
     same = ConditionalPair(depth=3, values=pair.values.copy(), w0=pair.w0, q=pair.q)
     assert max(cpl.marginal_residuals(same)) < 1e-12
@@ -84,40 +100,41 @@ def test_marginal_residuals_require_the_pairs_support():
 
 
 def test_marginal_residuals_report_moved_mass():
-    """Weight moved from one pair to another shows up as that residual in
-    both marginals: the check still catches a wrong coupling."""
+    """Weight moved from one crossing pair to another shows up as that
+    residual in both marginals: the check still catches a wrong coupling."""
     c = symmetric_channel(0.2)
     pair = evolve_to_depth(c, 2, 2)
     cpl = build_coupling(pair, c)
     base = max(cpl.marginal_residuals(pair))
-    off = np.flatnonzero(cpl.i0 != cpl.i1)
-    src, dst = off[0], off[-1]
+    src, dst = 0, len(cpl.weight) - 1
     assert cpl.i0[src] != cpl.i0[dst] and cpl.i1[src] != cpl.i1[dst]
     delta = 2.0 ** -12
     assert cpl.weight[src] > delta
     w = cpl.weight.copy()
     w[src] -= delta
     w[dst] += delta
-    wrong = Coupling(support=cpl.support, i0=cpl.i0, i1=cpl.i1, weight=w)
+    wrong = Coupling(pair, cpl.i0, cpl.i1, w)
     for got in wrong.marginal_residuals(pair):
         assert abs(got - delta) <= base + 1e-16, (got, delta)
 
 
 def test_identical_laws_couple_on_diagonal():
-    """Equal laws are an observation that says nothing: one atom at LLR 0."""
+    """Equal laws are an observation that says nothing: one atom at LLR 0,
+    all of it on the diagonal, and no crossing pair."""
     pair = ConditionalPair(depth=1, values=[0.0], w0=[1.0])
     cpl = build_coupling(pair, symmetric_channel(0.3))
-    assert np.all(cpl.y0 == cpl.y1)
+    assert len(cpl.i0) == len(cpl.i1) == len(cpl.weight) == 0
+    assert cpl.diagonal.tolist() == [1.0]
     r0, r1 = cpl.marginal_residuals(pair)
-    assert r0 < 1e-12 and r1 < 1e-12
-    assert cpl.crossing_ok()
+    assert r0 == 0.0 and r1 == 0.0
+    assert cpl.crossing_ok() and cpl.mean_difference() == 0.0
 
 
 def test_uninformative_channel_couples_at_zero():
     c = symmetric_channel(0.5)
     cpl = build_coupling(base_pair(c, 2), c)
-    assert len(cpl.weight) == 1
-    assert cpl.y0[0] == 0.0 and cpl.y1[0] == 0.0 and cpl.weight[0] == 1.0
+    assert len(cpl.weight) == 0
+    assert [x.tolist() for x in cpl.pairs()] == [[0.0], [0.0], [1.0]]
 
 
 def test_coupling_depth_two_exhaustive():
@@ -128,8 +145,16 @@ def test_coupling_depth_two_exhaustive():
     r0, r1 = cpl.marginal_residuals(pair)
     assert r0 < 1e-12 and r1 < 1e-12
     assert cpl.crossing_ok()
+    assert np.all(cpl.weight > 0)
     assert abs(cpl.mean_difference() - mean_gap(pair)) < 1e-12
-    assert abs(cpl.weight.sum() - 1.0) < 1e-12
+    assert abs(cpl.diagonal.sum() + cpl.weight.sum() - 1.0) < 1e-12
+    # the output rows: the diagonal atoms of positive mass, then the crossing pairs
+    y0, y1, w = cpl.pairs()
+    live = cpl.diagonal > 0
+    n = int(live.sum())
+    assert np.array_equal(y0[:n], pair.values[live]) and np.array_equal(y1[:n], y0[:n])
+    assert np.array_equal(y0[n:], cpl.y0) and np.array_equal(y1[n:], cpl.y1)
+    assert np.array_equal(w, np.concatenate((cpl.diagonal[live], cpl.weight)))
 
 
 def test_coupling_small_grid():
@@ -146,19 +171,22 @@ def test_coupling_small_grid():
 
 
 def test_weightless_pairs_are_ignored():
-    """A pair of weight 0 neither breaks the crossing nor enters the mean
-    difference, even at inf - inf."""
-    v = np.array([-1.0, 0.0, 2.0, math.inf])
-    cpl = Coupling(support=v, i0=np.array([2, 1, 3, 0]), i1=np.array([0, 1, 3, 2]),
-                   weight=np.array([0.25, 0.75, 0.0, 0.0]))
+    """A crossing pair of weight 0 neither breaks the crossing nor enters
+    the mean difference, even at inf - inf."""
+    w0 = np.array([0.0, 1 / 3, 2 / 3, 0.0])
+    v = np.array([-math.inf, -math.log(2.0), math.log(2.0), math.inf])
+    pair = ConditionalPair(depth=1, values=v, w0=w0)
+    cpl = Coupling(pair, np.array([2, 0, 3]), np.array([1, 3, 0]),
+                   np.array([1 / 3, 0.0, 0.0]))
     assert cpl.crossing_ok()
-    assert cpl.mean_difference() == 0.75
+    assert cpl.mean_difference() == (v[2] - v[1]) * (1 / 3)
 
 
 def test_exact_step_and_coupling_memory_at_depth_six():
     """tracemalloc peaks on the exact depth-6 law at eps=0.2, k=2 (6.5M
-    atoms, 13M coupling pairs): the step holds at most 4.5 times its
-    result, and the coupling at most 2 times its result above its input."""
+    atoms; 13M coupling pairs, diagonal atoms and crossing pairs): the
+    step holds at most 4.5 times its result, and the coupling at most 2
+    times the crossing pairs it stores above its input."""
     c = symmetric_channel(0.2)
     pair = evolve_to_depth(c, 2, 5, exact_policy())
     tracemalloc.start()
@@ -172,11 +200,38 @@ def test_exact_step_and_coupling_memory_at_depth_six():
         coupling_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert len(law) > 6_000_000 and len(cpl.weight) > 13_000_000
+    assert len(law) > 6_000_000
+    assert np.count_nonzero(cpl.diagonal) + len(cpl.weight) > 13_000_000
     law_bytes = law.values.nbytes + law.w0.nbytes + law.w1.nbytes
     coupling_bytes = cpl.i0.nbytes + cpl.i1.nbytes + cpl.weight.nbytes
     assert step_peak <= 4.5 * law_bytes, step_peak / law_bytes
     assert coupling_peak <= 2.0 * coupling_bytes, coupling_peak / coupling_bytes
+
+
+def test_coupling_marginals_at_depth_six_within_an_ulp():
+    """Criterion 06's worst cell (eps=0.1, k=2, exact depth 6, 6.5M atoms,
+    3.3M surplus atoms a side): with compensated cumulative masses the two
+    surplus totals agree, so no atom takes a drifted remainder."""
+    c = symmetric_channel(0.1)
+    pair = evolve_to_depth(c, 2, 6, exact_policy())
+    cpl = build_coupling(pair, c)
+    assert max(cpl.marginal_residuals(pair)) <= 1e-15
+
+
+def test_compensated_cumsum_ends_within_an_ulp_of_fsum():
+    """Each prefix sum is within an ulp of the exact one, and the run never
+    decreases, on terms spread over twelve decades."""
+    rng = np.random.default_rng(36)
+    for n in (1, 2, 17, 1000, 200_000):
+        for _ in range(5):
+            x = rng.random(n) * 10.0 ** rng.uniform(-12.0, 0.0, n)
+            got = _compensated_cumsum(x)
+            want = math.fsum(x)
+            assert abs(got[-1] - want) <= np.spacing(want), (n, got[-1] - want)
+            assert np.all(got[1:] >= got[:-1])
+            for i in rng.integers(0, n, 5):
+                want = math.fsum(x[:i + 1])
+                assert abs(got[i] - want) <= np.spacing(want), (n, i)
 
 
 def test_coupling_infinite_gap():
@@ -203,7 +258,7 @@ def test_coupling_mean_identity_random_pairs():
 
 
 def assert_pairing_matches_search(pair):
-    """The coupling's values and weights are bitwise the searched ones."""
+    """The crossing pairs' values and weights are bitwise the searched ones."""
     cpl = build_coupling(pair, symmetric_channel(0.3))
     for got, want in zip((cpl.y0, cpl.y1, cpl.weight),
                          searched_coupling(pair.values, pair.w0, pair.w1)):
@@ -250,8 +305,8 @@ def test_merged_pairing_equals_searched_pairing_on_edge_cases():
     while min(longer.values()) < 5:
         v, q, _ = genuine_pair_arrays(rng, n=12)
         pair = ConditionalPair(depth=1, values=v, w0=q)
-        r0 = np.maximum(pair.w0 - pair.w1, 0.0).cumsum()[-1]
-        r1 = np.maximum(pair.w1 - pair.w0, 0.0).cumsum()[-1]
+        r0 = _compensated_cumsum(np.maximum(pair.w0 - pair.w1, 0.0))[-1]
+        r1 = _compensated_cumsum(np.maximum(pair.w1 - pair.w0, 0.0))[-1]
         if r0 != r1:
             longer[bool(r0 > r1)] += 1
             assert_pairing_matches_search(pair)

@@ -104,7 +104,8 @@ def test_coupling_csv_shape():
     text = coupling_csv(cpl, {"seed": 0})
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert lines[0] == "y0,y1,weight"
-    assert len(lines) == 1 + len(cpl.weight)
+    # one row per diagonal atom of positive mass, then one per crossing pair
+    assert len(lines) == 1 + np.count_nonzero(cpl.diagonal) + len(cpl.weight)
 
 
 def test_report_json_deterministic():
