@@ -95,24 +95,18 @@ class ConditionalPair:
     def posterior_mean_residual(self, c: BinaryChannel) -> float:
         """|E[posterior] - pi0| under the stationary mixture of the two laws.
 
-        The posterior of root value 0 is a bounded function of the LLR, so
-        this is finite even with infinite atoms; it should vanish at every
-        depth (the estimator is unbiased for the prior).  Only atoms with
-        positive mixture weight count (see :meth:`posterior_mixture`).
+        Read from the root-0 law like the statistics of
+        :func:`root0_terms`: an atom of value ``v`` has mixture weight
+        ``w0 * m`` with ``m = pi0 + pi1*exp(-v)``, and there ``m * (a - pi0)
+        = pi0*pi1*(1 - exp(-v))``; the ``-inf`` atom, of posterior 0, has
+        mixture weight ``pi1 * q``.  So the residual is ``pi0*pi1 *
+        |sum(w0 * (1 - exp(-v))) - q|``, over the atoms of positive root-0
+        weight: it vanishes when ``sum(w0 * exp(-v)) = 1 - q``, the identity
+        the derived ``w1`` is checked against before its scaling.
         """
-        a, mix = self.posterior_mixture(c)
-        return abs(float(a @ mix) - c.pi0)
-
-    def posterior_mixture(self, c: BinaryChannel) -> tuple[np.ndarray, np.ndarray]:
-        """Root-0 posteriors and stationary-mixture weights of the atoms.
-
-        Returns ``(a, mix)`` over the atoms of positive mixture weight only:
-        where a stationary weight vanishes, the posterior at the opposite
-        infinite atom is undefined.
-        """
-        mix = c.pi0 * self.w0 + c.pi1 * self.w1
-        live = mix > 0
-        return posterior_from_llr(self.values[live], c), mix[live]
+        live = self.w0 > 0
+        surplus = -np.expm1(-self.values[live])  # 1 - exp(-v), 1 at +inf
+        return c.pi0 * c.pi1 * abs(float(surplus @ self.w0[live]) - self.q)
 
 
 def grid_merge(values: np.ndarray, weights: np.ndarray, tol: float):
@@ -222,6 +216,46 @@ def posterior_from_llr(x, c: BinaryChannel):
     arr = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore"):  # exp(+inf) = inf gives the posterior 0
         out = 1.0 / (1.0 + np.exp(-(arr + c.log_prior_ratio)))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def root0_terms(x, c: BinaryChannel | None = None):
+    """Per-atom terms of ``tv``, ``mean_gap`` and ``var_A`` under the root-0 law.
+
+    dP1/dP0 = exp(-L) (the L-density symmetry), so each statistic of the
+    two conditional laws is the root-0 expectation of one term of the LLR
+    value ``v``, finite or ``+inf``.  With ``d = 1 - exp(-v)`` formed as
+    ``-expm1(-v)``, so that a small ``v`` or a small surplus keeps its
+    digits:
+
+    - ``tv``: ``max(d, 0)``, the surplus of root 0 over root 1;
+    - ``mean_gap``: ``v * d``, non-negative for every ``v``, so the gap is
+      a sum with no cancellation;
+    - ``var_A`` (posterior variance under the stationary mixture):
+      ``m * (a - pi0)**2`` with ``m = pi0 + pi1*exp(-v)`` the mixture's
+      density against root 0 and ``a`` the posterior of root value 0.
+      Since ``a - pi0 = s / m`` with ``s = pi0*pi1*d``, it is formed as
+      ``s * (s / m)``, so ``a - pi0`` is never a difference of nearby
+      numbers; it is 0 where ``m = 0`` (``pi0 = 0`` at ``+inf``, an atom
+      the mixture never reaches).
+
+    A root-1 mass ``q`` at ``-inf``, which the root-0 law cannot carry, is
+    the caller's to add: it makes the gap ``+inf`` and adds
+    ``pi1 * pi0**2 * q`` to ``var_A``.
+
+    Returns
+    -------
+    (tv, gap, var) : tuple of ndarray
+        Elementwise over ``x``; ``var`` is None when no channel is given,
+        so a caller of the TV or the gap alone forms no posterior.
+    """
+    v = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):  # below -709.78, d = -inf and m = inf
+        d = -np.expm1(-v)
+        if c is None:
+            return np.maximum(d, 0.0), v * d, None
+        s, m = c.pi0 * c.pi1 * d, c.pi0 + c.pi1 * np.exp(-v)
+    # a - pi0 = s / m, and its limit -pi0 where m is inf (a = 0) or 0 (then
+    # pi0 = 0)
+    shift = np.divide(s, m, out=np.full_like(s, -c.pi0), where=(m > 0) & (m < np.inf))
+    return np.maximum(d, 0.0), v * d, s * shift

@@ -91,7 +91,8 @@ class BinaryChannel:
     Raises
     ------
     InvalidParameter
-        If an entry is outside [0, 1] or a row does not sum to 1.
+        If an entry is not a real number within 1e-12 of [0, 1], or a row
+        does not sum to 1.  Entries are stored as floats.
     DegenerateChannel
         If ``p01 + p10 == 0`` (the stationary law would be undefined).
     """
@@ -103,11 +104,10 @@ class BinaryChannel:
 
     def __post_init__(self):
         for name in ("p00", "p01", "p10", "p11"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise InvalidParameter(f"{name} must be a finite number, got {v!r}")
-            if v < -_ROW_TOL or v > 1 + _ROW_TOL:
+            v = _real(name, getattr(self, name))
+            if not -_ROW_TOL <= v <= 1 + _ROW_TOL:
                 raise InvalidParameter(f"{name}={v} is not a probability")
+            object.__setattr__(self, name, v)
         if abs(self.p00 + self.p01 - 1.0) > _ROW_TOL:
             raise InvalidParameter(f"first row sums to {self.p00 + self.p01}, not 1")
         if abs(self.p10 + self.p11 - 1.0) > _ROW_TOL:
@@ -388,9 +388,7 @@ def llr_step(c: BinaryChannel, x):
         raise DegenerateChannel(
             f"llr_step leaves float64 (c0 = {c.c0:.3g}, c1 = {c.c1:.3g}): the "
             "channel is too close to deterministic")
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def gap_kernel(c: BinaryChannel, x):
@@ -404,8 +402,7 @@ def gap_kernel(c: BinaryChannel, x):
         # rows equal in the second column: the kernel is identically 0
         out = np.zeros_like(np.asarray(x, dtype=np.float64))
         return float(out) if np.ndim(x) == 0 else out
-    g = llr_step(c, x)
-    return scale * g
+    return scale * llr_step(c, x)
 
 
 def gap_kernel_peak(c: BinaryChannel) -> tuple[float, float]:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (AtomExplosion, BadBracket, DegenerateChannel,
                      InvalidParameter, ResourceLimit, TreecastError)
-from .channels import (BinaryChannel, make_channel, symmetric_channel,
+from .channels import (BinaryChannel, _count, make_channel, symmetric_channel,
                        hardcore_channel, w_of_lambda, lambda_of_w,
                        gap_kernel, gap_kernel_peak,
                        mossel_peres_lhs, geometric_mean_bound_lhs)
@@ -43,7 +43,7 @@ from .evolution import (deep_policy, exact_policy, base_pair, evolve,
                         evolve_to_depth, trajectory, diagnostics, mean_gap,
                         gap_identity_residual)
 from .conditioning import build_coupling, verify_sandwich
-from .sampling import (population_from_pair, population_evolve_anchored,
+from .sampling import (_population_size, population_from_pair, population_evolve_anchored,
                        estimate_diagnostics)
 from .hardcore import gibbs_conditional_sweep, brw_independence_check
 from .threshold import ChannelFamily, bisect_threshold, bounds_report
@@ -209,7 +209,8 @@ def cmd_evolve(args) -> int:
         step = lambda p: evolve(p, c, args.k, deep_policy())
         measure = diagnostics
     else:
-        first = population_from_pair(first, args.pop_size, args.seed)
+        # a step too large for the cap is refused before the first draw
+        first = population_from_pair(first, _population_size(args.pop_size, args.k), args.seed)
         step = lambda p: population_evolve_anchored(p, c, args.k)
         measure = estimate_diagnostics
     rows = [{"depth": s.depth, **measure(s, c)} for s in trajectory(first, step, depth)]
@@ -287,7 +288,7 @@ def cmd_hardcore_check(args) -> int:
 
 def _verify_suite(seed: int) -> list:
     """Fast built-in invariant suite shared by ``verify``."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_count("seed", seed, 0))))
     checks = []
 
     # depth-recursion mean identity on random interior channels
@@ -395,9 +396,12 @@ def _verify_channel(c: BinaryChannel, k: int) -> list:
         gap = abs(mean_gap(pair3))
         checks.append(_check("rows_equal_mean_gap", gap, gap <= 1e-10))
     if min(c.p00, c.p01, c.p10, c.p11) > 0:
-        _, value = gap_kernel_peak(c)
-        diff = abs(value - geometric_mean_bound_lhs(c))
-        checks.append(_check("kernel_peak_closed_form", diff, diff <= 1e-12))
+        # the kernel's slope at the closed-form argmax, by central difference,
+        # against the bound it should equal there
+        x, h = gap_kernel_peak(c)[0], 1e-4
+        slope = (gap_kernel(c, x + h) - gap_kernel(c, x - h)) / (2 * h)
+        diff = abs(slope - geometric_mean_bound_lhs(c))
+        checks.append(_check("kernel_peak_closed_form", diff, diff <= 1e-8))
     return checks
 
 
@@ -415,18 +419,21 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-# what to change after a resource limit (exit 3), by subcommand and error:
-# an atom or pair count comes from the exact engine, a ResourceLimit from
-# the population engine or the sampler
+# what to change after a resource limit (exit 3), by subcommand, error and
+# whether the error's count is a size over a cap: an atom or pair count
+# comes from the exact engine, a ResourceLimit from the population engine or
+# the sampler, over its cap or with too few samples (count 0)
 _POPULATION_HINT = "the population engine (--engine population) sidesteps atom blowup"
 _HINTS = {
-    ("evolve", AtomExplosion): _POPULATION_HINT,
-    ("threshold", AtomExplosion): _POPULATION_HINT,
-    ("evolve", ResourceLimit): "raise --pop-size",
-    ("threshold", ResourceLimit): "raise --pop-size",
-    ("couple", AtomExplosion): "lower --depth or --k",
-    ("hardcore-check", ResourceLimit): "lower --pop-size or --depth",
-    ("verify", AtomExplosion): "lower --k",
+    ("evolve", AtomExplosion, True): _POPULATION_HINT,
+    ("threshold", AtomExplosion, True): _POPULATION_HINT,
+    ("evolve", ResourceLimit, False): "raise --pop-size",
+    ("threshold", ResourceLimit, False): "raise --pop-size",
+    ("evolve", ResourceLimit, True): "lower --pop-size",
+    ("threshold", ResourceLimit, True): "lower --pop-size",
+    ("couple", AtomExplosion, True): "lower --depth or --k",
+    ("hardcore-check", ResourceLimit, True): "lower --pop-size or --depth",
+    ("verify", AtomExplosion, True): "lower --k",
 }
 
 _DISPATCH = {
@@ -449,7 +456,7 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except (AtomExplosion, ResourceLimit) as err:
         print(f"error: {err}", file=sys.stderr)
-        hint = _HINTS.get((args.command, type(err)))
+        hint = _HINTS.get((args.command, type(err), err.count > 0))
         if hint:
             print(f"hint: {hint}", file=sys.stderr)
         return 3

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEvent, InvalidParameter, PreconditionViolation
-from .channels import BinaryChannel, _probabilities, _real
+from .channels import BinaryChannel, _probabilities, _probability, _real
 from .atoms import ConditionalPair
 
 
@@ -264,7 +264,8 @@ def verify_sandwich(probs, b_mask, cell_labels, d_mask,
     d = np.asarray(d_mask, dtype=bool)
     if not p.shape == b.shape == g.shape == d.shape:
         raise InvalidParameter("probs, b_mask, cell_labels, d_mask must be parallel 1-d arrays")
-    if not (0.0 <= p0 <= p1 <= 1.0):
+    p0, p1 = _probability("p0", p0), _probability("p1", p1)
+    if p0 > p1:
         raise InvalidParameter(f"need 0 <= p0 <= p1 <= 1, got p0={p0}, p1={p1}")
     tol = _real("tol", tol)
     if not 0.0 <= tol < math.inf:

@@ -60,7 +60,16 @@ class DegenerateEvent(TreecastError):
 
 
 class ResourceLimit(TreecastError):
-    """A simulation would exceed a configured size cap."""
+    """A simulation would exceed a configured size cap, or holds too few
+    samples to answer.
+
+    Carries ``count``, the size a cap refused (raised before anything of
+    that size is allocated), or 0 when the samples were too few.
+    """
+
+    def __init__(self, message: str, count: int = 0):
+        super().__init__(message)
+        self.count = count
 
 
 class BadBracket(TreecastError):

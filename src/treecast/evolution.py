@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import AtomExplosion, InvalidParameter
 from .channels import DECIMAL_40, BinaryChannel, _count, llr_step, gap_kernel
-from .atoms import ConditionalPair, grid_merge, run_count
+from .atoms import ConditionalPair, grid_merge, root0_terms, run_count
 
 
 # exact-step run gap: sorted atoms closer than this merge, and a run chains
@@ -333,34 +333,41 @@ def evolve_to_depth(c: BinaryChannel, k: int, depth: int,
 def mean_gap(pair: ConditionalPair) -> float:
     """Difference of conditional means, ``E[L | root=0] - E[L | root=1]``.
 
-    Any atom at ``+-inf`` with positive weight on either law makes the gap
+    The root-0 mean of the gap term of :func:`~treecast.atoms.root0_terms`,
+    ``v * (1 - exp(-v))``, over the atoms of positive root-0 weight: a sum
+    of non-negative terms, so never below 0.  An atom at ``+inf`` of
+    positive root-0 weight, or a root-1 mass at ``-inf``, makes the gap
     ``+inf`` (the convention callers rely on for the hard-core base case).
-    Otherwise the coupling argument guarantees the result is >= -1e-10.
     """
-    infinite = ~np.isfinite(pair.values)
-    if np.any(infinite & ((pair.w0 > 0) | (pair.w1 > 0))):
+    if pair.q > 0:
         return math.inf
-    return float(pair.values @ pair.w0 - pair.values @ pair.w1)
+    live = pair.w0 > 0
+    return float(root0_terms(pair.values[live])[1] @ pair.w0[live])
 
 
 def diagnostics(pair: ConditionalPair, c: BinaryChannel) -> dict:
     """Scalar summaries of how far apart the two conditional laws are.
 
+    Each is the root-0 mean of its term of
+    :func:`~treecast.atoms.root0_terms` over the atoms of positive root-0
+    weight, plus what the root-1 mass ``q`` at ``-inf`` adds.
+
     Returns
     -------
     dict
-        ``tv``: total variation distance between the laws (exact on the
-        shared support); ``mean_gap``: see :func:`mean_gap`; ``var_A``:
-        variance of the root posterior under the stationary mixture.
-        All three decay to 0 exactly when the laws merge.  ``var_A`` sums
-        over atoms of positive mixture weight only, so an atom the mixture
-        never reaches (``-inf`` when ``pi1 = 0``) cannot make it NaN.
+        ``tv``: total variation distance between the laws, the root-0
+        surplus ``sum(w0 * max(1 - exp(-v), 0))``; ``mean_gap``: see
+        :func:`mean_gap`; ``var_A``: variance of the root posterior under
+        the stationary mixture, plus ``pi1 * pi0**2 * q`` from the
+        ``-inf`` atom (posterior 0).  All three decay to 0 exactly when
+        the laws merge, and none is NaN at an atom the mixture never
+        reaches.
     """
-    tv = 0.5 * float(np.abs(pair.w0 - pair.w1).sum())
-    a, mix = pair.posterior_mixture(c)
-    mean_a = float(a @ mix)
-    var_a = float((a - mean_a) ** 2 @ mix)
-    return {"tv": tv, "mean_gap": mean_gap(pair), "var_A": var_a}
+    live = pair.w0 > 0
+    w = pair.w0[live]
+    tv, gap, var = (float(t @ w) for t in root0_terms(pair.values[live], c))
+    return {"tv": tv, "mean_gap": math.inf if pair.q > 0 else gap,
+            "var_A": var + c.pi1 * c.pi0 ** 2 * pair.q}
 
 
 def gap_identity_residual(pair_d: ConditionalPair, pair_dm1: ConditionalPair,

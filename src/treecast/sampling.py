@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidParameter, ResourceLimit
 from .channels import BinaryChannel, _count, llr_step
-from .atoms import ConditionalPair, posterior_from_llr
+from .atoms import ConditionalPair, posterior_from_llr, root0_terms
 
 # Cap on the nodes of one broadcast batch (samples x nodes per sample).  A
 # k=2 batch at the cap peaks near 1.4 GB, mostly in the two float64
@@ -40,7 +40,7 @@ NODE_CAP = 2 ** 27
 
 
 def _level_streams(seed: int, depth: int) -> list:
-    ss = np.random.SeedSequence(seed)
+    ss = np.random.SeedSequence(_count("seed", seed, 0))
     return [np.random.Generator(np.random.Philox(child))
             for child in ss.spawn(depth + 1)]
 
@@ -71,13 +71,11 @@ def sample_broadcast_batch(c: BinaryChannel, k: int, depth: int, n: int,
     # n * (1 + k + ... + k**depth) nodes; at k >= 2 depth 64 is already far
     # past the cap, and counting no deeper keeps k**depth from growing to
     # thousands of digits, too many to compute quickly or print
-    if k == 1:
-        total = n * (depth + 1)
-    else:
-        total = n * (k ** (min(depth, 64) + 1) - 1) // (k - 1)
+    total = (n * (depth + 1) if k == 1
+             else n * (k ** (min(depth, 64) + 1) - 1) // (k - 1))
     if total > NODE_CAP:
         raise ResourceLimit(f"broadcast batch of {n} samples to depth {depth} "
-                            f"needs more than {NODE_CAP} nodes (the cap)")
+                            f"needs more than {NODE_CAP} nodes (the cap)", count=total)
     streams = _level_streams(seed, depth)
     if root_value is None:
         root = (streams[0].random(n) < c.pi1).astype(np.int8)
@@ -141,10 +139,8 @@ def bp_root_posterior(leaves, c: BinaryChannel, k: int, depth: int | None = None
         ll0 = msg0.reshape(n, -1, k).sum(axis=2)
         ll1 = msg1.reshape(n, -1, k).sum(axis=2)
     llr = (ll0 - ll1).ravel()
-    post = posterior_from_llr(llr, c)
-    if single:
-        return float(np.asarray(post).ravel()[0])
-    return np.asarray(post)
+    post = posterior_from_llr(llr, c)  # llr is 1-d, so post is an array
+    return float(post[0]) if single else post
 
 
 def _safe_log(p: float) -> float:
@@ -184,14 +180,28 @@ def population_from_pair(pair: ConditionalPair, n: int, seed: int) -> Population
 
     The law is drawn from its atoms of positive weight only, so an atom
     that root value 0 cannot reach (``-inf``) never enters the samples.
+    Raises :class:`InvalidParameter` unless ``n`` is an integer >= 1 and
+    ``seed`` one >= 0, and :class:`ResourceLimit` for ``n`` above
+    :data:`NODE_CAP`, which no step could hold, before drawing anything.
     """
-    n = _count("population size", n)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    n = _population_size(n, 1)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_count("seed", seed, 0))))
     keep = pair.w0 > 0
     w = pair.w0[keep]
     return Population(depth=pair.depth,
                       samples0=pair.values[keep][_weighted_draw(rng, w / w.sum(), n)],
                       rng=rng)
+
+
+def _population_size(n, k: int) -> int:
+    """``n`` as the size N of a population whose step, k * N values, fits
+    NODE_CAP: :class:`InvalidParameter` unless it is an integer >= 1, and
+    :class:`ResourceLimit` for a step above the cap."""
+    n = _count("population size", n)
+    if k * n > NODE_CAP:
+        raise ResourceLimit(f"a population step would hold k * N values, more than "
+                            f"{NODE_CAP} (the cap)", count=k * n)
+    return n
 
 
 def _weighted_draw(rng: np.random.Generator, p: np.ndarray, shape) -> np.ndarray:
@@ -264,7 +274,7 @@ def population_evolve_anchored(pop: Population, c: BinaryChannel, k: int) -> Pop
     if pop.size < 1000:
         raise InvalidParameter(f"population size must be >= 1000, got {pop.size}")
     rng = pop.rng
-    n = pop.size
+    n = _population_size(pop.size, k)
 
     s = pop.samples0
     tilt = _tilt_weights(s)
@@ -295,21 +305,9 @@ def _tilt_weights(s: np.ndarray) -> np.ndarray:
     return w
 
 
-def _ratio(s: np.ndarray) -> np.ndarray:
-    """Per-sample density ratio ``r = exp(-L)`` of the root-1 law to the
-    root-0 law, 0 at ``+inf``."""
-    with np.errstate(over="ignore"):
-        return np.exp(-s)
-
-
-def _tv_terms(r: np.ndarray) -> np.ndarray:
-    """Per-sample terms ``max(1 - r, 0)`` of the TV estimator."""
-    return np.clip(1.0 - r, 0.0, None)
-
-
 def population_tv(pop: Population) -> float:
     """The ``tv`` of ``estimate_diagnostics`` alone, without its other statistics."""
-    return float(_tv_terms(_ratio(pop.samples0)).mean())
+    return float(root0_terms(pop.samples0)[0].mean())
 
 
 def _mean_se(t: np.ndarray) -> tuple[float, float]:
@@ -321,19 +319,21 @@ def estimate_diagnostics(pop: Population, c: BinaryChannel) -> dict:
     """Plug-in diagnostics, each the mean of one per-sample term.
 
     The root-1 law is the root-0 samples weighted by ``r = exp(-L)`` (0 at
-    ``+inf``), plus a mass ``q`` at ``-inf``: ``q = max(1 - mean(r), 0)``
+    ``+inf``), plus a mass ``q`` at ``-inf``: ``q = max(mean(1 - r), 0)``
     when ``p00 = 0`` or ``p01 = 0`` (a root-0 node's children are then
     fixed, so a pattern can be impossible under root value 0 alone), and
     0 otherwise.  So every statistic is the mean over the root-0 array of
-    one per-sample term, with ``a`` the posterior of root value 0:
+    its term of :func:`~treecast.atoms.root0_terms`, the terms the exact
+    engine's :func:`~treecast.evolution.diagnostics` weights by ``w0``:
 
     - ``tv``: ``max(1 - r, 0)``;
     - ``mean_gap``: ``L * (1 - r)``, and ``+inf`` when ``inf_mass0 > 0``
       or ``q > 0``;
     - ``var_A`` (posterior variance under the stationary mixture):
-      ``(pi0 + pi1*r) * (a - pi0)**2``, plus ``pi1 * pi0**2 * (1 - r)``
-      when ``q > 0``: the ``-inf`` atom, where ``a = 0``, has mixture
-      weight ``pi1 * q`` and ``q`` is the mean of ``1 - r``.
+      ``(pi0 + pi1*r) * (a - pi0)**2`` with ``a`` the posterior of root
+      value 0, plus ``pi1 * pi0**2 * (1 - r)`` when ``q > 0``: the ``-inf``
+      atom, where ``a = 0``, has mixture weight ``pi1 * q`` and ``q`` is the
+      mean of ``1 - r``.
 
     Each ``se_*`` is ``std(ddof=1) / sqrt(N)`` of its term: the spread of
     the last generation alone.  It leaves out the error that earlier
@@ -359,19 +359,17 @@ def estimate_diagnostics(pop: Population, c: BinaryChannel) -> dict:
         ``tilt_ess``.
     """
     s = pop.samples0
-    r = _ratio(s)
+    tv_terms, gap_terms, var_terms = root0_terms(s, c)
     inf0 = float(np.mean(~np.isfinite(s)))
-    q = max(1.0 - float(r.mean()), 0.0) if c.p00 == 0 or c.p01 == 0 else 0.0
+    q = 0.0
+    if c.p00 == 0 or c.p01 == 0:
+        surplus = -np.expm1(-s)  # 1 - r, whose mean is q
+        q = max(float(surplus.mean()), 0.0)
+        if q > 0:
+            var_terms += c.pi1 * c.pi0 ** 2 * surplus
 
-    tv, se_tv = _mean_se(_tv_terms(r))
-    if inf0 > 0 or q > 0:
-        gap, se_gap = math.inf, math.inf
-    else:
-        gap, se_gap = _mean_se(s * (1.0 - r))
-    a = np.asarray(posterior_from_llr(s, c))
-    var_terms = (c.pi0 + c.pi1 * r) * (a - c.pi0) ** 2
-    if q > 0:
-        var_terms += c.pi1 * c.pi0 ** 2 * (1.0 - r)
+    tv, se_tv = _mean_se(tv_terms)
+    gap, se_gap = (math.inf, math.inf) if inf0 > 0 or q > 0 else _mean_se(gap_terms)
     var_a, se_var = _mean_se(var_terms)
     if inf0 < 1.0:
         t = _tilt_weights(s)

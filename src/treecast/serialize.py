@@ -42,10 +42,8 @@ def canonical_json(obj, level: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
-        for key in sorted(obj):
-            items.append(f"{inner}{json.dumps(str(key))}: "
-                         f"{canonical_json(obj[key], level + 1)}")
+        items = [f"{inner}{json.dumps(str(key))}: {canonical_json(obj[key], level + 1)}"
+                 for key in sorted(obj)]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
@@ -60,10 +58,8 @@ def canonical_json(obj, level: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x) or math.isinf(x):
-            return json.dumps(fmt_float(x))
-        return fmt_float(x)
+        text = fmt_float(obj)
+        return text if math.isfinite(obj) else json.dumps(text)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise InvalidParameter(f"cannot serialize {type(obj).__name__}")
@@ -89,12 +85,8 @@ def curve_csv(rows: list, config: dict) -> str:
     keys = [key for key in preferred if key in rows[0]]
     keys += sorted(set(rows[0]) - set(keys))
     lines = [config_comment(config), ",".join(keys)]
-    for row in rows:
-        cells = []
-        for key in keys:
-            value = row[key]
-            cells.append(str(int(value)) if key == "depth" else fmt_float(value))
-        lines.append(",".join(cells))
+    lines += [",".join(str(int(row[key])) if key == "depth" else fmt_float(row[key])
+                       for key in keys) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -34,7 +34,8 @@ from .channels import (BinaryChannel, _LOG_FLOAT_MAX, _bisect_root, _real,
                        brightwell_winkler_lower_w, mossel_peres_lhs,
                        geometric_mean_bound_lhs)
 from .evolution import deep_policy, base_pair, evolve, diagnostics, trajectory
-from .sampling import population_from_pair, population_evolve_anchored, population_tv
+from .sampling import (_population_size, population_from_pair, population_evolve_anchored,
+                       population_tv)
 
 # The decision rule.  Below FLOOR the TV statistic counts as fully decayed
 # whatever its fitted rate (deep-collapsed populations sit at float-residual
@@ -135,7 +136,8 @@ def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
         measure = lambda p: diagnostics(p, c)["tv"]
         used_seed = None
     else:
-        first = population_from_pair(first, pop_size, seed)
+        # a step too large for the cap is refused before the first draw
+        first = population_from_pair(first, _population_size(pop_size, k), seed)
         step = lambda p: population_evolve_anchored(p, c, k)
         measure = population_tv
         used_seed = seed
@@ -200,9 +202,11 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
     Raises
     ------
     InvalidParameter
-        If ``tol`` is not finite or is below the float spacing of the
-        bracket (zero and negative values included), where the halving
-        would never stop.
+        If ``tol`` or an endpoint of the bracket is not a real number in
+        the float64 range, the bracket does not hold two endpoints, or
+        ``tol`` is not finite or is below the float spacing of the bracket
+        (zero and negative values included), where the halving would never
+        stop.
     BadBracket
         If an endpoint of the bracket is not finite or ``lo >= hi``, or if
         the endpoint verdicts agree, or disagree with the family's monotone
@@ -216,7 +220,10 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
         tol = 0.005 if family.kind == "symmetric" else 0.5
     if bracket is None:
         bracket = (0.02, 0.48) if family.kind == "symmetric" else (1.0, 100.0)
-    lo, hi = float(bracket[0]), float(bracket[1])
+    if len(bracket) != 2:
+        raise InvalidParameter(f"bracket must hold two endpoints, got {len(bracket)}")
+    lo, hi = _real("bracket lo", bracket[0]), _real("bracket hi", bracket[1])
+    tol = _real("tol", tol)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise BadBracket(f"bracket must be finite with lo < hi, got ({lo}, {hi})")
     # a bracket narrower than one float spacing cannot be halved any further

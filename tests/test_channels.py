@@ -18,6 +18,7 @@ from treecast import (
     Population,
     UndefinedLimit,
     base_pair,
+    bisect_threshold,
     bp_root_posterior,
     brightwell_winkler_lower_w,
     decide_reconstruction,
@@ -123,6 +124,12 @@ def test_activity_rejects_nonpositive():
             lambda_of_w(1.0, k)
 
 
+def test_channel_entries_are_stored_as_floats():
+    c = BinaryChannel(True, False, 0.5, np.float32(0.5))
+    assert c == BinaryChannel(1.0, 0.0, 0.5, 0.5)
+    assert all(type(v) is float for v in (c.p00, c.p01, c.p10, c.p11))
+
+
 def test_hardcore_channel_shape():
     """The hard-core matrix and its stationary law have closed forms."""
     rng = np.random.default_rng(2)
@@ -167,10 +174,11 @@ def _outcome(fn, args):
     (lambda_of_w, [0.2, 2], 0), (w_of_lambda, [0.2, 2], 0),
     (hardcore_contraction, [0.2, 2], 0),
     (ChannelFamily("symmetric", 2).channel, [0.2], 0),
-    (ChannelFamily("hardcore", 2).channel, [0.2], 0)],
+    (ChannelFamily("hardcore", 2).channel, [0.2], 0),
+    (BinaryChannel, [1.0, 0.0, 0.5, 0.5], 0)],
     ids=["make_channel_p00", "make_channel_p10", "symmetric_channel",
          "hardcore_channel", "lambda_of_w", "w_of_lambda", "hardcore_contraction",
-         "family_symmetric", "family_hardcore"])
+         "family_symmetric", "family_hardcore", "binary_channel"])
 def test_int_beyond_float_range_is_invalid(fn, args, position):
     """One real-number check: an argument standing for a float gives the
     float's result, or the same refusal; NaN, an int beyond the float64
@@ -222,6 +230,14 @@ _EDGE_INPUTS = {
     "bp_no_leaves": ((np.zeros(0, np.int8), np.zeros((3, 0), np.int8)),
                      lambda leaves: bp_root_posterior(leaves, _C, 2)),
     "k": (BAD_COUNTS, kesten_stigum_eps_c),
+    # a scalar that stands for a float: beyond the float64 range, NaN or not a number
+    "channel_entry": ((10 ** 400, math.nan, "1"), lambda v: BinaryChannel(v, 0, 0, 1)),
+    "bisect_bracket": (((1, 10 ** 400), (1,), (1, "x")), lambda b: bisect_threshold(
+        ChannelFamily("hardcore", 2), bracket=b)),
+    "bisect_tol": ((10 ** 400, "x"), lambda t: bisect_threshold(
+        ChannelFamily("hardcore", 2), tol=t)),
+    "sandwich_bounds": (("x", 10 ** 400, math.nan), lambda p1: verify_sandwich(
+        [0.5, 0.5], [True, False], [0, 1], [True, False], 0.2, p1)),
 }
 
 

@@ -19,6 +19,7 @@ import treecast
 from treecast import (InvalidParameter, cli, deep_policy, evolve_to_depth,
                       diagnostics, llr_step, make_channel)
 from treecast.cli import main
+from treecast.sampling import NODE_CAP
 
 KS_EPS_K2 = 0.14644660940672624  # root of 2*(1-2*eps)**2 = 1 in (0, 1/2)
 
@@ -422,6 +423,22 @@ def test_verify_rows_equal_matrix_reports_zero_gap(capsys):
     assert gap_check["passed"] is True
 
 
+def test_verify_kernel_peak_fails_at_a_wrong_argmax(capsys, monkeypatch):
+    """The check compares the bound with the kernel's slope at the returned
+    argmax, so it is not 0 by construction and a wrong argmax fails it."""
+    def kernel_check():
+        code, out, _ = run_cli(["verify", "--matrix", "0.6", "0.3"], capsys)
+        by_name = {chk["name"]: chk for chk in json.loads(out)["checks"]}
+        return code, by_name["kernel_peak_closed_form"]
+
+    code, check = kernel_check()
+    assert code == 0 and check["passed"] and 0.0 < check["residual"] <= 1e-8
+    real = cli.gap_kernel_peak
+    monkeypatch.setattr(cli, "gap_kernel_peak", lambda c: (real(c)[0] + 0.1, real(c)[1]))
+    code, check = kernel_check()
+    assert code == 1 and not check["passed"] and check["residual"] > 1e-6
+
+
 def test_verify_channel_uses_k(capsys, monkeypatch):
     real, ks = cli.base_pair, []
 
@@ -439,6 +456,7 @@ def test_verify_channel_uses_k(capsys, monkeypatch):
 CLI_VALUES = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e-17, 1e-9,
               0.3, 0.5, 1.0, 2.0, 1e308]
 CLI_CHANNELS = ["--hardcore-lambda", "--hardcore-w", "--matrix", "--symmetric"]
+CLI_COUNTS = ["-1", "0", "1000", str(NODE_CAP + 1), str(10 ** 23)]
 
 
 @st.composite
@@ -464,9 +482,13 @@ def cli_argv(draw):
     if command in ("evolve", "evolve-population", "couple", "hardcore-check"):
         argv += ["--depth", str(draw(st.integers(-1, 3)))]
     if command == "evolve-population":
-        argv += ["--engine", "population", "--pop-size", "1000"]
-    if command == "hardcore-check":
-        argv += ["--pop-size", "1000"]
+        argv += ["--engine", "population"]
+    # a seed or size: negative, 0, small, or above the cap, which is refused
+    # before anything of that size is allocated
+    if command in ("evolve-population", "hardcore-check", "threshold"):
+        argv += ["--pop-size", draw(st.sampled_from(CLI_COUNTS))]
+    if command in ("evolve", "evolve-population", "hardcore-check", "threshold", "verify"):
+        argv += ["--seed", draw(st.sampled_from(CLI_COUNTS))]
     if command == "threshold":
         argv += ["--bracket", value(), value(),
                  "--engine", "exact", "--depth", "3", "--tol", "0.1"]
@@ -531,6 +553,38 @@ def test_edge_channels_answer_or_refuse(capsys):
     code, _, err = run_cli(["evolve", "--hardcore-lambda", "1e308", "--depth", "2",
                             "--engine", "population", "--pop-size", "1000"], capsys)
     assert code == 3 and "hint: raise --pop-size" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--symmetric", "0.2", "--engine", "population", "--pop-size", "1000",
+     "--depth", "2"],
+    ["threshold", "--symmetric", "--pop-size", "1000", "--depth", "2"],
+    ["verify"],
+    ["hardcore-check", "--hardcore-w", "1.0", "--pop-size", "100", "--depth", "2"],
+])
+def test_negative_seed_exits_2(argv, capsys):
+    code, out, err = run_cli([*argv, "--seed", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: need an integer seed >= 0, got seed=-1\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--symmetric", "0.2", "--engine", "population", "--depth", "2"],
+    ["threshold", "--symmetric", "--depth", "2"]])
+@pytest.mark.parametrize("size", [NODE_CAP // 2 + 1, NODE_CAP + 1, 10 ** 23])
+def test_population_over_the_cap_exits_3_before_allocating(command, size, capsys,
+                                                          monkeypatch):
+    """At k = 2 a step holds 2N values, so even N = NODE_CAP // 2 + 1 is
+    refused, and before the first population is drawn."""
+    def never(*args):
+        raise AssertionError("drew a population whose step the cap refuses")
+
+    monkeypatch.setattr(cli, "population_from_pair", never)
+    monkeypatch.setattr(treecast.threshold, "population_from_pair", never)
+    code, out, err = run_cli([*command, "--pop-size", str(size)], capsys)
+    assert code == 3 and out == ""
+    assert f"more than {NODE_CAP} (the cap)" in err
+    assert "hint: lower --pop-size" in err and "raise" not in err
 
 
 def test_verify_broken_channel_exits_2(capsys):
@@ -658,18 +712,18 @@ PINNED_OUTPUTS = {
     "evolve-exact": (
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "5",
          "--out", "evolve.csv"],
-        "d721aac417c070fa3af46f74df967614b474ba03f3b21aa458d1a613355c6883"),
+        "0b4f97a23f0efe02ecc0317343fa10277a04083b869aac3bdfaf786140b7c351"),
     # k=3 at depth 4: a law the exact engine refuses (its last fold is
     # above PAIR_BUDGET), so only the lattice step computes this curve
     "evolve-exact-k3": (
         ["evolve", "--symmetric", "0.2", "--k", "3", "--depth", "4",
          "--out", "evolve_k3_d4.csv"],
-        "424507a0d770afab0020ed16130b1ac925a8dee403eab70f92acb4beae4f734b"),
+        "fafc3b5d619ec77b9e27603a5572b44969b2eca3b880dd42d253c77f42584f81"),
     "evolve-population": (
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "4",
          "--engine", "population", "--pop-size", "4000", "--seed", "9",
          "--out", "pop.csv"],
-        "68aa71d7b686903673e55d1ce4cc871c9403b8b620e076e2e16ceeec64f72596"),
+        "4d3da088f996798a02422178b1dabab0d1bd03b9de40ca42c03466bbbbd5802b"),
     "couple-csv": (
         ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
          "--out", "coupling.csv"],
@@ -683,18 +737,18 @@ PINNED_OUTPUTS = {
         "726e71fe381ef9243b0c6b7f24e32287e17d39245eccc44011aa3c8611900bfa"),
     "verify-matrix": (
         ["verify", "--matrix", "0.6", "0.3", "--out", "verify.json"],
-        "1099357a4f94de9af9b81ac989c61a20c2161709d5a917c91ce3c764c2111cb8"),
+        "4a9a0380fa49a2f8a0f2382ff40df4ae5802f867118f47d4a2fc8b84138b85f7"),
     "threshold-exact": (
         ["threshold", "--symmetric", "--k", "2", "--engine", "exact",
          "--depth", "4", "--tol", "0.1", "--bracket", "0.05", "0.45",
          "--seed", "4", "--out", "threshold.json"],
-        "b5a1928853e9c6e88115ffadfc76c804b8befedc503d81a2717d711027bb9bf5"),
+        "5fd269e90a582444e57c8caaa2ff71dfe40b0c7fa84422c0cf8a8f8df71f2c25"),
     # the population bisection path: population draws, steps and TV curve
     "threshold-population": (
         ["threshold", "--symmetric", "--k", "2", "--pop-size", "2000",
          "--depth", "12", "--tol", "0.05", "--seed", "3",
          "--out", "threshold_pop.json"],
-        "713b069668c50ba61992f2a7d74f12e9bb771c4e755b2784f40c5f832d19bd5e"),
+        "e767d750ad04cec720e9bda745e3543a706822c0f8310f291d0a15ce8d0b71e3"),
 }
 
 

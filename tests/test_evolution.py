@@ -235,6 +235,71 @@ def test_mean_gap_special_values():
     assert mean_gap(base_pair(c, 2)) == math.inf
 
 
+def test_statistics_never_nan_at_edge_atoms():
+    """A zero-weight +inf atom changes nothing, and a +inf atom that the
+    stationary mixture never reaches (pi0 = 0) gives var_A 0, not NaN."""
+    c = symmetric_channel(0.25)
+    v, w0 = [-math.log(3.0), math.log(3.0)], [0.25, 0.75]
+    plain = diagnostics(ConditionalPair(1, v, w0), c)
+    padded = ConditionalPair(1, [*v, math.inf], [*w0, 0.0])
+    assert diagnostics(padded, c) == plain and mean_gap(padded) == plain["mean_gap"]
+    c = make_channel(0.5, 0.0)  # p10 = 0: pi0 = 0, and a 0-child is certain root 0
+    pair = base_pair(c, 2)
+    assert c.pi0 == 0.0 and pair.values[-1] == math.inf
+    assert diagnostics(pair, c) == {"tv": 0.75, "mean_gap": math.inf, "var_A": 0.0}
+    assert pair.posterior_mean_residual(c) == 0.0
+
+
+def _normalized_rows_tv(mpmath, c, k, depth):
+    """TV of the depth-``depth`` laws, in mpmath, for the channel whose
+    rows are ``c``'s divided by their sums (the law ``base_pair`` forms):
+    through the k children at depth 1, or the k = 1 chain's two-step
+    matrix at depth 2."""
+    rows = [[mpmath.mpf(a) / (mpmath.mpf(a) + mpmath.mpf(b)),
+             mpmath.mpf(b) / (mpmath.mpf(a) + mpmath.mpf(b))]
+            for a, b in ((c.p00, c.p01), (c.p10, c.p11))]
+    if depth == 2:
+        assert k == 1
+        m = mpmath.matrix(rows) ** 2
+        return abs(m[0, 0] - m[1, 0])
+    assert depth == 1
+    return sum(abs(mpmath.binomial(k, n) * (rows[0][1] ** n * rows[0][0] ** (k - n)
+                                            - rows[1][1] ** n * rows[1][0] ** (k - n)))
+               for n in range(k + 1)) / 2
+
+
+@pytest.mark.parametrize("p00, p10, k, depth", [(1e-9, 1e-300, 1, 2), (1e-9, 1e-17, 2, 1)])
+def test_tiny_tv_keeps_its_digits(p00, p10, k, depth):
+    """The TV is the root-0 surplus, so a TV far below the weights' own
+    rounding keeps its relative accuracy (difference of the two weight
+    vectors lost half of the first and 9e-9 relative of the second)."""
+    mpmath = pytest.importorskip("mpmath")
+    c = make_channel(p00, p10)
+    tv = diagnostics(evolve_to_depth(c, k, depth, deep_policy()), c)["tv"]
+    with mpmath.workdps(60):
+        want = _normalized_rows_tv(mpmath, c, k, depth)
+        assert abs(tv - want) <= 1e-15 * want, (tv, want)
+    if depth == 2:
+        assert abs(tv - 1.0e-18) <= 1e-15 * 1.0e-18
+
+
+def test_deep_lattice_tv_is_the_positive_surplus_and_gap_never_negative():
+    """At eps = 0.3, k = 2 the lattice TV at depth 100 is the 50-digit
+    surplus sum(w0 * (1 - exp(-v)), v > 0) of the same atoms within 1e-12
+    relative, and the mean gap is >= 0 at every depth of the curve."""
+    mpmath = pytest.importorskip("mpmath")
+    c = symmetric_channel(0.3)
+    pairs = list(trajectory(base_pair(c, 2), lambda p: evolve(p, c, 2, deep_policy()), 100))
+    assert all(mean_gap(p) >= 0.0 for p in pairs)
+    pair = pairs[-1]
+    tv = diagnostics(pair, c)["tv"]
+    pos = pair.values > 0
+    with mpmath.workdps(50):
+        want = mpmath.fsum(mpmath.mpf(w) * -mpmath.expm1(-mpmath.mpf(v))
+                           for v, w in zip(pair.values[pos], pair.w0[pos]))
+        assert tv > 0 and abs(tv - want) <= 1e-12 * want, (tv, want)
+
+
 def test_depth_recursion_identity():
     """Materialized mean gap equals k times the expected kernel value."""
     rng = np.random.default_rng(24)

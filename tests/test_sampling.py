@@ -485,6 +485,21 @@ def test_population_tv_is_the_diagnostics_tv():
         assert population_tv(pop) == estimate_diagnostics(pop, c)["tv"]
 
 
+def test_one_law_reads_the_same_in_both_engines():
+    """The depth-1, k = 1 pair of symmetric eps = 0.25 (atoms -+ln 3 with
+    w0 = 1/4, 3/4) and a population holding those values in those
+    proportions give the same tv, mean_gap and var_A."""
+    c = symmetric_channel(0.25)
+    pair = base_pair(c, 1)
+    assert np.allclose(pair.values, [-math.log(3.0), math.log(3.0)], rtol=0, atol=1e-15)
+    assert np.allclose(pair.w0, [0.25, 0.75], rtol=0, atol=1e-15)
+    pop = Population(1, np.repeat(pair.values, [250, 750]), None)
+    exact, sampled = diagnostics(pair, c), estimate_diagnostics(pop, c)
+    assert exact["tv"] == population_tv(pop)
+    for name in ("tv", "mean_gap", "var_A"):
+        assert abs(exact[name] - sampled[name]) <= 1e-15, name
+
+
 def test_anchored_population_unit_mean_weights():
     """The anchored scheme keeps the empirical E[exp(-L)] pinned at 1."""
     c = symmetric_channel(0.22)
