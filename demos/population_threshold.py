@@ -7,9 +7,10 @@ estimate against the closed form.  Each statistic is a mean over the
 root-0 samples, the root-1 law read through the weight exp(-L).  A
 standard error is the spread of the last generation only: in a deep run
 the error carried from earlier generations can be larger.  At the
-defaults eps = 0.1757 prints tv 0.07617 +- 0.00070, against the lattice
-upper law 0.07686; over 30 seeds at eps = 0.15, depth 12, the tv spread
-is about twice the median standard error.  Defaults are sized for a
+defaults eps = 0.1757 prints tv 0.07807 +- 0.00072, above the lattice
+upper law 0.07686 that the exact tv cannot exceed, though the mean over
+seeds 0..39 is 0.07677; over 30 seeds at eps = 0.15, depth 12, the tv
+spread is about 1.8 times the median standard error.  Defaults are sized for a
 quick run; pass --pop-size 100000 --depth 40 for production-quality
 estimates.
 

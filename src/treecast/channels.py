@@ -159,10 +159,16 @@ def _count(name: str, v, least: int = 1) -> int:
     """``v`` as an int; :class:`InvalidParameter` unless it is an integer
     (a Python or numpy int, so neither 2.0 nor NaN) of at least ``least``."""
     if not (isinstance(v, (int, np.integer)) and v >= least):
-        # an int of over 4,300 digits cannot be printed (Python's limit)
-        shown = "a huge negative int" if isinstance(v, int) and v < -10**100 else repr(v)
-        raise InvalidParameter(f"need an integer {name} >= {least}, got {name}={shown}")
+        raise InvalidParameter(f"need an integer {name} >= {least}, got {name}={_shown(v)}")
     return int(v)
+
+
+def _shown(v) -> str:
+    """``repr(v)`` for a message, but a phrase for an int of over 100 digits:
+    one of over 4,300 cannot be printed (Python's limit)."""
+    if isinstance(v, int) and abs(v) > 10**100:
+        return "a huge negative int" if v < 0 else "a huge int"
+    return repr(v)
 
 
 def _probabilities(name: str, w, held: float = 0.0) -> np.ndarray:

@@ -19,6 +19,12 @@ that mode: the root-1 children are drawn from the array reweighted by
 ``exp(-L)``, and each new level is shifted so the empirical mean of
 ``exp(-L)`` is 1, a constraint the true law satisfies at every depth when
 ``p01 > 0``.  The CLI and the threshold engine both step with it.
+
+A step draws one uniform per child and one more, and searches for no
+index: a 0-child's uniform scales to its index, and the 1-children share
+one systematic draw from the tilted array (Douc, Cappe & Moulines,
+"Comparison of resampling schemes for particle filtering", 2005), which
+is also how a population is first drawn from an exact pair.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, ResourceLimit
-from .channels import BinaryChannel, _count, llr_step
-from .atoms import ConditionalPair, posterior_from_llr, root0_terms
+from .errors import DegenerateChannel, InvalidParameter, ResourceLimit
+from .channels import BinaryChannel, _count, _shown, llr_step
+from .atoms import _LOG_TINY, ConditionalPair, posterior_from_llr, root0_terms
 
 # Cap on the nodes of one broadcast batch (samples x nodes per sample).  A
 # k=2 batch at the cap peaks near 1.4 GB, mostly in the two float64
@@ -74,8 +80,9 @@ def sample_broadcast_batch(c: BinaryChannel, k: int, depth: int, n: int,
     total = (n * (depth + 1) if k == 1
              else n * (k ** (min(depth, 64) + 1) - 1) // (k - 1))
     if total > NODE_CAP:
-        raise ResourceLimit(f"broadcast batch of {n} samples to depth {depth} "
-                            f"needs more than {NODE_CAP} nodes (the cap)", count=total)
+        raise ResourceLimit(f"a broadcast batch of {_shown(n)} samples to depth "
+                            f"{_shown(depth)} needs more than {NODE_CAP} nodes (the cap)",
+                            count=total)
     streams = _level_streams(seed, depth)
     if root_value is None:
         root = (streams[0].random(n) < c.pi1).astype(np.int8)
@@ -156,7 +163,11 @@ class Population:
     root-1 law is read from the same samples, weighted by ``exp(-L)``; see
     :func:`estimate_diagnostics`.  A sample at ``-inf`` is refused, since
     the root-0 law has no mass there, and so are a NaN sample, an empty
-    array and a depth that is not an integer >= 1.
+    array and a depth that is not an integer >= 1, all with
+    :class:`InvalidParameter`.  A finite sample below ``ln(tiny)`` (about
+    -708.4) raises :class:`DegenerateChannel`, as an atom there does in
+    :class:`~treecast.atoms.ConditionalPair`: its ``exp(-L)`` is near the
+    float64 overflow.
     """
 
     depth: int
@@ -166,7 +177,11 @@ class Population:
     def __post_init__(self):
         self.depth = _count("depth", self.depth)
         s = self.samples0 = np.asarray(self.samples0, dtype=np.float64)
-        if s.ndim != 1 or not s.size or not (s > -np.inf).all():
+        if s.ndim != 1 or not s.size or not (s >= _LOG_TINY).all():
+            if s.ndim == 1 and s.size and (s > -np.inf).all():
+                raise DegenerateChannel(
+                    f"sample {s.min():.6g} lies below ln(tiny) = {_LOG_TINY:.1f}, where "
+                    "exp(-L) nears overflow: the channel is too close to deterministic")
             raise InvalidParameter("samples0 must be a non-empty 1-d array without NaN or "
                                    "-inf (the root-0 law has no mass there)")
 
@@ -178,19 +193,20 @@ class Population:
 def population_from_pair(pair: ConditionalPair, n: int, seed: int) -> Population:
     """Initialize a population by sampling the root-0 law of a pair.
 
-    The law is drawn from its atoms of positive weight only, so an atom
-    that root value 0 cannot reach (``-inf``) never enters the samples.
-    Raises :class:`InvalidParameter` unless ``n`` is an integer >= 1 and
-    ``seed`` one >= 0, and :class:`ResourceLimit` for ``n`` above
-    :data:`NODE_CAP`, which no step could hold, before drawing anything.
+    The N samples are one systematic draw (:func:`_systematic_draw`)
+    from the atoms of positive weight, on one uniform of the new stream:
+    each atom appears within one of N times its weight, in the order of
+    the support, and an atom that root value 0 cannot reach (``-inf``)
+    never enters the samples.  Raises :class:`InvalidParameter` unless
+    ``n`` is an integer >= 1 and ``seed`` one >= 0, and
+    :class:`ResourceLimit` for ``n`` above :data:`NODE_CAP`, which no step
+    could hold, before drawing anything.
     """
     n = _population_size(n, 1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_count("seed", seed, 0))))
     keep = pair.w0 > 0
-    w = pair.w0[keep]
-    return Population(depth=pair.depth,
-                      samples0=pair.values[keep][_weighted_draw(rng, w / w.sum(), n)],
-                      rng=rng)
+    samples0 = pair.values[keep][_systematic_draw(pair.w0[keep], n, rng.random())]
+    return Population(depth=pair.depth, samples0=samples0, rng=rng)
 
 
 def _population_size(n, k: int) -> int:
@@ -204,16 +220,19 @@ def _population_size(n, k: int) -> int:
     return n
 
 
-def _weighted_draw(rng: np.random.Generator, p: np.ndarray, shape) -> np.ndarray:
-    """Indices into ``p`` drawn with probabilities proportional to ``p``.
+def _systematic_draw(w: np.ndarray, m: int, u0: float) -> np.ndarray:
+    """``m`` indices drawn with probabilities proportional to ``w`` by
+    systematic resampling (Douc, Cappe & Moulines 2005), in sorted order.
 
-    Returns exactly what ``rng.choice(len(p), size=shape, p=p)`` returns
-    and leaves ``rng`` in the same state: the same normalized cumulative
-    table, the same uniforms, the same right-side search.  Only the order
-    of the searches differs.  The uniforms are searched in sorted order,
-    so consecutive binary searches take nearly the same path instead of
-    mispredicting at random; each key's result is unique, so the order
-    cannot change it.  At N = 2e4 this halves the draw.
+    With ``F`` the cumulative weights scaled so ``F[-1]`` is exactly 1,
+    index i appears ``ceil(m*F[i] - u0) - ceil(m*F[i-1] - u0)`` times: the
+    number of the points ``u0, u0 + 1, ..., u0 + m - 1`` in
+    ``[m*F[i-1], m*F[i])``.  Each ceiling is taken exactly, as
+    ``floor(y) + (frac(y) > u0)`` for ``y = m*F[i]``, so there are ``m``
+    indices for every ``u0`` in [0, 1), a zero weight is never drawn, and
+    each index appears within 1 of ``m`` times its probability, up to the
+    rounding of ``F``.  The list is ``np.repeat(np.arange(len(w)),
+    counts)``: its entry j is the number of ceilings at or below j.
 
     Raises
     ------
@@ -221,17 +240,19 @@ def _weighted_draw(rng: np.random.Generator, p: np.ndarray, shape) -> np.ndarray
         If a weight is NaN or negative, or the total is not finite and
         positive.
     """
-    cdf = p.cumsum()
-    total = cdf[-1]
-    if not (np.isfinite(total) and total > 0) or (p < 0).any():
+    y = w.cumsum()
+    total = y[-1]
+    if not (0 < total < np.inf and w.min() >= 0):  # NaN fails both
         raise InvalidParameter(
             "sampling weights must be non-negative with a finite positive total")
-    cdf /= total
-    u = rng.random(shape).ravel()
-    order = u.argsort()
-    idx = np.empty(u.size, dtype=np.intp)
-    idx[order] = cdf.searchsorted(u[order], side="right")
-    return idx.reshape(shape)
+    y /= total
+    y *= m
+    cum = y.astype(np.intp)  # floor, as y >= 0
+    y -= cum  # exactly the fractional part
+    cum += y > u0  # ceil(y - u0)
+    del y
+    idx = np.bincount(cum, minlength=m + 1)[:m]
+    return np.cumsum(idx, out=idx)
 
 
 def _project_unit_mean(s: np.ndarray) -> np.ndarray:
@@ -264,30 +285,49 @@ def population_evolve_anchored(pop: Population, c: BinaryChannel, k: int) -> Pop
     derails deep runs.  When ``p01 = 0`` no child of a root-0 node is 1 and
     the level is left unshifted.
 
-    Each child is drawn once, from the law it needs: the stream gives the
-    ``(k, N)`` child types first, then a tilted index for each of the
-    ``m`` 1-children, then a uniform index for each of the other
-    ``N*k - m``.  The one-child update is evaluated once per parent
+    Each child is drawn once, by :func:`_child_indices`, with no index
+    searched for.  The one-child update is evaluated once per parent
     sample and gathered, which is elementwise the same.  Consumes the
     population's own stream.
     """
     if pop.size < 1000:
         raise InvalidParameter(f"population size must be >= 1000, got {pop.size}")
+    _population_size(pop.size, k)  # refuses a step above NODE_CAP
     rng = pop.rng
-    n = _population_size(pop.size, k)
-
     s = pop.samples0
     tilt = _tilt_weights(s)
     g = llr_step(c, s)  # rejects p00 = 0 or p10 = 0
-    ones = rng.random((k, n)) < c.p01
-    m = int(np.count_nonzero(ones))
-    child = np.empty((k, n))
-    child[ones] = g[_weighted_draw(rng, tilt, m)]
-    child[~ones] = g[rng.integers(0, n, size=n * k - m)]
-    s_new = k * math.log(c.p00 / c.p10) + child.sum(axis=0)
+    s_new = k * math.log(c.p00 / c.p10) + g[_child_indices(rng, tilt, c, k)].sum(axis=0)
     if c.p01 > 0:
         s_new = _project_unit_mean(s_new)
     return Population(depth=pop.depth + 1, samples0=s_new, rng=rng)
+
+
+def _child_indices(rng: np.random.Generator, tilt: np.ndarray, c: BinaryChannel,
+                   k: int) -> np.ndarray:
+    """The ``(k, N)`` parent indices of the children of N new samples.
+
+    The stream gives one uniform ``u`` per child and then one more,
+    ``u0``.  A child is a 1-child iff ``u < p01``.  A 0-child takes index
+    ``floor((u - p01) * N / p00)``, at most N - 1, so uniform.  The
+    ``m`` 1-children share one systematic draw of ``m`` indices with
+    probabilities proportional to ``tilt`` (:func:`_systematic_draw` on
+    ``u0``), handed out in the order of their own uniforms: the ranks of
+    i.i.d. keys, so a uniformly random order.  Each child's index thus
+    has the law of the mixture ``p00 * uniform + p01 * tilted``.
+    """
+    n = len(tilt)
+    u = rng.random(k * n)
+    u0 = rng.random()
+    ones = np.flatnonzero(u < c.p01)
+    ones = ones[u[ones].argsort()]  # the 1-children in the order of their uniforms
+    u -= c.p01
+    u *= n / c.p00
+    idx = u.astype(np.intp)  # the floor, except at 1-children, set next
+    del u  # k*N floats freed before the systematic draw: a lower peak
+    np.minimum(idx, n - 1, out=idx)
+    idx[ones] = _systematic_draw(tilt, len(ones), u0)
+    return idx.reshape(k, n)
 
 
 def _tilt_weights(s: np.ndarray) -> np.ndarray:
@@ -340,10 +380,11 @@ def estimate_diagnostics(pop: Population, c: BinaryChannel) -> dict:
     generations carried into that sample, which can be the larger part.
     Over seeds 0..29 at N = 2e4 and k = 2, symmetric eps = 0.25 at depth 6
     gives a median ``se_mean_gap`` of 4.2e-4 against a seed-to-seed
-    spread of 8.8e-4, and eps = 0.15 at depth 12 a median ``se_tv`` of
-    2.1e-3 against a spread of 4.2e-3.  At depth 20, seed 0 and eps =
-    0.1757, ``tv`` = 0.07617 with ``se_tv`` = 0.00070, against the
-    lattice upper law 0.07686, which the exact TV cannot exceed.
+    spread of 6.7e-4, and eps = 0.15 at depth 12 a median ``se_tv`` of
+    2.1e-3 against a spread of 3.7e-3.  At depth 20, seed 0 and eps =
+    0.1757, ``tv`` = 0.07807 with ``se_tv`` = 0.00072, 1.7 SE above the
+    lattice upper law 0.07686, which the exact TV cannot exceed; the mean
+    over seeds 0..39 is 0.07677, with a standard error of 0.00020.
 
     ``tilt_ess`` = ``(sum r)**2 / sum r**2`` is the effective sample size
     of that weighting, the number of equally weighted samples that every

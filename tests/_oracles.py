@@ -2,9 +2,8 @@
 
 Everything here works from first principles: exhaustive enumeration over
 binary tree configurations, finite differences on dense grids, or direct
-formula evaluation.  None of it calls the recursive machinery under test
-(the plain population's initial draw borrows only the library's weighted
-draw), so a library bug cannot leak into its own reference values.  The
+formula evaluation.  None of it calls the recursive machinery under test,
+so a library bug cannot leak into its own reference values.  The
 exceptions are the four straightforward forms that the library replaced
 with faster ones, kept to pin the faster forms down: the full outer-product
 convolution, the searched comonotone coupling, the merge by a stable sort
@@ -15,8 +14,8 @@ alone and derives the root-1 ones, and merges each fold's sums with the
 stable-sort merge below: the same runs of atoms closer than ``MERGE_TOL``,
 so it pins the folds and the derived weights down but not the merging,
 which ``test_atoms`` checks property by property.  The population step borrows
-the library's tilt weights, draws, one-child update and projection, so it
-pins down only how the children are drawn.
+the library's tilt weights, one-child update and projection, and draws
+with ``rng.choice``, so it pins down only how the children are drawn.
 
 Every truncated tree here comes from ``bfs_tree``: the brute-force laws,
 the full-joint Gibbs residual and the list of interior-node shapes that
@@ -32,8 +31,7 @@ from treecast.atoms import _run_edges, _snap
 from treecast.channels import llr_step
 from treecast.conditioning import _compensated_cumsum
 from treecast.evolution import MERGE_TOL
-from treecast.sampling import (Population, _project_unit_mean, _tilt_weights,
-                               _weighted_draw)
+from treecast.sampling import Population, _project_unit_mean, _tilt_weights
 
 
 def bfs_tree(k, depth, root_degree=None):
@@ -274,14 +272,15 @@ class PlainPopulation(NamedTuple):
 def plain_population_from_pair(pair, n, seed):
     """Draw n samples of each conditional law of a pair, root 0 first.
 
-    Each law is drawn from its atoms of positive weight only, with the
-    library's weighted draw on a Philox stream seeded by ``seed``.
+    Each law is drawn from its atoms of positive weight only, with
+    ``rng.choice`` on a Philox stream seeded by ``seed``.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
     def draw(w):
         keep = w > 0
-        return pair.values[keep][_weighted_draw(rng, w[keep] / w[keep].sum(), n)]
+        p = w[keep] / w[keep].sum()
+        return pair.values[keep][rng.choice(len(p), size=n, p=p)]
 
     samples0 = draw(pair.w0)
     return PlainPopulation(pair.depth, samples0, draw(pair.w1), rng)
@@ -321,9 +320,10 @@ def every_child_anchored_step(pop, c, k):
     """The anchored population step with two draws for every child.
 
     Draws the ``(N, k)`` child types, then a uniform and a tilted index
-    for every child, and keeps the one its type needs.  Same Markov kernel
-    as ``population_evolve_anchored``, which draws each child once, so the
-    two agree in law but not in bytes.  Consumes the population's stream.
+    (``rng.choice``) for every child, and keeps the one its type needs.
+    Same Markov kernel as ``population_evolve_anchored``, which draws each
+    child once, so the two agree in law but not in bytes.  Consumes the
+    population's stream.
     """
     rng = pop.rng
     n = pop.size
@@ -331,7 +331,7 @@ def every_child_anchored_step(pop, c, k):
     tilt = _tilt_weights(s)
     ones = rng.random((n, k)) < c.p01
     idx_plain = rng.integers(0, n, size=(n, k))
-    idx_tilt = _weighted_draw(rng, tilt, (n, k))
+    idx_tilt = rng.choice(n, size=(n, k), p=tilt / tilt.sum())
     child = np.where(ones, s[idx_tilt], s[idx_plain])
     s_new = k * math.log(c.p00 / c.p10) + llr_step(c, child).sum(axis=1)
     if c.p01 > 0:

@@ -723,7 +723,7 @@ PINNED_OUTPUTS = {
         ["evolve", "--symmetric", "0.2", "--k", "2", "--depth", "4",
          "--engine", "population", "--pop-size", "4000", "--seed", "9",
          "--out", "pop.csv"],
-        "4d3da088f996798a02422178b1dabab0d1bd03b9de40ca42c03466bbbbd5802b"),
+        "f69b46383e5ea4d978eaf20116f60a89880890b03aea6a6362d49ea796d0bcf4"),
     "couple-csv": (
         ["couple", "--symmetric", "0.3", "--k", "2", "--depth", "3",
          "--out", "coupling.csv"],
@@ -748,7 +748,7 @@ PINNED_OUTPUTS = {
         ["threshold", "--symmetric", "--k", "2", "--pop-size", "2000",
          "--depth", "12", "--tol", "0.05", "--seed", "3",
          "--out", "threshold_pop.json"],
-        "e767d750ad04cec720e9bda745e3543a706822c0f8310f291d0a15ce8d0b71e3"),
+        "849105516c33cd74b4498f81277ede457be42479ea1b5d4bf816983fd0a008a9"),
 }
 
 

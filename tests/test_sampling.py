@@ -4,12 +4,14 @@ import copy
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from treecast import (
+    DegenerateChannel,
     InvalidParameter,
     Population,
     ResourceLimit,
@@ -32,7 +34,7 @@ from treecast import (
 )
 
 from treecast.channels import llr_step
-from treecast.sampling import (_project_unit_mean, _tilt_weights, _weighted_draw,
+from treecast.sampling import (_project_unit_mean, _systematic_draw, _tilt_weights,
                                population_tv)
 
 from _oracles import (brute_root_posterior, every_child_anchored_step,
@@ -112,6 +114,14 @@ def test_sampler_node_cap():
         assert time.perf_counter() - start < 1.0, (depth, n)
 
 
+def test_sampler_node_cap_refuses_counts_too_long_to_print():
+    """A sample count or depth of over 4,300 digits is refused with the
+    typed error, not the integer-to-string ValueError."""
+    for depth, n in ((2, 10**5000), (10**5000, 2)):
+        with pytest.raises(ResourceLimit, match="a huge int"):
+            sample_broadcast_batch(symmetric_channel(0.2), 2, depth, n)
+
+
 def test_sampler_requires_children_and_samples():
     c = symmetric_channel(0.3)
     for k, n in ((0, 10), (2, 0), (2, -5)):
@@ -184,12 +194,12 @@ def test_posterior_consistent_with_sampler():
         assert abs(freq - pm) < 5 * se
 
 
-# ------------------------------------------------------- weighted draws
+# ----------------------------------------------------- systematic draws
 
 @st.composite
-def draw_inputs(draw):
+def systematic_inputs(draw):
     """Weights (zeros likely, a lone nonzero weight and n = 1 included),
-    a draw shape ``(m,)`` or ``(m, k)`` and a generator seed."""
+    a draw size m >= 0 and the one uniform u0 in [0, 1)."""
     n = draw(st.integers(1, 60))
     if draw(st.booleans()):
         w = np.zeros(n)
@@ -197,34 +207,35 @@ def draw_inputs(draw):
     else:
         w = np.array(draw(st.lists(
             st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=n, max_size=n)))
-    m = draw(st.integers(1, 300))
-    shape = draw(st.sampled_from([(m,), (m, draw(st.integers(1, 4)))]))
-    return w, shape, draw(st.integers(0, 2 ** 32))
+    u0 = draw(st.one_of(st.just(0.0), st.just(math.nextafter(1.0, 0.0)),
+                        st.floats(0.0, 1.0, exclude_max=True)))
+    return w, draw(st.integers(0, 300)), u0
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(draw_inputs())
-@example((np.array([2.5]), (7,), 0))
-@example((np.array([0.0, 0.0, 1.0, 0.0]), (50, 3), 1))
-def test_weighted_draw_equals_rng_choice(case):
-    """The sorted-key draw returns ``rng.choice``'s indices and leaves the
-    generator where ``rng.choice`` leaves it."""
-    w, shape, seed = case
+@given(systematic_inputs())
+@example((np.array([2.5]), 7, 0.0))
+@example((np.array([1.0, 1.0, 1.0]), 3, math.nextafter(1.0, 0.0)))
+@example((np.array([0.0, 0.0, 1.0, 0.0]), 50, 0.5))
+def test_systematic_draw_counts_stay_within_one_of_their_share(case):
+    """The draw is m sorted indices, a zero weight is never drawn, and each
+    index is drawn within 1 of m times its probability (up to the rounding
+    of the cumulative weights), for every u0 including the ends of [0, 1)."""
+    w, m, u0 = case
     assume(w.sum() > 0)
-    p = w / w.sum()
-    ref = np.random.Generator(np.random.Philox(seed))
-    ours = np.random.Generator(np.random.Philox(seed))
-    expected = ref.choice(len(p), size=shape, p=p)
-    got = _weighted_draw(ours, p, shape)
-    assert got.shape == expected.shape and np.array_equal(got, expected)
-    assert ours.random() == ref.random()
+    idx = _systematic_draw(w, m, u0)
+    assert idx.shape == (m,) and idx.dtype == np.intp
+    assert np.all(np.diff(idx) >= 0)
+    counts = np.bincount(idx, minlength=len(w))
+    assert counts.shape == w.shape and counts.sum() == m
+    assert np.all(counts[w == 0] == 0)
+    assert np.all(np.abs(counts - m * (w / w.sum())) < 1 + 1e-9)
 
 
-def test_weighted_draw_rejects_bad_weights():
-    rng = np.random.Generator(np.random.Philox(0))
+def test_systematic_draw_rejects_bad_weights():
     for w in ([0.5, np.nan, 0.5], [0.5, -0.1, 0.6], [0.0, 0.0], [1.0, np.inf]):
         with pytest.raises(InvalidParameter):
-            _weighted_draw(rng, np.array(w), (10,))
+            _systematic_draw(np.array(w), 10, 0.5)
 
 
 # ------------------------------------------------------------- populations
@@ -249,6 +260,16 @@ def test_population_from_pair_skips_zero_weight_atoms():
 def test_population_refuses_a_neg_inf_sample():
     with pytest.raises(InvalidParameter):
         Population(1, [0.0, -math.inf], np.random.Generator(np.random.Philox(0)))
+
+
+def test_population_refuses_a_sample_below_log_tiny():
+    """A finite sample below ln(tiny) is refused as ConditionalPair refuses
+    an atom there.  At -800, exp(-L) overflows, and estimate_diagnostics
+    would return an se_mean_gap of NaN."""
+    for low in (-800.0, math.nextafter(math.log(np.finfo(np.float64).tiny), -math.inf)):
+        with pytest.raises(DegenerateChannel):
+            Population(1, np.r_[np.full(999, 1.0), low], None)
+    Population(1, np.r_[np.full(999, 1.0), math.log(np.finfo(np.float64).tiny)], None)
 
 
 def test_population_uninformative_stays_at_zero():
@@ -408,21 +429,29 @@ def test_anchored_population_refuses_without_finite_sample():
 @pytest.mark.parametrize("c,k", [(symmetric_channel(0.2), 2), (make_channel(0.7, 0.2), 3),
                                  (make_channel(1.0, 0.3), 2)])
 def test_anchored_step_draws_each_child_once(c, k):
-    """Rebuilt by hand from a copy of the generator, bit for bit: the
-    (k, N) child types, then a tilted index for each of the m 1-children,
-    then a uniform index for each of the others, and the one-child update
-    of each drawn value.  At p01 = 0 (the last case) m = 0."""
+    """Rebuilt by hand from a copy of the generator, bit for bit: one
+    uniform u per child, then u0; a child is a 1-child iff u < p01, a
+    0-child takes index floor((u - p01) * N/p00), and the m 1-children, in
+    the order of their uniforms, take the sorted systematic draw whose
+    count at i is ceil(m*F[i] - u0) - ceil(m*F[i-1] - u0), each ceiling
+    taken in exact rational arithmetic.  At p01 = 0 (the last case) m = 0."""
     n = 3000
     pop = population_evolve_anchored(population_from_pair(base_pair(c, k), n, seed=26), c, k)
     rng = copy.deepcopy(pop.rng)
     got = population_evolve_anchored(pop, c, k)
 
     s = pop.samples0
-    ones = rng.random((k, n)) < c.p01
+    u = rng.random((k, n))
+    u0 = rng.random()
+    ones = u < c.p01
+    idx = np.minimum(np.floor((u - c.p01) * (n / c.p00)), n - 1).astype(np.intp)
     m = int(np.count_nonzero(ones))
-    idx = np.empty((k, n), dtype=np.intp)
-    idx[ones] = _weighted_draw(rng, _tilt_weights(s), m)
-    idx[~ones] = rng.integers(0, n, size=n * k - m)
+    f = _tilt_weights(s).cumsum()
+    f /= f[-1]
+    cum = [math.ceil(Fraction(float(m * x)) - Fraction(u0)) for x in f]
+    counts = np.diff(cum, prepend=0)
+    rank = np.argsort(np.argsort(u[ones]))
+    idx[ones] = np.repeat(np.arange(n), counts)[rank]
     want = k * math.log(c.p00 / c.p10) + llr_step(c, s[idx]).sum(axis=0)
     if c.p01 > 0:
         want = _project_unit_mean(want)
