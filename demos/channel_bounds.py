@@ -12,13 +12,10 @@ Run
 """
 
 import argparse
-import math
 
-from treecast.channels import (symmetric_channel, hardcore_channel,
-                               make_channel, kelly_threshold, lambda_of_w,
-                               brightwell_winkler_lower_w, gap_kernel_peak,
-                               mossel_peres_lhs, geometric_mean_bound_lhs)
-from treecast.threshold import bounds_report, restricted_bound_crossover
+from treecast.channels import (symmetric_channel, hardcore_channel, make_channel,
+                               gap_kernel_peak, mossel_peres_lhs, geometric_mean_bound_lhs)
+from treecast.threshold import bounds_report
 
 
 def main():
@@ -31,8 +28,8 @@ def main():
     print("the noise level where k * (1 - 2*eps)^2 crosses 1, per k:")
     for k in range(2, args.k_max + 1):
         report = bounds_report(k, "symmetric")
-        print(f"  k={k:2d}  eps_c={report.ks_eps:.6f}  "
-              f"contraction-bound crossover={report.geometric_crossover_eps:.6f}")
+        print(f"  k={k:2d}  eps_c={report['ks_eps']:.6f}  "
+              f"contraction-bound crossover={report['geometric_crossover_eps']:.6f}")
     print("the contraction bound crosses 1/k at eps_c itself: the product")
     print("form is tight for symmetric channels.\n")
 
@@ -41,21 +38,19 @@ def main():
     header = f"  {'k':>2}  {'kelly':>12}  {'activity const':>14}  stronger"
     print(header)
     for k in range(2, args.k_max + 1):
-        kelly = kelly_threshold(k)
-        const = math.e - 1.0
-        stronger = "kelly" if kelly > const else "activity"
-        print(f"  {k:2d}  {kelly:12.6f}  {const:14.6f}  {stronger}")
+        report = bounds_report(k, "hardcore")
+        print(f"  {k:2d}  {report['kelly']:12.6f}  {report['activity_lower_bound']:14.6f}"
+              f"  {report['stronger_lower_bound']}")
     print("kelly decays like 1/k and already loses to the uniform activity")
-    print("constant at k=3; bounds_report records the same comparison.")
-    cross = restricted_bound_crossover(2, which="geometric")
+    print("constant at k=3.")
+    report = bounds_report(2, "hardcore")
     print(f"restricting the contraction bound to the hard-core family and")
     print(f"solving for the crossover activity recovers kelly: "
-          f"{cross:.6f} vs {kelly_threshold(2):.6f} at k=2\n")
+          f"{report['geometric_crossover_lambda']:.6f} vs {report['kelly']:.6f} at k=2\n")
 
-    k_bw = 3
-    w_bw = brightwell_winkler_lower_w(k_bw)
-    print(f"k={k_bw} also carries the uniqueness-style lower bound "
-          f"w >= {w_bw:.6f} (activity {lambda_of_w(w_bw, k_bw):.6f})")
+    report = bounds_report(3, "hardcore")
+    print(f"k=3 also carries the uniqueness-style lower bound "
+          f"w >= {report['bw_lower_w']:.6f} (activity {report['bw_lower_lambda']:.6f})")
 
     print("\n=== kernel peak equals the product bound ===")
     c = make_channel(0.7, 0.4)

@@ -31,7 +31,7 @@ from .hardcore import (gibbs_conditional_sweep, IndependenceVerdict,
 from .threshold import (ChannelFamily, Decision, fitted_rate,
                         decide_reconstruction, ThresholdEstimate,
                         bisect_threshold, restricted_bound_crossover,
-                        BoundsReport, bounds_report)
+                        bounds_report)
 from . import serialize
 
 __version__ = "0.1.0"
@@ -55,7 +55,7 @@ __all__ = [
     "gibbs_conditional_sweep", "IndependenceVerdict", "brw_independence_check",
     "ChannelFamily", "Decision", "fitted_rate",
     "decide_reconstruction", "ThresholdEstimate", "bisect_threshold",
-    "restricted_bound_crossover", "BoundsReport", "bounds_report",
+    "restricted_bound_crossover", "bounds_report",
     "serialize",
     "__version__",
 ]

@@ -188,9 +188,8 @@ def cmd_bounds(args) -> int:
     desc, _ = _parse_channel(args, args.k, allow_family_only=True)
     if desc["kind"] not in ("symmetric", "hardcore"):
         raise InvalidParameter("bounds requires a family (--symmetric or --hardcore)")
-    report = bounds_report(args.k, desc["kind"])
     config = _run_config(args, desc, depth=None, engine=None, fmt="json")
-    payload = {"config": config, "report": report.as_dict()}
+    payload = {"config": config, "report": bounds_report(args.k, desc["kind"])}
     _emit(args, serialize.report_json(payload))
     return 0
 

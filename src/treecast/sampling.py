@@ -35,14 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChannel, InvalidParameter, ResourceLimit
-from .channels import BinaryChannel, _count, _shown, llr_step
-from .atoms import _LOG_TINY, ConditionalPair, posterior_from_llr, root0_terms
+from .channels import BinaryChannel, _LOG_FLOAT_MAX, _count, _shown, llr_step
+from .atoms import ConditionalPair, posterior_from_llr, root0_terms
 
 # Cap on the nodes of one broadcast batch (samples x nodes per sample).  A
 # k=2 batch at the cap peaks near 1.4 GB, mostly in the two float64
 # temporaries of its last level; as k grows the last level approaches the
 # whole batch and the peak about 2.4 GB.
 NODE_CAP = 2 ** 27
+
+# The lowest finite sample a Population holds; see Population for why.
+_HALF_LOG_ROOM = (_LOG_FLOAT_MAX - math.log(NODE_CAP)) / 2
+_SAMPLE_FLOOR = -(_HALF_LOG_ROOM - math.log(_HALF_LOG_ROOM))
 
 
 def _level_streams(seed: int, depth: int) -> list:
@@ -164,10 +168,22 @@ class Population:
     :func:`estimate_diagnostics`.  A sample at ``-inf`` is refused, since
     the root-0 law has no mass there, and so are a NaN sample, an empty
     array and a depth that is not an integer >= 1, all with
-    :class:`InvalidParameter`.  A finite sample below ``ln(tiny)`` (about
-    -708.4) raises :class:`DegenerateChannel`, as an atom there does in
-    :class:`~treecast.atoms.ConditionalPair`: its ``exp(-L)`` is near the
-    float64 overflow.
+    :class:`InvalidParameter`.
+
+    A finite sample below ``_SAMPLE_FLOOR`` (about -339.7) raises
+    :class:`DegenerateChannel`, as an atom below ``ln(tiny)`` does in
+    :class:`~treecast.atoms.ConditionalPair`, since below it
+    :func:`estimate_diagnostics` can overflow.  For a sample ``L = -x < 0``
+    the largest per-sample term is the mean gap's ``x * (e**x - 1)``,
+    below ``x * e**x``.  Every gap term is >= 0, so no deviation from their
+    mean exceeds the largest term, and the sum of N squared deviations that
+    ``np.std`` forms for ``se_mean_gap`` stays below the float64 maximum
+    for every N up to ``NODE_CAP`` while ``NODE_CAP * x**2 * e**(2*x)``
+    does: ``x + ln(x) <= B`` with ``B = (ln(max) - ln(NODE_CAP)) / 2``.
+    The floor is ``-(B - ln(B))``, which meets it since
+    ``ln(B - ln(B)) < ln(B)``, and lies within 0.02 of the exact root.  An
+    engine step never comes near it: the unit-mean shift keeps every
+    sample above about ``-ln N``.
     """
 
     depth: int
@@ -177,11 +193,11 @@ class Population:
     def __post_init__(self):
         self.depth = _count("depth", self.depth)
         s = self.samples0 = np.asarray(self.samples0, dtype=np.float64)
-        if s.ndim != 1 or not s.size or not (s >= _LOG_TINY).all():
+        if s.ndim != 1 or not s.size or not (s >= _SAMPLE_FLOOR).all():
             if s.ndim == 1 and s.size and (s > -np.inf).all():
                 raise DegenerateChannel(
-                    f"sample {s.min():.6g} lies below ln(tiny) = {_LOG_TINY:.1f}, where "
-                    "exp(-L) nears overflow: the channel is too close to deterministic")
+                    f"sample {s.min():.6g} lies below {_SAMPLE_FLOOR:.1f}, where the diagnostics "
+                    "can overflow: the channel is too close to deterministic")
             raise InvalidParameter("samples0 must be a non-empty 1-d array without NaN or "
                                    "-inf (the root-0 law has no mass there)")
 

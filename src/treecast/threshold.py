@@ -12,18 +12,20 @@ inconclusive midpoints are counted as non-decaying so the bracket
 always keeps its decaying portion, which keeps the estimate on the
 conservative side of the ambiguity band.
 
-``bounds_report`` collects every closed-form comparison value for a
-family: the symmetric-channel critical flip probability, the hard-core
-uniqueness threshold (recovered numerically as the activity where the
-occupancy-restricted geometric-mean bound stops certifying
-impossibility), the constant activity lower bound ``e - 1``, and the
-large-k comparison curve for the critical occupation weight.
+``bounds_report`` returns a dict of every closed-form comparison value
+for a family, by name: the symmetric-channel critical flip probability,
+the hard-core uniqueness threshold, the constant activity lower bound
+``e - 1``, and the large-k comparison curve for the critical occupation
+weight.  One solver, ``_crossover``, finds every parameter where an
+impossibility bound's statistic crosses ``1/k``: in the flip probability
+for the symmetric family, and in the occupation weight for the hard-core
+family, where the crossing recovers the uniqueness threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,14 +234,10 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
             f"tol must be finite and at least the bracket's float spacing, got {tol}")
 
     history = []
-    inconclusive = 0
 
     def eval_point(param: float) -> bool:
-        nonlocal inconclusive
         d = decide_reconstruction(family, param, depth, engine=engine,
                                   pop_size=pop_size, seed=seed)
-        if d.verdict == "inconclusive":
-            inconclusive += 1
         history.append({"param": param, "verdict": d.verdict,
                         "rate": d.rate, "statistic": d.statistic})
         return d.verdict == "decaying"
@@ -269,7 +267,13 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
         bracket_initial=(float(bracket[0]), float(bracket[1])),
         bracket_final=(lo, hi), tol=tol, seed=seed,
         pop_size=pop_size if engine == "population" else None,
-        history=tuple(history), inconclusive_count=inconclusive)
+        history=tuple(history),
+        inconclusive_count=sum(h["verdict"] == "inconclusive" for h in history))
+
+
+def _crossover(k: int, stat, channel, lo: float, hi: float) -> float:
+    """The parameter in ``[lo, hi]`` where ``stat(channel(x))`` crosses ``1/k``."""
+    return _bisect_root(lambda x: stat(channel(x)) - 1.0 / k, lo, hi)
 
 
 def restricted_bound_crossover(k: int, which: str = "geometric") -> float:
@@ -287,74 +291,43 @@ def restricted_bound_crossover(k: int, which: str = "geometric") -> float:
         stat = mossel_peres_lhs
     else:
         raise InvalidParameter(f"unknown bound {which!r}")
-
-    def excess(w: float) -> float:
-        return stat(hardcore_channel(w)) - 1.0 / k
-
     # (k+1)*ln(1+w) bounds ln(w*(1+w)**k), so the activity at hi is finite
     hi = min(1e6, math.expm1(_LOG_FLOAT_MAX / (k + 1)))
-    w_star = _bisect_root(excess, 1e-9, hi)
-    return lambda_of_w(w_star, k)
+    return lambda_of_w(_crossover(k, stat, hardcore_channel, 1e-9, hi), k)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """Closed-form comparison values for one family at one branching number.
+def bounds_report(k: int, family_kind: str) -> dict:
+    """Every closed-form bound relevant to a family, by name.
 
-    Fields irrelevant to the family are None and dropped by
-    :meth:`as_dict`.
-    """
-
-    family_kind: str
-    k: int
-    ks_eps: float | None = None
-    mp_crossover_eps: float | None = None
-    geometric_crossover_eps: float | None = None
-    kelly: float | None = None
-    activity_lower_bound: float | None = None
-    stronger_lower_bound: str | None = None
-    bw_lower_w: float | None = None
-    bw_lower_lambda: float | None = None
-    mp_crossover_lambda: float | None = None
-    geometric_crossover_lambda: float | None = None
-
-    def as_dict(self) -> dict:
-        return {key: value for key, value in asdict(self).items() if value is not None}
-
-
-def bounds_report(k: int, family_kind: str) -> BoundsReport:
-    """Aggregate every closed-form bound relevant to a family.
-
-    For the symmetric family the two impossibility bounds cross ``1/k`` at
-    the same flip probability as the eigenvalue criterion; both crossings
-    are located numerically as a consistency exercise.  For the hard-core
-    family the report compares the uniqueness threshold against the
-    constant activity lower bound ``e - 1`` and includes the large-k
-    comparison curve for the critical occupation weight (``k >= 3``).
+    Both families report ``family_kind`` and ``k``.  For the symmetric
+    family: ``ks_eps``, the eigenvalue criterion's critical flip
+    probability, and ``mp_crossover_eps`` and ``geometric_crossover_eps``,
+    where the two impossibility bounds cross ``1/k``; they cross at
+    ``ks_eps`` itself, and both crossings are solved numerically as a
+    consistency exercise.  For the hard-core family: ``kelly``, the
+    uniqueness threshold; ``activity_lower_bound``, the constant ``e - 1``;
+    ``stronger_lower_bound``, which of the two is larger (``"kelly"`` or
+    ``"activity_constant"``); ``mp_crossover_lambda`` and
+    ``geometric_crossover_lambda`` from :func:`restricted_bound_crossover`;
+    and, for ``k >= 3``, the large-k comparison curve for the critical
+    occupation weight, ``bw_lower_w``, and its activity ``bw_lower_lambda``.
     """
     if family_kind not in ("symmetric", "hardcore"):
         raise InvalidParameter(f"unknown family kind {family_kind!r}")
     k = _count("k", k, 2)
+    report = {"family_kind": family_kind, "k": k}
     if family_kind == "symmetric":
-        def eps_cross(stat):
-            def excess(eps: float) -> float:
-                return stat(symmetric_channel(eps)) - 1.0 / k
-            return _bisect_root(excess, 1e-9, 0.5 - 1e-12)
-        return BoundsReport(
-            family_kind=family_kind, k=k,
-            ks_eps=kesten_stigum_eps_c(k),
-            mp_crossover_eps=eps_cross(mossel_peres_lhs),
-            geometric_crossover_eps=eps_cross(geometric_mean_bound_lhs))
-
-    kelly = kelly_threshold(k)
-    const = math.e - 1.0
-    bw_w = brightwell_winkler_lower_w(k) if k >= 3 else None
-    return BoundsReport(
-        family_kind=family_kind, k=k,
-        kelly=kelly,
-        activity_lower_bound=const,
-        stronger_lower_bound="kelly" if kelly > const else "activity_constant",
-        bw_lower_w=bw_w,
-        bw_lower_lambda=lambda_of_w(bw_w, k) if bw_w is not None else None,
-        mp_crossover_lambda=restricted_bound_crossover(k, "mossel_peres"),
-        geometric_crossover_lambda=restricted_bound_crossover(k, "geometric"))
+        report["ks_eps"] = kesten_stigum_eps_c(k)
+        for name, stat in (("mp", mossel_peres_lhs), ("geometric", geometric_mean_bound_lhs)):
+            report[f"{name}_crossover_eps"] = _crossover(k, stat, symmetric_channel,
+                                                         1e-9, 0.5 - 1e-12)
+        return report
+    kelly, const = kelly_threshold(k), math.e - 1.0
+    report.update(kelly=kelly, activity_lower_bound=const,
+                  stronger_lower_bound="kelly" if kelly > const else "activity_constant",
+                  mp_crossover_lambda=restricted_bound_crossover(k, "mossel_peres"),
+                  geometric_crossover_lambda=restricted_bound_crossover(k, "geometric"))
+    if k >= 3:
+        bw_w = brightwell_winkler_lower_w(k)
+        report.update(bw_lower_w=bw_w, bw_lower_lambda=lambda_of_w(bw_w, k))
+    return report

@@ -705,6 +705,14 @@ PINNED_OUTPUTS = {
     "bounds": (
         ["bounds", "--hardcore", "--k", "2", "--out", "bounds.json"],
         "8fc282af38ab46af9c83e7d8336583cc3bbf66c4d0aeea9ffe96082dd143d682"),
+    # the symmetric rows: Kesten-Stigum and the two solved crossovers
+    "bounds-symmetric": (
+        ["bounds", "--symmetric", "--k", "2", "--out", "bounds_symmetric.json"],
+        "adfd8f4c601ebdd9d667ab939d1a9850041b8cf198efb52d9c53338791d22c1f"),
+    # k=3: the first k with the bw_* comparison-curve fields
+    "bounds-k3": (
+        ["bounds", "--hardcore", "--k", "3", "--out", "bounds_k3.json"],
+        "2728ee6aa98b73da48d98462010aec92a4be496a4a639565a7624d5968b5ce1c"),
     "hardcore-check": (
         ["hardcore-check", "--hardcore-w", "1.0", "--k", "2", "--depth", "3",
          "--pop-size", "5000", "--seed", "2", "--out", "hardcore.json"],

@@ -6,7 +6,7 @@ DELETED = ("FiniteGraph", "enumerate_independent_sets", "HardCoreMeasure",
            "hardcore_measure", "TreeIndex", "truncated_tree",
            "gibbs_conditional_check", "BroadcastSample", "sample_broadcast",
            "llr_from_posterior", "kesten_stigum_symmetric", "NotInterior",
-           "HardCoreParams", "DominanceViolation")
+           "HardCoreParams", "DominanceViolation", "BoundsReport")
 
 
 def test_all_names_resolve_once_and_deleted_names_are_gone():

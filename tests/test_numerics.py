@@ -51,7 +51,7 @@ def solve_hardcore_crossovers():
 
 def solve_symmetric_crossovers():
     reports = [bounds_report(k, "symmetric") for k in BOUND_KS]
-    return [x for r in reports for x in (r.mp_crossover_eps, r.geometric_crossover_eps)]
+    return [r[key] for r in reports for key in ("mp_crossover_eps", "geometric_crossover_eps")]
 
 
 def use_root_finder(monkeypatch, finder):

@@ -4,6 +4,7 @@ import copy
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -34,8 +35,8 @@ from treecast import (
 )
 
 from treecast.channels import llr_step
-from treecast.sampling import (_project_unit_mean, _systematic_draw, _tilt_weights,
-                               population_tv)
+from treecast.sampling import (NODE_CAP, _SAMPLE_FLOOR, _project_unit_mean,
+                               _systematic_draw, _tilt_weights, population_tv)
 
 from _oracles import (brute_root_posterior, every_child_anchored_step,
                       plain_population_from_pair, population_evolve)
@@ -264,12 +265,33 @@ def test_population_refuses_a_neg_inf_sample():
 
 def test_population_refuses_a_sample_below_log_tiny():
     """A finite sample below ln(tiny) is refused as ConditionalPair refuses
-    an atom there.  At -800, exp(-L) overflows, and estimate_diagnostics
-    would return an se_mean_gap of NaN."""
-    for low in (-800.0, math.nextafter(math.log(np.finfo(np.float64).tiny), -math.inf)):
+    an atom there, and so is one down to the floor of the diagnostics.  At
+    -800, exp(-L) overflows, and estimate_diagnostics would return an
+    se_mean_gap of NaN."""
+    for low in (-800.0, math.nextafter(math.log(np.finfo(np.float64).tiny), -math.inf),
+                math.nextafter(_SAMPLE_FLOOR, -math.inf)):
         with pytest.raises(DegenerateChannel):
             Population(1, np.r_[np.full(999, 1.0), low], None)
-    Population(1, np.r_[np.full(999, 1.0), math.log(np.finfo(np.float64).tiny)], None)
+    Population(1, np.r_[np.full(999, 1.0), _SAMPLE_FLOOR], None)
+
+
+def test_population_refuses_a_sample_whose_diagnostics_overflow():
+    """Samples the diagnostics overflowed on ("overflow encountered in
+    square" inside np.std, or in the gap term's multiply at -704) are
+    refused at construction; at the floor every diagnostic is finite, and
+    the floor holds for up to NODE_CAP samples but not one unit lower."""
+    for low in (-349.5, -350.0, -700.0, -704.0):
+        with pytest.raises(DegenerateChannel):
+            Population(1, np.r_[np.full(999, 1.0), low], None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_diagnostics(Population(1, np.r_[np.full(999, 1.0), _SAMPLE_FLOOR], None),
+                                   symmetric_channel(0.2))
+    assert all(math.isfinite(v) for v in est.values())
+    with np.errstate(over="ignore"):
+        for x, finite in ((-_SAMPLE_FLOOR, True), (1.0 - _SAMPLE_FLOOR, False)):
+            gap = np.float64(x) * np.expm1(np.float64(x))
+            assert np.isfinite(np.float64(NODE_CAP) * gap * gap) == finite
 
 
 def test_population_uninformative_stays_at_zero():

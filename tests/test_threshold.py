@@ -246,8 +246,7 @@ def test_crossover_reproduces_uniqueness_threshold():
 
 
 def test_bounds_report_symmetric():
-    rep = bounds_report(2, "symmetric")
-    d = rep.as_dict()
+    d = bounds_report(2, "symmetric")
     assert abs(d["ks_eps"] - kesten_stigum_eps_c(2)) < 1e-12
     assert abs(d["ks_eps"] - 0.146447) < 1e-5
     # all three criteria cross at the same flip probability
@@ -257,8 +256,7 @@ def test_bounds_report_symmetric():
 
 
 def test_bounds_report_hardcore_small_k():
-    rep = bounds_report(2, "hardcore")
-    d = rep.as_dict()
+    d = bounds_report(2, "hardcore")
     assert abs(d["kelly"] - 4.0) < 1e-12
     assert abs(d["activity_lower_bound"] - (math.e - 1.0)) < 1e-15
     assert d["stronger_lower_bound"] == "kelly"
@@ -270,8 +268,7 @@ def test_bounds_report_hardcore_small_k():
 
 def test_bounds_report_hardcore_large_k():
     """At k = 10 the uniqueness threshold drops below the constant bound."""
-    rep = bounds_report(10, "hardcore")
-    d = rep.as_dict()
+    d = bounds_report(10, "hardcore")
     assert d["kelly"] < d["activity_lower_bound"]
     assert d["stronger_lower_bound"] == "activity_constant"
     assert abs(d["bw_lower_w"] - 0.146855264774609) < 1e-12
