@@ -60,7 +60,9 @@ class ConditionalPair:
         a, q = _probabilities("w0", self.w0), _probability("q", self.q)
         if v.shape != a.shape:
             raise InvalidParameter("values and w0 must be 1-d arrays of equal length")
-        if np.any(np.isnan(v)) or np.any(np.diff(v) <= 0):
+        # neighbours are compared, not differenced: inf - inf is NaN, which
+        # would let two equal infinite atoms through
+        if np.any(np.isnan(v)) or np.any(v[1:] <= v[:-1]):
             raise InvalidParameter("shared support must be strictly increasing, without NaN")
         # w0 sums to 1, so there is an atom, and -inf can only be the first;
         # with no root-0 mass there, another atom follows it
@@ -104,9 +106,17 @@ class ConditionalPair:
         weight: it vanishes when ``sum(w0 * exp(-v)) = 1 - q``, the identity
         the derived ``w1`` is checked against before its scaling.
         """
+        v, w = self.live()
+        surplus = -np.expm1(-v)  # 1 - exp(-v), 1 at +inf
+        return c.pi0 * c.pi1 * abs(float(surplus @ w) - self.q)
+
+    def live(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, w0)`` over the atoms of positive root-0 weight: the
+        pair's own arrays, not copies, when every atom has some."""
         live = self.w0 > 0
-        surplus = -np.expm1(-self.values[live])  # 1 - exp(-v), 1 at +inf
-        return c.pi0 * c.pi1 * abs(float(surplus @ self.w0[live]) - self.q)
+        if live.all():
+            return self.values, self.w0
+        return self.values[live], self.w0[live]
 
 
 def grid_merge(values: np.ndarray, weights: np.ndarray, tol: float):
@@ -135,36 +145,57 @@ def grid_merge(values: np.ndarray, weights: np.ndarray, tol: float):
     Raises
     ------
     InvalidParameter
-        If ``tol`` is not positive or a value is NaN.
+        If ``tol`` is not positive, a value is NaN, or ``values`` and
+        ``weights`` are not 1-d arrays of equal length.
     """
-    v = _snap(values)
+    v, w = _vector("values", values), _vector("weights", weights)
+    if len(v) != len(w):
+        raise InvalidParameter(f"{len(v)} values but {len(w)} weights")
     # numpy's default sort is not stable; equal values are put back in
-    # index order, so the permutation is the stable one
+    # index order, so the permutation is the stable one.  The snap keeps
+    # the sorted values sorted, and the values it makes equal are tied too
     order = np.argsort(v)
-    vs = v[order]
-    del v
+    vs = _snap(v[order])
     eq = vs[1:] == vs[:-1]
     if eq.any():
         tied = np.flatnonzero(np.concatenate(([False], eq)) | np.concatenate((eq, [False])))
         sub = order[tied]
         order[tied] = sub[np.lexsort((sub, vs[tied]))]
+    del eq
     edge = _run_edges(vs, tol)
-    gid = np.cumsum(edge[:-1])
-    gid -= 1
-    runs = np.count_nonzero(edge[:-1])
-
-    ws = np.asarray(weights, dtype=np.float64)[order]
+    ws = w[order]
     del order
-    merged = np.bincount(gid, weights=ws, minlength=runs)
-    ws *= np.where(np.isfinite(vs), vs, 0.0)
-    # bincount of no atoms is int64
-    mv = np.bincount(gid, weights=ws, minlength=runs).astype(np.float64, copy=False)
-    del gid, ws
+    first, last = edge[:-1], edge[1:]
+    # a run of one atom merges to that atom (its weight sum is its weight,
+    # its mean clipped to [v, v] is v), so only runs of several are summed
+    several = first & last
+    np.logical_not(several, out=several)
+    if not several.any():
+        return vs, ws
+    # the members of those runs and their range, then the merged support,
+    # on which lone atoms are final
+    x = vs[several]
+    lo, hi = vs[first & several], vs[last & several]
+    vs = vs[first]
+    part = ws[several]
+    ws = ws[first]
+    gid = first[several].astype(np.intp)  # cumsum of bools would copy them as ints
+    np.cumsum(gid, out=gid)
+    gid -= 1
+    merged = np.bincount(gid, weights=part)
+    x[np.isinf(x)] = 0.0
+    part *= x
+    del x
+    mv = np.bincount(gid, weights=part)
+    del gid, part
     np.divide(mv, merged, out=mv, where=merged > 0)
     # the clip keeps infinite runs infinite, gives a weightless run a member's
     # value, and keeps the merged values strictly increasing
-    np.clip(mv, vs[edge[:-1]], vs[edge[1:]], out=mv)
-    return mv, merged
+    np.clip(mv, lo, hi, out=mv)
+    at = several[first]
+    vs[at] = mv
+    ws[at] = merged
+    return vs, ws
 
 
 def run_count(values: np.ndarray, tol: float) -> int:
@@ -173,17 +204,26 @@ def run_count(values: np.ndarray, tol: float) -> int:
     Applies the same snap and run rule to the sorted values alone, with no
     weights, so a caller can size a merge before forming its weights.
     """
-    return int(_run_edges(np.sort(_snap(values)), tol)[:-1].sum())
+    vs = _snap(np.sort(_vector("values", values)))
+    return int(np.count_nonzero(_run_edges(vs, tol)[:-1]))
 
 
-def _snap(values) -> np.ndarray:
-    """``values`` as float64, with those within 1e-12 of 0 set to exactly 0.
+def _vector(name: str, x) -> np.ndarray:
+    """``x`` as a float64 array; :class:`InvalidParameter` unless it is 1-d."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 1:
+        raise InvalidParameter(f"{name} must be a 1-d array, got {a.ndim} dimensions")
+    return a
+
+
+def _snap(v: np.ndarray) -> np.ndarray:
+    """Set the entries of ``v`` within 1e-12 of 0 to exactly 0, in place.
 
     Without the snap, rounding residue (~1e-16) can put a symmetric atom on
-    the wrong side of the sign barrier.
+    the wrong side of the sign barrier.  Returns ``v``.
     """
-    v = np.asarray(values, dtype=np.float64)
-    return np.where(np.abs(v) < 1e-12, 0.0, v)
+    v[(v > -1e-12) & (v < 1e-12)] = 0.0
+    return v
 
 
 def _run_edges(vs: np.ndarray, tol: float) -> np.ndarray:
@@ -251,9 +291,11 @@ def root0_terms(x, c: BinaryChannel | None = None):
     """
     v = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore"):  # below -709.78, d = -inf and m = inf
-        d = -np.expm1(-v)
-        if c is None:
-            return np.maximum(d, 0.0), v * d, None
+        d = np.negative(v)
+        np.expm1(d, out=d)
+        np.negative(d, out=d)
+        if c is None:  # the gap overwrites d once the TV term is formed
+            return np.maximum(d, 0.0), np.multiply(v, d, out=d), None
         s, m = c.pi0 * c.pi1 * d, c.pi0 + c.pi1 * np.exp(-v)
     # a - pi0 = s / m, and its limit -pi0 where m is inf (a = 0) or 0 (then
     # pi0 = 0)

@@ -90,9 +90,15 @@ class Coupling:
                 np.concatenate((d[live], self.weight)))
 
     def crossing_ok(self) -> bool:
-        """True when every crossing pair of positive weight straddles 0."""
-        live = self.weight > 0
-        return bool(np.all(self.y1[live] <= 0) and np.all(self.y0[live] >= 0))
+        """True when every crossing pair of positive weight straddles 0.
+
+        Read from positions: on the strictly increasing support, ``y1 <= 0``
+        is ``i1`` below the count of values ``<= 0``, and ``y0 >= 0`` is
+        ``i0`` at or above the count of values ``< 0``.
+        """
+        v, live = self.pair.values, self.weight > 0
+        return not (np.any(live & (self.i1 >= np.searchsorted(v, 0.0, "right")))
+                    or np.any(live & (self.i0 < np.searchsorted(v, 0.0, "left"))))
 
     def marginal_residuals(self, pair: ConditionalPair) -> tuple[float, float]:
         """Worst per-atom deviation of each marginal from ``pair``'s laws.
@@ -103,10 +109,11 @@ class Coupling:
         v = self.pair.values
         if not (pair.values is v or np.array_equal(pair.values, v)):
             raise InvalidParameter("coupling support is not the pair's support")
-        d = self.diagonal
+        m = np.empty(len(v))  # one buffer for both marginals
         res = []
         for at, law in ((self.i0, pair.w0), (self.i1, pair.w1)):
-            m = d - law
+            np.minimum(self.pair.w0, self.pair.w1, out=m)  # the diagonal
+            m -= law
             m += np.bincount(at, weights=self.weight, minlength=len(v))
             res.append(float(np.abs(m, out=m).max()))
         return res[0], res[1]
@@ -119,17 +126,21 @@ class Coupling:
         return float((self.y0[live] - self.y1[live]) @ self.weight[live])
 
 
-def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
+def _compensated_cumsum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Prefix sums of a non-negative ``x``, each within about an ulp.
 
     ``np.cumsum`` plus the running sum of each step's exact rounding error
     (Knuth's TwoSum: for ``c = prev + x``, ``b = c - prev`` and the error
     is ``(prev - (c - b)) + (x - b)``), kept non-decreasing.  A plain
-    ``cumsum`` over n entries drifts by up to ``n`` ulps.
+    ``cumsum`` over n entries drifts by up to ``n`` ulps.  The sums are
+    written to ``out`` when it is given.
     """
-    c = np.cumsum(x)
-    b = c[1:] - c[:-1]
-    err = (c[:-1] - (c[1:] - b)) + (x[1:] - b)
+    c = np.cumsum(x, out=out)
+    b = np.subtract(c[1:], c[:-1])
+    err = np.subtract(c[1:], b)
+    np.subtract(c[:-1], err, out=err)
+    np.subtract(x[1:], b, out=b)
+    err += b
     c[1:] += np.cumsum(err, out=err)
     return np.maximum.accumulate(c, out=c)
 
@@ -162,30 +173,44 @@ def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
     # comonotone pairing on the union of the residual cumulative masses:
     # a stable sort merges the two sorted runs, and the first occurrence of
     # each mass m has before it exactly the entries of c0 and of c1 below m
-    c0 = _compensated_cumsum(w0[s0] - w1[s0])
-    c1 = _compensated_cumsum(w1[s1] - w0[s1])
-    merged = np.concatenate((c0, c1))
-    del c1
+    n0 = len(s0)
+    merged = np.empty(n0 + len(s1))
+    x = w0[s0]
+    x -= w1[s0]
+    _compensated_cumsum(x, out=merged[:n0])  # c0
+    x = w1[s1]
+    x -= w0[s1]
+    _compensated_cumsum(x, out=merged[n0:])  # c1
+    del x
     order = np.argsort(merged, kind="stable")
     merged = merged[order]
-    from0 = order < len(c0)
-    del order, c0
     first = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
     grid = merged[first]
     del merged
-    p0 = np.cumsum(from0)[first] - from0[first]
-    del from0
     # one pair per segment of grid, which rises strictly from above 0, so
     # each carries mass
     w = grid.copy()
     w[1:] -= grid[:-1]
     del grid
+    # each run keeps its order in the merge, so the entry o of the merge
+    # at a first occurrence f has below it o entries of c0 when o < n0, and
+    # o - n0 entries of c1 otherwise; the rest of the f entries below it
+    # are of the other run.  With d = f - o, which is >= 0 in the first
+    # case and <= 0 in the second, c0 has min(o, n0) + min(d, 0) entries
+    # below it and c1 the rest
+    p0 = order[first]
+    del order
+    d = first - p0
+    np.minimum(p0, n0, out=p0)
+    p0 += np.minimum(d, 0, out=d)
+    del d
+    first -= p0  # the entries of c1 below each mass
     # past the end of the shorter run (totals that differ by rounding),
     # the last atom of that run takes the remainder
-    first -= p0  # the entries of c1 below each mass
     i0 = np.take(s0, np.minimum(p0, len(s0) - 1, out=p0))
     del p0, s0
     i1 = np.take(s1, np.minimum(first, len(s1) - 1, out=first))
+    del first, s1
     return Coupling(pair, i0, i1, w)
 
 

@@ -341,8 +341,8 @@ def mean_gap(pair: ConditionalPair) -> float:
     """
     if pair.q > 0:
         return math.inf
-    live = pair.w0 > 0
-    return float(root0_terms(pair.values[live])[1] @ pair.w0[live])
+    v, w = pair.live()
+    return float(root0_terms(v)[1] @ w)
 
 
 def diagnostics(pair: ConditionalPair, c: BinaryChannel) -> dict:
@@ -363,9 +363,8 @@ def diagnostics(pair: ConditionalPair, c: BinaryChannel) -> dict:
         the laws merge, and none is NaN at an atom the mixture never
         reaches.
     """
-    live = pair.w0 > 0
-    w = pair.w0[live]
-    tv, gap, var = (float(t @ w) for t in root0_terms(pair.values[live], c))
+    v, w = pair.live()
+    tv, gap, var = (float(t @ w) for t in root0_terms(v, c))
     return {"tv": tv, "mean_gap": math.inf if pair.q > 0 else gap,
             "var_A": var + c.pi1 * c.pi0 ** 2 * pair.q}
 

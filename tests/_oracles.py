@@ -4,11 +4,11 @@ Everything here works from first principles: exhaustive enumeration over
 binary tree configurations, finite differences on dense grids, or direct
 formula evaluation.  None of it calls the recursive machinery under test,
 so a library bug cannot leak into its own reference values.  The
-exceptions are the four straightforward forms that the library replaced
+exceptions are the five straightforward forms that the library replaced
 with faster ones, kept to pin the faster forms down: the full outer-product
-convolution, the searched comonotone coupling, the merge by a stable sort
-and the anchored population step that draws both a tilted and a uniform
-index for every child.  The convolution carries both conditional weight
+convolution, the searched comonotone coupling, the crossing check on the
+paired values, the merge by a stable sort and the anchored population step
+that draws both a tilted and a uniform index for every child.  The convolution carries both conditional weight
 vectors through every fold, where the library folds the root-0 weights
 alone and derives the root-1 ones, and merges each fold's sums with the
 stable-sort merge below: the same runs of atoms closer than ``MERGE_TOL``,
@@ -402,6 +402,14 @@ def searched_coupling(v, w0, w1):
     return v[a_idx[keep]], v[b_idx[keep]], seg[keep]
 
 
+def crossing_ok_by_values(coupling):
+    """``Coupling.crossing_ok`` on the paired values: every crossing pair
+    of positive weight has ``y1 <= 0 <= y0``.  The library reads the same
+    condition from the pairs' positions in the sorted support."""
+    live = coupling.weight > 0
+    return bool(np.all(coupling.y1[live] <= 0) and np.all(coupling.y0[live] >= 0))
+
+
 def stable_grid_merge(values, *weight_vectors, tol):
     """``grid_merge`` with a stable ``argsort``, for any number of weight
     vectors merged on one support.
@@ -411,7 +419,7 @@ def stable_grid_merge(values, *weight_vectors, tol):
     pins that down bitwise (same return value as ``grid_merge``).  With
     several, each run is valued at its mean under their sum.
     """
-    v = _snap(values)
+    v = _snap(np.array(values, dtype=np.float64))
     order = np.argsort(v, kind="stable")
     vs = v[order]
     edge = _run_edges(vs, tol)
@@ -424,7 +432,8 @@ def stable_grid_merge(values, *weight_vectors, tol):
     combined = np.zeros(len(vs))
     for w in weight_vectors:
         ws = np.asarray(w, dtype=np.float64)[order]
-        merged_w.append(np.bincount(gid, weights=ws, minlength=len(lo)))
+        # bincount of no atoms is int64; weights are float64 at any length
+        merged_w.append(np.bincount(gid, weights=ws, minlength=len(lo)).astype(np.float64))
         total += merged_w[-1]
         combined += ws
         del ws  # at most one gathered copy is alive at a time

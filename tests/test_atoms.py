@@ -50,6 +50,11 @@ def test_pair_validation():
         ConditionalPair(depth=1, values=np.array([0.0, math.nan]), w0=w)
     with pytest.raises(InvalidParameter):
         ConditionalPair(depth=1, values=np.array([]), w0=np.array([]))
+    # two +inf atoms: a difference of neighbours would be inf - inf = NaN
+    # (and a RuntimeWarning), which no check of "<= 0" catches
+    with pytest.raises(InvalidParameter, match="strictly increasing"):
+        ConditionalPair(depth=1, values=np.array([-1.0, math.inf, math.inf]),
+                        w0=np.array([1 / math.e, 0.3, 1 - 1 / math.e - 0.3]))
     # w0 of one law with the values of another: the derived w1 sums to 1.27
     with pytest.raises(InvalidParameter, match="w1 sums to"):
         ConditionalPair(depth=1, values=np.array([-1.0, 1.0]), w0=w)

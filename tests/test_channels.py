@@ -26,6 +26,7 @@ from treecast import (
     gap_kernel_peak,
     geometric_mean_bound_lhs,
     gibbs_conditional_sweep,
+    grid_merge,
     hardcore_channel,
     hardcore_contraction,
     kelly_threshold,
@@ -41,6 +42,7 @@ from treecast import (
     verify_sandwich,
     w_of_lambda,
 )
+from treecast.atoms import run_count
 
 from _oracles import grid_kernel_sup, random_channel
 
@@ -197,7 +199,8 @@ def test_int_beyond_float_range_is_invalid(fn, args, position):
 
 # one count check and one weight-vector check: every depth, size and k
 # argument below is refused unless it is an integer, and every weight or
-# sample vector is refused when it holds NaN (or, for samples, is empty)
+# sample vector is refused when it holds NaN (or, for samples, is empty,
+# and for a merge, is not a 1-d array as long as its values)
 BAD_COUNTS = (1.5, 2.0, 2.5, math.nan, -10 ** 5000)
 NAN_VECTORS = ([math.nan, 1.0], [0.5, math.nan], [math.nan, math.nan])
 _C = symmetric_channel(0.2)
@@ -216,6 +219,12 @@ _EDGE_INPUTS = {
     "sandwich_tol": ((math.nan, -1.0, math.inf), lambda t: verify_sandwich(
         [0.5, 0.5], [True, False], [0, 1], [True, False], 0.0, 1.0, tol=t)),
     "population_samples": ((*NAN_VECTORS, []), lambda s: Population(1, s, None)),
+    # a weight too many was dropped, one too few an IndexError, 2-d a ValueError
+    "merge_weights": (([0.5, 0.3, 0.2], [0.5], [[0.5, 0.5]], 0.5),
+                      lambda w: grid_merge(np.array([1.0, 2.0]), w, 1e-12)),
+    "merge_values": (([[1.0, 2.0]], [[1.0], [2.0]], 1.0),
+                     lambda v: grid_merge(v, np.array([0.5, 0.5]), 1e-12)),
+    "run_count_values": (([[1.0, 2.0], [3.0, 4.0]], 1.0), lambda v: run_count(v, 1e-12)),
     "population_depth": (BAD_COUNTS, lambda v: Population(v, [0.0], None)),
     "trajectory_depth": (BAD_COUNTS, lambda v: trajectory(base_pair(_C, 2), lambda p: p, v)),
     "gibbs_sweep_depth": (BAD_COUNTS, lambda v: gibbs_conditional_sweep(
