@@ -145,12 +145,16 @@ def grid_merge(values: np.ndarray, weights: np.ndarray, tol: float):
     Raises
     ------
     InvalidParameter
-        If ``tol`` is not positive, a value is NaN, or ``values`` and
-        ``weights`` are not 1-d arrays of equal length.
+        If ``tol`` is not positive, a value is NaN, a weight is negative,
+        infinite or NaN, or ``values`` and ``weights`` are not 1-d arrays
+        of equal length.
     """
     v, w = _vector("values", values), _vector("weights", weights)
     if len(v) != len(w):
         raise InvalidParameter(f"{len(v)} values but {len(w)} weights")
+    # two reductions, no mask: NaN fails both comparisons
+    if len(w) and not (w.min() >= 0 and w.max() < np.inf):
+        raise InvalidParameter("weights must be non-negative and finite, not NaN")
     # numpy's default sort is not stable; equal values are put back in
     # index order, so the permutation is the stable one.  The snap keeps
     # the sorted values sorted, and the values it makes equal are tied too
@@ -259,7 +263,7 @@ def posterior_from_llr(x, c: BinaryChannel):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def root0_terms(x, c: BinaryChannel | None = None):
+def root0_terms(x, c: BinaryChannel | None = None, *, tv: bool = True, gap: bool = True):
     """Per-atom terms of ``tv``, ``mean_gap`` and ``var_A`` under the root-0 law.
 
     dP1/dP0 = exp(-L) (the L-density symmetry), so each statistic of the
@@ -286,18 +290,24 @@ def root0_terms(x, c: BinaryChannel | None = None):
     Returns
     -------
     (tv, gap, var) : tuple of ndarray
-        Elementwise over ``x``; ``var`` is None when no channel is given,
-        so a caller of the TV or the gap alone forms no posterior.
+        Elementwise over ``x``.  A term not asked for is None: ``var``
+        when no channel is given, so a caller of the TV or the gap alone
+        forms no posterior, and ``tv`` or ``gap`` when its flag is False.
+        The last term formed is written over ``d``, so a caller of one
+        term alone gets one array.
     """
     v = np.asarray(x, dtype=np.float64)
+    var = None
     with np.errstate(over="ignore"):  # below -709.78, d = -inf and m = inf
         d = np.negative(v)
         np.expm1(d, out=d)
         np.negative(d, out=d)
-        if c is None:  # the gap overwrites d once the TV term is formed
-            return np.maximum(d, 0.0), np.multiply(v, d, out=d), None
-        s, m = c.pi0 * c.pi1 * d, c.pi0 + c.pi1 * np.exp(-v)
-    # a - pi0 = s / m, and its limit -pi0 where m is inf (a = 0) or 0 (then
-    # pi0 = 0)
-    shift = np.divide(s, m, out=np.full_like(s, -c.pi0), where=(m > 0) & (m < np.inf))
-    return np.maximum(d, 0.0), v * d, s * shift
+        if c is not None:
+            s, m = c.pi0 * c.pi1 * d, c.pi0 + c.pi1 * np.exp(-v)
+            # a - pi0 = s / m, and its limit -pi0 where m is inf (a = 0) or
+            # 0 (then pi0 = 0)
+            shift = np.divide(s, m, out=np.full_like(s, -c.pi0),
+                              where=(m > 0) & (m < np.inf))
+            var = s * shift
+        gap_t = np.multiply(v, d, out=None if tv else d) if gap else None
+    return (np.maximum(d, 0.0, out=d) if tv else None), gap_t, var

@@ -57,7 +57,7 @@ class Coupling:
         if not isinstance(self.pair, ConditionalPair):
             raise InvalidParameter("a coupling couples a ConditionalPair")
         a, b = np.asarray(self.i0), np.asarray(self.i1)
-        w = _probabilities("coupling weight", self.weight, held=self.diagonal.sum())
+        w = _probabilities("coupling weight", self.weight, held=_diagonal_mass(self.pair))
         if not (a.shape == b.shape == w.shape and a.dtype.kind in "iu" and b.dtype.kind in "iu"):
             raise InvalidParameter("positions i0, i1 must be integer arrays as long as weight")
         a, b = a.astype(np.intp, copy=False), b.astype(np.intp, copy=False)
@@ -124,6 +124,18 @@ class Coupling:
         where every ``y0 - y1`` is ``>= 0``."""
         live = self.weight > 0
         return float((self.y0[live] - self.y1[live]) @ self.weight[live])
+
+
+def _diagonal_mass(pair: ConditionalPair) -> float:
+    """``sum(min(w0, w1))``, the coupling's diagonal mass, formed 65536
+    atoms at a time so that no full-size array of the diagonal is made."""
+    block = 1 << 16
+    buf = np.empty(min(block, len(pair)))
+    total = 0.0
+    for i in range(0, len(pair), block):
+        a, b = pair.w0[i:i + block], pair.w1[i:i + block]
+        total += float(np.minimum(a, b, out=buf[:len(a)]).sum())
+    return total
 
 
 def _compensated_cumsum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

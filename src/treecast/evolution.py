@@ -342,7 +342,7 @@ def mean_gap(pair: ConditionalPair) -> float:
     if pair.q > 0:
         return math.inf
     v, w = pair.live()
-    return float(root0_terms(v)[1] @ w)
+    return float(root0_terms(v, tv=False)[1] @ w)
 
 
 def diagnostics(pair: ConditionalPair, c: BinaryChannel) -> dict:

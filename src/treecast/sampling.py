@@ -363,7 +363,7 @@ def _tilt_weights(s: np.ndarray) -> np.ndarray:
 
 def population_tv(pop: Population) -> float:
     """The ``tv`` of ``estimate_diagnostics`` alone, without its other statistics."""
-    return float(root0_terms(pop.samples0)[0].mean())
+    return float(root0_terms(pop.samples0, gap=False)[0].mean())
 
 
 def _mean_se(t: np.ndarray) -> tuple[float, float]:

@@ -24,7 +24,9 @@ family, where the crossing recovers the uniqueness threshold.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +159,13 @@ def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
                     rate=rate, verdict=verdict, curve=tuple(curve), seed=used_seed)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (``sched_getaffinity`` is Linux-only)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class ThresholdEstimate:
     """Bisection result with full evaluation history."""
@@ -184,6 +193,18 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
 
     Inconclusive verdicts count as non-decaying, so the bracket always
     keeps its decaying portion; their number is recorded on the estimate.
+
+    On the population engine, when the process may use two CPUs or more,
+    decisions run two at a time: one helper thread computes the endpoint
+    ``hi`` while the caller's thread computes ``lo``, and then, beside
+    each midpoint not already computed, the midpoint the bisection visits
+    next if that one reads decaying.  Every decision draws its own stream
+    from ``seed``, so the estimate and ``history`` are those of the
+    one-at-a-time bisection: ``history`` lists the visited points only, in
+    visiting order, and a guess off the path is dropped with any error it
+    raised.  An interrupt (Ctrl-C) waits for at most the helper's running
+    decision.  The exact engine, whose decisions gain nothing from a
+    second thread, runs them one at a time on the caller's thread.
 
     Defaults: population engine (N = ``pop_size``) at depth 40 for the
     symmetric family (the exact curve's transient at shallow depth biases
@@ -233,33 +254,62 @@ def bisect_threshold(family: ChannelFamily, depth: int | None = None,
         raise InvalidParameter(
             f"tol must be finite and at least the bracket's float spacing, got {tol}")
 
-    history = []
+    def decide(param: float) -> Decision:
+        return decide_reconstruction(family, param, depth, engine=engine,
+                                     pop_size=pop_size, seed=seed)
 
-    def eval_point(param: float) -> bool:
-        d = decide_reconstruction(family, param, depth, engine=engine,
-                                  pop_size=pop_size, seed=seed)
+    expect_decay_at_hi = family.decaying_side == "high"
+    history = []
+    ahead = {}  # param -> the helper's Future for it
+    pool = None
+    if engine == "population" and _usable_cpus() >= 2:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=1)
+
+    def run_ahead(param: float) -> None:
+        # in a copy of the caller's context, so its numpy errstate holds there
+        ahead[param] = pool.submit(contextvars.copy_context().run, decide, param)
+
+    def visit(param: float) -> bool:
+        fut = ahead.pop(param, None)
+        d = decide(param) if fut is None else fut.result()
         history.append({"param": param, "verdict": d.verdict,
                         "rate": d.rate, "statistic": d.statistic})
         return d.verdict == "decaying"
 
-    decay_lo = eval_point(lo)
-    decay_hi = eval_point(hi)
-    if decay_lo == decay_hi:
-        raise BadBracket(
-            f"both endpoints read {'decaying' if decay_lo else 'non-decaying'}; "
-            f"widen the bracket ({lo}, {hi})")
-    expect_decay_at_hi = family.decaying_side == "high"
-    if decay_hi != expect_decay_at_hi:
-        raise BadBracket(
-            "endpoint verdicts contradict the family's monotone orientation: "
-            f"decaying side should be {family.decaying_side}")
+    try:
+        if pool is not None:
+            run_ahead(hi)
+        decay_lo = visit(lo)
+        decay_hi = visit(hi)
+        if decay_lo == decay_hi:
+            raise BadBracket(
+                f"both endpoints read {'decaying' if decay_lo else 'non-decaying'}; "
+                f"widen the bracket ({lo}, {hi})")
+        if decay_hi != expect_decay_at_hi:
+            raise BadBracket(
+                "endpoint verdicts contradict the family's monotone orientation: "
+                f"decaying side should be {family.decaying_side}")
 
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if eval_point(mid) == expect_decay_at_hi:
-            hi = mid
-        else:
-            lo = mid
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if pool is not None and mid not in ahead:
+                # a missed guess lies outside the bracket from here on
+                for fut in ahead.values():
+                    fut.cancel()
+                ahead.clear()
+                # the midpoint the loop visits next if this one reads decaying
+                if expect_decay_at_hi and mid - lo > tol:
+                    run_ahead(0.5 * (lo + mid))
+                elif not expect_decay_at_hi and hi - mid > tol:
+                    run_ahead(0.5 * (mid + hi))
+            if visit(mid) == expect_decay_at_hi:
+                hi = mid
+            else:
+                lo = mid
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     return ThresholdEstimate(
         family_kind=family.kind, k=family.k, depth=depth, engine=engine,

@@ -200,7 +200,8 @@ def test_int_beyond_float_range_is_invalid(fn, args, position):
 # one count check and one weight-vector check: every depth, size and k
 # argument below is refused unless it is an integer, and every weight or
 # sample vector is refused when it holds NaN (or, for samples, is empty,
-# and for a merge, is not a 1-d array as long as its values)
+# and for a merge, is not a 1-d array as long as its values or holds a
+# negative or infinite weight)
 BAD_COUNTS = (1.5, 2.0, 2.5, math.nan, -10 ** 5000)
 NAN_VECTORS = ([math.nan, 1.0], [0.5, math.nan], [math.nan, math.nan])
 _C = symmetric_channel(0.2)
@@ -222,6 +223,10 @@ _EDGE_INPUTS = {
     # a weight too many was dropped, one too few an IndexError, 2-d a ValueError
     "merge_weights": (([0.5, 0.3, 0.2], [0.5], [[0.5, 0.5]], 0.5),
                       lambda w: grid_merge(np.array([1.0, 2.0]), w, 1e-12)),
+    # an infinite, a negative and a NaN weight, each once silently merged
+    "merge_weight_entries": (([math.inf, 1.0, 1.0], [-0.5, 1.0, -1.0], [math.nan, 1.0, 1.0]),
+                             lambda w: grid_merge(np.array([1.0, 1.0 + 1e-13, 3.0]),
+                                                  np.array(w), 1e-12)),
     "merge_values": (([[1.0, 2.0]], [[1.0], [2.0]], 1.0),
                      lambda v: grid_merge(v, np.array([0.5, 0.5]), 1e-12)),
     "run_count_values": (([[1.0, 2.0], [3.0, 4.0]], 1.0), lambda v: run_count(v, 1e-12)),

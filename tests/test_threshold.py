@@ -1,6 +1,9 @@
 """Reconstruction decisions, threshold bisection, and bound reports."""
 
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -225,6 +228,150 @@ def test_bisect_rejects_tol_that_cannot_stop(monkeypatch):
         with pytest.raises(InvalidParameter):
             threshold_mod.bisect_threshold(fam, depth=6, tol=tol,
                                            bracket=(0.02, 0.48))
+
+
+# ---------------------------------------------- two decisions at a time
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _recording(decider, calls):
+    """``decider`` that records each call's param and thread."""
+    def record(family, param, depth, **kwargs):
+        calls.append((param, threading.current_thread()))
+        return decider(family, param, depth, **kwargs)
+    return record
+
+
+@pytest.mark.parametrize("family, kwargs", [
+    (ChannelFamily("symmetric", 2), dict(depth=8, tol=0.03)),
+    (ChannelFamily("hardcore", 2), dict(depth=8, tol=100.0, bracket=(1.0, 1000.0))),
+], ids=["symmetric", "hardcore"])
+def test_bisect_population_two_at_a_time_is_the_sequential_bisection(
+        monkeypatch, family, kwargs):
+    """With a helper thread, the population estimate and its history are
+    the one-at-a-time ones, and the helper did compute some decisions."""
+    calls = []
+    monkeypatch.setattr(threshold_mod, "decide_reconstruction",
+                        _recording(decide_reconstruction, calls))
+    runs = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        calls.clear()
+        runs[cpus] = bisect_threshold(family, engine="population", pop_size=2000,
+                                      seed=5, **kwargs)
+        threads = {t for _, t in calls}
+        assert (threads == {threading.main_thread()}) == (cpus == 1)
+    assert runs[2] == runs[1]
+    assert len(runs[1].history) >= 5
+
+
+def _pause_on_callers_thread():
+    """Let a decision on the caller's thread take 30 ms, so the helper has
+    run its guess before the caller's decision ends."""
+    if threading.current_thread() is threading.main_thread():
+        time.sleep(0.03)
+
+
+def _slow_fake(split, raise_at=(), error=ValueError):
+    """``fake_decider`` slowed by :func:`_pause_on_callers_thread` that
+    raises ``error`` at the params in ``raise_at``."""
+    fake = fake_decider(split)
+
+    def slow(family, param, depth, **kwargs):
+        _pause_on_callers_thread()
+        if param in raise_at:
+            raise error(f"decision at {param} failed")
+        return fake(family, param, depth, **kwargs)
+    return slow
+
+
+def _planted(monkeypatch, decider, cpus, engine="population"):
+    monkeypatch.setattr(threshold_mod, "decide_reconstruction", decider)
+    _cpus(monkeypatch, cpus)
+    return threshold_mod.bisect_threshold(ChannelFamily("symmetric", 2), depth=6,
+                                          engine=engine, tol=0.01, bracket=(0.02, 0.48))
+
+
+def test_bisect_drops_errors_off_the_path(monkeypatch):
+    """Guesses the bisection never visits may raise; the estimate is still
+    the sequential one, and no thread outlives the call."""
+    before = threading.active_count()
+    sequential = _planted(monkeypatch, _slow_fake(0.2173), cpus=1)
+    path = {h["param"] for h in sequential.history}
+    calls = []
+    _planted(monkeypatch, _recording(_slow_fake(0.2173), calls), cpus=2)
+    off_path = {p for p, _ in calls} - path  # the missed guesses
+    assert off_path
+    calls.clear()
+    est = _planted(monkeypatch, _recording(_slow_fake(0.2173, off_path), calls), cpus=2)
+    assert est == sequential
+    assert {p for p, _ in calls} - path == off_path
+    assert threading.active_count() == before
+
+
+class _Failure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", [0.02, 0.48, 0.25, 0.135],
+                         ids=["lo", "hi-on-helper", "mid", "guess-on-helper"])
+def test_bisect_raises_errors_on_the_path(monkeypatch, where):
+    """An error at a visited point reaches the caller as the same exception
+    type, whichever thread computed it, and no thread outlives the call."""
+    before = threading.active_count()
+    for cpus in (1, 2):
+        with pytest.raises(_Failure, match=f"decision at {where} failed"):
+            _planted(monkeypatch, _slow_fake(0.2173, [where], _Failure), cpus)
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("kind, bracket, tol", [("symmetric", (0.02, 0.48), 0.01),
+                                                 ("hardcore", (1.0, 1000.0), 10.0)])
+def test_bisect_guesses_the_child_of_a_decaying_midpoint(monkeypatch, kind, bracket, tol):
+    """Where every point but the informative endpoint reads decaying, every
+    guess is the next midpoint, so no decision is wasted."""
+    informative = bracket[0] if kind == "symmetric" else bracket[1]
+    calls = []
+
+    def decider(family, param, depth, **kwargs):
+        calls.append(param)
+        _pause_on_callers_thread()
+        verdict = "non-decaying" if param == informative else "decaying"
+        return Decision(param=param, depth=depth, engine="population", statistic=0.5,
+                        rate=0.99, verdict=verdict, curve=(0.5,) * depth, seed=0)
+    monkeypatch.setattr(threshold_mod, "decide_reconstruction", decider)
+    _cpus(monkeypatch, 2)
+    est = threshold_mod.bisect_threshold(ChannelFamily(kind, 2), depth=6,
+                                         engine="population", tol=tol, bracket=bracket)
+    assert sorted(calls) == sorted(h["param"] for h in est.history)
+    assert len(est.history) >= 7
+
+
+def test_bisect_helper_keeps_the_callers_errstate(monkeypatch):
+    """A decision on the helper thread runs under the caller's numpy error
+    handling, as it would on the caller's thread."""
+    seen = []
+    fake = fake_decider(0.2173)
+
+    def record(family, param, depth, **kwargs):
+        seen.append((threading.current_thread(), np.geterr()["over"]))
+        return fake(family, param, depth, **kwargs)
+    with np.errstate(over="raise"):
+        _planted(monkeypatch, record, cpus=2)
+    assert {t for t, _ in seen} != {threading.main_thread()}
+    assert {over for _, over in seen} == {"raise"}
+
+
+@pytest.mark.parametrize("cpus, engine", [(1, "population"), (2, "exact")])
+def test_bisect_one_at_a_time_on_the_callers_thread(monkeypatch, cpus, engine):
+    """With one CPU, or on the exact engine, each visited point is decided
+    once, in order, on the caller's thread."""
+    calls = []
+    est = _planted(monkeypatch, _recording(fake_decider(0.2173), calls), cpus, engine)
+    assert [p for p, _ in calls] == [h["param"] for h in est.history]
+    assert {t for _, t in calls} == {threading.main_thread()}
 
 
 # ------------------------------------------------------------ bound reports
