@@ -33,10 +33,9 @@ def main():
     print(f"stationary occupation probability: {1 - c.pi0:.6f}\n")
 
     print("--- sampled broadcasts respect the hard constraint ---")
-    verdict = brw_independence_check(c, args.k, depth=4, n_samples=50_000,
-                                     seed=0)
-    print(f"  {verdict.samples} samples, {verdict.violations} adjacent "
-          f"occupied pairs\n")
+    samples = 50_000
+    violations = brw_independence_check(c, args.k, depth=4, n_samples=samples, seed=0)
+    print(f"  {samples} samples, {violations} adjacent occupied pairs\n")
 
     print("--- single-site Gibbs conditionals ---")
     for center in (False, True):

@@ -26,8 +26,7 @@ from .conditioning import (Coupling, build_coupling, SandwichVerdict,
 from .sampling import (sample_broadcast_batch, bp_root_posterior, Population,
                        population_from_pair, population_evolve_anchored,
                        estimate_diagnostics)
-from .hardcore import (gibbs_conditional_sweep, IndependenceVerdict,
-                       brw_independence_check)
+from .hardcore import gibbs_conditional_sweep, brw_independence_check
 from .threshold import (ChannelFamily, Decision, fitted_rate,
                         decide_reconstruction, ThresholdEstimate,
                         bisect_threshold, restricted_bound_crossover,
@@ -52,7 +51,7 @@ __all__ = [
     "Coupling", "build_coupling", "SandwichVerdict", "verify_sandwich",
     "sample_broadcast_batch", "bp_root_posterior", "Population",
     "population_from_pair", "population_evolve_anchored", "estimate_diagnostics",
-    "gibbs_conditional_sweep", "IndependenceVerdict", "brw_independence_check",
+    "gibbs_conditional_sweep", "brw_independence_check",
     "ChannelFamily", "Decision", "fitted_rate",
     "decide_reconstruction", "ThresholdEstimate", "bisect_threshold",
     "restricted_bound_crossover", "bounds_report",

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateChannel, InvalidParameter
-from .channels import _TINY, BinaryChannel, _count, _probabilities, _probability
+from .channels import (_TINY, BinaryChannel, _count, _probabilities, _probability, _vector,
+                       _weights)
 
 _LOG_TINY = math.log(_TINY)  # a weight below exp(_LOG_TINY) is subnormal
 
@@ -145,16 +146,13 @@ def grid_merge(values: np.ndarray, weights: np.ndarray, tol: float):
     Raises
     ------
     InvalidParameter
-        If ``tol`` is not positive, a value is NaN, a weight is negative,
-        infinite or NaN, or ``values`` and ``weights`` are not 1-d arrays
-        of equal length.
+        If ``tol`` is not positive, a value is NaN, a weight is negative
+        or NaN, the weights' total is not finite, or ``values`` and
+        ``weights`` are not 1-d arrays of equal length.
     """
-    v, w = _vector("values", values), _vector("weights", weights)
+    v, (w, _) = _vector("values", values), _weights("weights", weights)
     if len(v) != len(w):
         raise InvalidParameter(f"{len(v)} values but {len(w)} weights")
-    # two reductions, no mask: NaN fails both comparisons
-    if len(w) and not (w.min() >= 0 and w.max() < np.inf):
-        raise InvalidParameter("weights must be non-negative and finite, not NaN")
     # numpy's default sort is not stable; equal values are put back in
     # index order, so the permutation is the stable one.  The snap keeps
     # the sorted values sorted, and the values it makes equal are tied too
@@ -210,14 +208,6 @@ def run_count(values: np.ndarray, tol: float) -> int:
     """
     vs = _snap(np.sort(_vector("values", values)))
     return int(np.count_nonzero(_run_edges(vs, tol)[:-1]))
-
-
-def _vector(name: str, x) -> np.ndarray:
-    """``x`` as a float64 array; :class:`InvalidParameter` unless it is 1-d."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1:
-        raise InvalidParameter(f"{name} must be a 1-d array, got {a.ndim} dimensions")
-    return a
 
 
 def _snap(v: np.ndarray) -> np.ndarray:

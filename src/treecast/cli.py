@@ -270,14 +270,14 @@ def cmd_hardcore_check(args) -> int:
     depth = args.depth
     config = _run_config(args, desc, depth=depth, engine=None, fmt="json")
 
-    occupancy = brw_independence_check(c, args.k, depth, args.pop_size, seed=args.seed)
+    violations = brw_independence_check(c, args.k, depth, args.pop_size, seed=args.seed)
     res_rooted = gibbs_conditional_sweep(desc["w"], args.k, depth, center_root=False)
     res_center = gibbs_conditional_sweep(desc["w"], args.k, depth, center_root=True)
     checks = [
         _check("single_site_conditional_rooted", res_rooted, res_rooted <= 1e-12),
         _check("single_site_conditional_center_root", res_center, res_center <= 1e-12),
-        {"name": "no_adjacent_occupied", "violations": occupancy.violations,
-         "samples": occupancy.samples, "passed": occupancy.passed},
+        {"name": "no_adjacent_occupied", "violations": violations,
+         "samples": args.pop_size, "passed": violations == 0},
     ]
     ok = all(chk["passed"] for chk in checks)
     payload = {"config": config, "checks": checks, "all_passed": ok}
@@ -388,6 +388,10 @@ def _verify_channel(c: BinaryChannel, k: int) -> list:
     res = max(gap_identity_residual(pair2, pair1, c, k),
               gap_identity_residual(pair3, pair2, c, k))
     checks.append(_check("mean_gap_identity", res, res <= 1e-9))
+    # residual 0 between sides that are +inf at both depths (p01 = 0 puts
+    # root-1 mass at -inf) compared nothing
+    if res == 0 and mean_gap(pair2) == mean_gap(pair3) == np.inf:
+        checks[-1]["tested"] = False
     coupling = build_coupling(pair3, c)
     res = max(coupling.marginal_residuals(pair3))
     checks.append(_check("coupling_marginals", res, res <= 1e-12 and coupling.crossing_ok()))

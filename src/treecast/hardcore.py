@@ -21,7 +21,6 @@ matches the same formula with its ``k+1`` children as the blanket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,22 +92,10 @@ def _node_residual(w: float, lam: float, is_root: bool, n_children: int) -> floa
     return worst
 
 
-@dataclass(frozen=True)
-class IndependenceVerdict:
-    """Outcome of the adjacent-occupancy scan over sampled broadcasts."""
-
-    samples: int
-    depth: int
-    violations: int
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
 def brw_independence_check(c: BinaryChannel, k: int, depth: int,
-                           n_samples: int, seed: int = 0) -> IndependenceVerdict:
-    """Count parent-child pairs that are both occupied over sampled broadcasts.
+                           n_samples: int, seed: int = 0) -> int:
+    """The number of parent-child pairs that are both occupied, over
+    ``n_samples`` sampled broadcasts to ``depth``.
 
     The hard-core channel forbids an occupied child of an occupied parent,
     so any positive count is a hard failure of the sampler or channel.
@@ -121,4 +108,4 @@ def brw_independence_check(c: BinaryChannel, k: int, depth: int,
     for ell in range(1, depth + 1):
         parent = np.repeat(levels[ell - 1], k, axis=1)
         violations += int(np.sum((parent == 1) & (levels[ell] == 1)))
-    return IndependenceVerdict(samples=n_samples, depth=depth, violations=violations)
+    return violations

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChannel, InvalidParameter, ResourceLimit
-from .channels import BinaryChannel, _LOG_FLOAT_MAX, _count, _shown, llr_step
+from .channels import BinaryChannel, _LOG_FLOAT_MAX, _count, _shown, _weights, llr_step
 from .atoms import ConditionalPair, posterior_from_llr, root0_terms
 
 # Cap on the nodes of one broadcast batch (samples x nodes per sample).  A
@@ -256,12 +256,10 @@ def _systematic_draw(w: np.ndarray, m: int, u0: float) -> np.ndarray:
         If a weight is NaN or negative, or the total is not finite and
         positive.
     """
+    if not _weights("sampling weights", w)[1] > 0:
+        raise InvalidParameter("sampling weights must have a positive total")
     y = w.cumsum()
-    total = y[-1]
-    if not (0 < total < np.inf and w.min() >= 0):  # NaN fails both
-        raise InvalidParameter(
-            "sampling weights must be non-negative with a finite positive total")
-    y /= total
+    y /= y[-1]
     y *= m
     cum = y.astype(np.intp)  # floor, as y >= 0
     y -= cum  # exactly the fractional part

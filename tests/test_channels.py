@@ -223,8 +223,10 @@ _EDGE_INPUTS = {
     # a weight too many was dropped, one too few an IndexError, 2-d a ValueError
     "merge_weights": (([0.5, 0.3, 0.2], [0.5], [[0.5, 0.5]], 0.5),
                       lambda w: grid_merge(np.array([1.0, 2.0]), w, 1e-12)),
-    # an infinite, a negative and a NaN weight, each once silently merged
-    "merge_weight_entries": (([math.inf, 1.0, 1.0], [-0.5, 1.0, -1.0], [math.nan, 1.0, 1.0]),
+    # an infinite, a negative and a NaN weight, each once silently merged,
+    # and finite weights whose total overflows
+    "merge_weight_entries": (([math.inf, 1.0, 1.0], [-0.5, 1.0, -1.0], [math.nan, 1.0, 1.0],
+                              [1e308, 1e308, 1.0]),
                              lambda w: grid_merge(np.array([1.0, 1.0 + 1e-13, 3.0]),
                                                   np.array(w), 1e-12)),
     "merge_values": (([[1.0, 2.0]], [[1.0], [2.0]], 1.0),

@@ -405,12 +405,18 @@ def test_verify_default_suite_passes(tmp_path, capsys):
             "kernel_peak"} <= names
     assert all(chk["passed"] for chk in payload["checks"])
     # p01 = 0: the root-1 law has mass at -inf, so both sides of the
-    # mean-gap identity are +inf, which is agreement, not NaN
+    # mean-gap identity are +inf, which is agreement, not NaN; but nothing
+    # was compared, and the record says so
     for matrix in (["1.0", "0.5"], ["1.0", "0.3"]):
         code, out, _ = run_cli(["verify", "--matrix", *matrix], capsys)
         assert code == 0, matrix
         by_name = {chk["name"]: chk for chk in json.loads(out)["checks"]}
         assert by_name["mean_gap_identity"]["residual"] == 0.0
+        assert by_name["mean_gap_identity"]["tested"] is False
+        assert "tested" not in by_name["coupling_marginals"]
+    # the hard-core mean gap is +inf at depth 1 only, so the sides compared
+    code, out, _ = run_cli(["verify", "--hardcore-w", "1"], capsys)
+    assert code == 0 and "tested" not in out
 
 
 def test_verify_rows_equal_matrix_reports_zero_gap(capsys):
@@ -862,6 +868,18 @@ def test_cli_import_loads_no_scipy():
     proc = run_fresh_interpreter(
         "import sys, treecast.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_logging_or_concurrent():
+    """Each command pays for its imports at start-up: ``concurrent.futures``
+    pulls in ``logging`` (about 12 ms), so the population bisection imports
+    it only when it runs, and ``import treecast.cli`` loads neither."""
+    proc = run_fresh_interpreter(
+        "import sys, treecast.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('logging', 'concurrent')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -222,9 +222,9 @@ def test_crossing_check_by_positions_is_the_check_by_values(cpl):
 def test_exact_step_and_coupling_memory_at_depth_six():
     """tracemalloc peaks on the exact depth-6 law at eps=0.2, k=2 (6.5M
     atoms; 13M coupling pairs, diagonal atoms and crossing pairs), in
-    multiples of the law's ``values.nbytes``: the step with its merge, the
-    gap identity, the coupling, its weight check and its two checks
-    allocate no full-size array that no result needs."""
+    multiples of the law's ``values.nbytes``: the step with its merge, a
+    pair's construction, the gap identity, the coupling, its weight check
+    and its two checks allocate no full-size array that no result needs."""
     c = symmetric_channel(0.2)
     pair = evolve_to_depth(c, 2, 5, exact_policy())
     peaks = {}
@@ -240,6 +240,7 @@ def test_exact_step_and_coupling_memory_at_depth_six():
         return out
 
     law = peak("evolve", lambda: evolve(pair, c, 2, exact_policy()))
+    peak("pair", lambda: ConditionalPair(law.depth, law.values, law.w0, law.q))
     peak("gap_identity_residual", lambda: gap_identity_residual(law, pair, c, 2))
     cpl = peak("build_coupling", lambda: build_coupling(law, c))
     peak("coupling_check", lambda: Coupling(law, cpl.i0, cpl.i1, cpl.weight))
@@ -247,14 +248,17 @@ def test_exact_step_and_coupling_memory_at_depth_six():
     peak("crossing_ok", cpl.crossing_ok)
     assert len(law) > 6_000_000
     assert np.count_nonzero(cpl.diagonal) + len(cpl.weight) > 13_000_000
-    # measured 5.26, 1.00, 5.00, 0.13, 2.00 and 0.25; the bounds are the
-    # peaks before the temporaries were cut, except that the gap identity's
-    # (2.00 while the unused TV term was formed), the coupling's and the
-    # weight check's (1.00 while the diagonal was formed to be summed) are
-    # below those peaks, and build_coupling's is its measured peak, set by
-    # its merge of the cumulative masses
-    bounds = {"evolve": 7.38, "gap_identity_residual": 1.5, "build_coupling": 5.01,
-              "coupling_check": 0.25, "marginal_residuals": 3.0, "crossing_ok": 3.0}
+    # measured 5.26, 1.00, 1.00, 5.00, 0.01, 2.00 and 0.25; the bounds are
+    # the peaks before the temporaries were cut, except that the gap
+    # identity's (2.00 while the unused TV term was formed), the coupling's
+    # and the weight check's (1.00 while the diagonal was formed to be
+    # summed, then 0.13 while the check formed a bool mask) and the pair's
+    # (1.13 with that mask) are below those peaks, and build_coupling's is
+    # its measured peak, set by its merge of the cumulative masses.  The
+    # pair's 1.00 is its derived w1
+    bounds = {"evolve": 7.38, "pair": 1.05, "gap_identity_residual": 1.5,
+              "build_coupling": 5.01, "coupling_check": 0.05,
+              "marginal_residuals": 3.0, "crossing_ok": 3.0}
     ratios = {name: peaks[name] / law.values.nbytes for name in bounds}
     assert all(ratios[name] <= bounds[name] for name in bounds), ratios
 

@@ -571,6 +571,37 @@ def test_lattice_identity_and_posterior_mean_through_depth_12():
         assert pair.depth == 12
 
 
+def test_relabelled_twins_agree_on_every_statistic():
+    """Swapping the labels 0 and 1 maps the channel (p00, p10) to its twin
+    ``make_channel(1 - p10, 1 - p00)``: the same tree process, with the
+    root LLR negated and the two conditional laws swapped.  TV, the mean
+    gap and ``var_A`` (pi0 and pi1 swap with the laws) are invariant, so
+    each twin pair agrees at every depth of both engines within atoms x
+    eps x max(1, |value|).
+
+    Both twins take the same ``llr_step`` branch: the twin has
+    ``c0' = 1/c1`` and ``c1' = 1/c0``, so ``c0' - c1' = (c0 - c1)/(c0*c1)``
+    has the sign of ``c0 - c1``.  The relabelling therefore cannot pit the
+    two sign-chosen forms of the step against each other."""
+    rng = np.random.default_rng(5)
+    eps = np.finfo(np.float64).eps
+    runs = [(exact_policy(), 2, 4), (exact_policy(), 3, 2),
+            (deep_policy(), 2, 30), (deep_policy(), 5, 12)]
+    for p00, p10 in rng.uniform(0.05, 0.95, (10, 2)):
+        c, twin = make_channel(p00, p10), make_channel(1 - p10, 1 - p00)
+        assert (c.c0 > c.c1) == (twin.c0 > twin.c1)
+        for policy, k, depth in runs:
+            pairs = [trajectory(base_pair(x, k), lambda p, x=x: evolve(p, x, k, policy), depth)
+                     for x in (c, twin)]
+            for a, b in zip(*pairs):
+                da, db = diagnostics(a, c), diagnostics(b, twin)
+                atoms = max(len(a), len(b))
+                for name, value in da.items():
+                    bound = atoms * eps * max(1.0, abs(value))
+                    assert abs(value - db[name]) <= bound, (p00, p10, k, a.depth, name)
+            assert a.depth == b.depth == depth
+
+
 def test_lattice_keeps_minus_inf_atom_without_warnings():
     """p01 = 0: a 1 anywhere below rules out root 0, mass 1 - (1 - q)**k."""
     c = make_channel(1.0, 0.3)

@@ -87,14 +87,13 @@ def test_blanket_conditional_matches_full_joint_center():
 
 def test_independence_check_passes():
     c = hardcore_channel(1.0)
-    verdict = brw_independence_check(c, 2, 6, 1000, seed=43)
-    assert verdict.passed and verdict.violations == 0
-    assert verdict.samples == 1000 and verdict.depth == 6
+    violations = brw_independence_check(c, 2, 6, 1000, seed=43)
+    assert type(violations) is int and violations == 0
 
 
 def test_independence_check_high_activity():
     c = hardcore_channel(50.0)
-    assert brw_independence_check(c, 2, 4, 2000, seed=44).passed
+    assert brw_independence_check(c, 2, 4, 2000, seed=44) == 0
 
 
 def test_independence_check_requires_hardcore_row():
