@@ -10,10 +10,10 @@ positive.  The diagonal, ``min(w0, w1)`` at every atom, is read from the
 pair being coupled, so only the crossing pairs are stored.  They are the
 sorted (comonotone) transport between the two residuals; any measurable
 pairing would satisfy the same marginal and crossing guarantees, so
-sorted order is chosen for determinism.  A pair is kept as two positions
-in the pair's support, not as two values: the construction already has
-them, and each marginal check is then one ``bincount`` instead of a
-search of the support for every pair.
+sorted order is chosen for determinism.  A pair is kept as two int32
+positions in the pair's support, not as two values: the construction
+already has them, and each marginal check then adds the weights at their
+positions instead of searching the support for every pair.
 
 ``verify_sandwich`` checks the underlying two-sided bound on a finite
 probability space: if the conditional probability of an event ``B`` given
@@ -33,6 +33,8 @@ from .errors import DegenerateEvent, InvalidParameter, PreconditionViolation
 from .channels import BinaryChannel, _probabilities, _probability, _real
 from .atoms import ConditionalPair
 
+_BLOCK = 1 << 16  # entries per block where a loop avoids a full-size temporary
+
 
 @dataclass(frozen=True)
 class Coupling:
@@ -46,6 +48,12 @@ class Coupling:
     values[i1[j]])``, and when that weight is positive, ``y1 <= 0 <= y0``.
     The weights must be non-negative (a NaN weight is refused) and sum,
     with the diagonal, to 1.
+
+    The positions are stored as int32.  Given positions of any integer
+    dtype are checked to lie in ``[0, len(pair))`` in that dtype, then
+    cast, so an out-of-range position is refused and never wraps into
+    range; a support of ``2**31`` atoms or more is refused.  Every refusal
+    is an :class:`InvalidParameter`.
     """
 
     pair: ConditionalPair
@@ -56,14 +64,16 @@ class Coupling:
     def __post_init__(self):
         if not isinstance(self.pair, ConditionalPair):
             raise InvalidParameter("a coupling couples a ConditionalPair")
+        n = len(self.pair)
+        if n >= 2**31:
+            raise InvalidParameter(f"positions are int32: a support of {n} atoms is too large")
         a, b = np.asarray(self.i0), np.asarray(self.i1)
         w = _probabilities("coupling weight", self.weight, held=_diagonal_mass(self.pair))
         if not (a.shape == b.shape == w.shape and a.dtype.kind in "iu" and b.dtype.kind in "iu"):
             raise InvalidParameter("positions i0, i1 must be integer arrays as long as weight")
-        a, b = a.astype(np.intp, copy=False), b.astype(np.intp, copy=False)
-        n = len(self.pair)
-        if len(a) and (min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n):
+        if len(a) and any(x.min() < 0 or x.max() >= n for x in (a, b)):
             raise InvalidParameter(f"positions must lie in [0, {n})")
+        a, b = a.astype(np.int32, copy=False), b.astype(np.int32, copy=False)
         for name, x in (("i0", a), ("i1", b), ("weight", w)):
             object.__setattr__(self, name, x)
 
@@ -109,13 +119,23 @@ class Coupling:
         v = self.pair.values
         if not (pair.values is v or np.array_equal(pair.values, v)):
             raise InvalidParameter("coupling support is not the pair's support")
-        m = np.empty(len(v))  # one buffer for both marginals
+        acc = np.empty(len(v))  # the crossing mass at each atom, one law at a time
+        m = np.empty(min(_BLOCK, len(v)))
         res = []
         for at, law in ((self.i0, pair.w0), (self.i1, pair.w1)):
-            np.minimum(self.pair.w0, self.pair.w1, out=m)  # the diagonal
-            m -= law
-            m += np.bincount(at, weights=self.weight, minlength=len(v))
-            res.append(float(np.abs(m, out=m).max()))
+            # adds in pair order from 0.0, as a bincount of the weights does
+            acc.fill(0.0)
+            for i in range(0, len(at), _BLOCK):
+                np.add.at(acc, at[i:i + _BLOCK], self.weight[i:i + _BLOCK])
+            worst = []
+            for i in range(0, len(v), _BLOCK):
+                j = slice(i, i + _BLOCK)
+                b = m[:min(_BLOCK, len(v) - i)]
+                np.minimum(self.pair.w0[j], self.pair.w1[j], out=b)  # the diagonal
+                b -= law[j]
+                b += acc[j]
+                worst.append(np.abs(b, out=b).max())
+            res.append(float(np.max(worst)))
         return res[0], res[1]
 
     def mean_difference(self) -> float:
@@ -127,13 +147,12 @@ class Coupling:
 
 
 def _diagonal_mass(pair: ConditionalPair) -> float:
-    """``sum(min(w0, w1))``, the coupling's diagonal mass, formed 65536
-    atoms at a time so that no full-size array of the diagonal is made."""
-    block = 1 << 16
-    buf = np.empty(min(block, len(pair)))
+    """``sum(min(w0, w1))``, the coupling's diagonal mass, formed a block
+    of atoms at a time so that no full-size array of the diagonal is made."""
+    buf = np.empty(min(_BLOCK, len(pair)))
     total = 0.0
-    for i in range(0, len(pair), block):
-        a, b = pair.w0[i:i + block], pair.w1[i:i + block]
+    for i in range(0, len(pair), _BLOCK):
+        a, b = pair.w0[i:i + _BLOCK], pair.w1[i:i + _BLOCK]
         total += float(np.minimum(a, b, out=buf[:len(a)]).sum())
     return total
 
@@ -157,6 +176,20 @@ def _compensated_cumsum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return np.maximum.accumulate(c, out=c)
 
 
+def _above(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The int32 positions where ``a > b``, found a block at a time: a
+    full-size intp array of them would be freed at once, and the heap
+    that held it would stay resident."""
+    out = np.empty(np.count_nonzero(a > b), dtype=np.int32)
+    n = 0
+    for i in range(0, len(a), _BLOCK):
+        f = np.flatnonzero(a[i:i + _BLOCK] > b[i:i + _BLOCK])
+        f += i
+        out[n:n + len(f)] = f
+        n += len(f)
+    return out
+
+
 def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
     """Construct the diagonal-plus-crossing coupling of a conditional pair.
 
@@ -177,16 +210,15 @@ def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
     w0, w1 = pair.w0, pair.w1
     # the surplus of law 0 (v > 0) sits where w0 > w1, that of law 1
     # (v < 0) where w1 > w0; with either empty, the diagonal is all
-    s0 = np.flatnonzero(w0 > w1)
-    s1 = np.flatnonzero(w1 > w0)
+    s0, s1 = _above(w0, w1), _above(w1, w0)
     if len(s0) == 0 or len(s1) == 0:
         return Coupling(pair, s0[:0], s1[:0], np.empty(0))
 
     # comonotone pairing on the union of the residual cumulative masses:
     # a stable sort merges the two sorted runs, and the first occurrence of
     # each mass m has before it exactly the entries of c0 and of c1 below m
-    n0 = len(s0)
-    merged = np.empty(n0 + len(s1))
+    n0, n1 = len(s0), len(s1)
+    merged = np.empty(n0 + n1)
     x = w0[s0]
     x -= w1[s0]
     _compensated_cumsum(x, out=merged[:n0])  # c0
@@ -194,36 +226,40 @@ def build_coupling(pair: ConditionalPair, c: BinaryChannel) -> Coupling:
     x -= w0[s1]
     _compensated_cumsum(x, out=merged[n0:])  # c1
     del x
-    order = np.argsort(merged, kind="stable")
-    merged = merged[order]
-    first = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
-    grid = merged[first]
-    del merged
-    # one pair per segment of grid, which rises strictly from above 0, so
-    # each carries mass
-    w = grid.copy()
-    w[1:] -= grid[:-1]
-    del grid
-    # each run keeps its order in the merge, so the entry o of the merge
-    # at a first occurrence f has below it o entries of c0 when o < n0, and
-    # o - n0 entries of c1 otherwise; the rest of the f entries below it
-    # are of the other run.  With d = f - o, which is >= 0 in the first
-    # case and <= 0 in the second, c0 has min(o, n0) + min(d, 0) entries
-    # below it and c1 the rest
-    p0 = order[first]
-    del order
-    d = first - p0
-    np.minimum(p0, n0, out=p0)
-    p0 += np.minimum(d, 0, out=d)
-    del d
-    first -= p0  # the entries of c1 below each mass
-    # past the end of the shorter run (totals that differ by rounding),
-    # the last atom of that run takes the remainder
-    i0 = np.take(s0, np.minimum(p0, len(s0) - 1, out=p0))
-    del p0, s0
-    i1 = np.take(s1, np.minimum(first, len(s1) - 1, out=first))
-    del first, s1
-    return Coupling(pair, i0, i1, w)
+    # of the merge's order only whether each entry is from c0 is kept; the
+    # masses are positive and equal ones have equal bits, so sorting them
+    # in place gives the merge bitwise
+    from0 = np.argsort(merged, kind="stable") < n0
+    merged.sort(kind="stable")
+    new = np.empty(len(merged), dtype=bool)  # first occurrences
+    new[0] = True
+    np.not_equal(merged[1:], merged[:-1], out=new[1:])
+    size = np.count_nonzero(new)
+    i0 = np.empty(size, dtype=np.int32)
+    i1 = np.empty(size, dtype=np.int32)
+    # one pair per first occurrence f: it carries the step of the grid of
+    # distinct masses (which rises strictly from above 0, so each step has
+    # mass), its c0 entry is the count of c0 entries before f, and its c1
+    # entry the rest of the f entries before it.  The grid's steps are
+    # written over the front of merged, which the blocks have already read
+    done, below0, last = 0, 0, 0.0
+    for a in range(0, len(merged), _BLOCK):
+        block, mask = merged[a:a + _BLOCK], from0[a:a + _BLOCK]
+        f = np.flatnonzero(new[a:a + _BLOCK])
+        count = np.cumsum(mask)
+        p0 = count[f] - mask[f] + below0
+        below0 += int(count[-1])
+        p1 = f + a - p0
+        # past the end of the shorter run (totals that differ by rounding),
+        # the last atom of that run takes the remainder
+        at = slice(done, done + len(f))
+        i0[at] = s0[np.minimum(p0, n0 - 1, out=p0)]
+        i1[at] = s1[np.minimum(p1, n1 - 1, out=p1)]
+        grid, end = block[f], block[-1]  # end: the grid's last mass so far
+        merged[at] = np.diff(grid, prepend=last)
+        last = end
+        done += len(f)
+    return Coupling(pair, i0, i1, merged[:size])
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,12 @@ Everything here works from first principles: exhaustive enumeration over
 binary tree configurations, finite differences on dense grids, or direct
 formula evaluation.  None of it calls the recursive machinery under test,
 so a library bug cannot leak into its own reference values.  The
-exceptions are the five straightforward forms that the library replaced
-with faster ones, kept to pin the faster forms down: the full outer-product
-convolution, the searched comonotone coupling, the crossing check on the
-paired values, the merge by a stable sort and the anchored population step
-that draws both a tilted and a uniform index for every child.  The convolution carries both conditional weight
+exceptions are the six straightforward forms that the library replaced
+with faster or leaner ones, kept to pin them down: the full outer-product
+convolution, the searched comonotone coupling, the merged comonotone
+coupling with every array at full size, the crossing check on the paired
+values, the merge by a stable sort and the anchored population step that
+draws both a tilted and a uniform index for every child.  The convolution carries both conditional weight
 vectors through every fold, where the library folds the root-0 weights
 alone and derives the root-1 ones, and merges each fold's sums with the
 stable-sort merge below: the same runs of atoms closer than ``MERGE_TOL``,
@@ -400,6 +401,43 @@ def searched_coupling(v, w0, w1):
     b_idx = i1[np.clip(pos, 0, len(i1) - 1)]
     keep = seg > 0
     return v[a_idx[keep]], v[b_idx[keep]], seg[keep]
+
+
+def merge_coupling(pair):
+    """Crossing pairs of the diagonal-plus-crossing coupling, merged at
+    full size: ``(i0, i1, w)`` with intp positions.
+
+    A stable ``argsort`` merges the two sorted cumulative-mass runs, and
+    the merge, its order, the first occurrences and the grid are each held
+    whole; the library keeps only whether each merged entry is from ``c0``
+    and forms the pairs a block at a time.
+    """
+    w0, w1 = pair.w0, pair.w1
+    s0 = np.flatnonzero(w0 > w1)
+    s1 = np.flatnonzero(w1 > w0)
+    if len(s0) == 0 or len(s1) == 0:
+        return s0[:0], s1[:0], np.empty(0)
+    n0 = len(s0)
+    merged = np.empty(n0 + len(s1))
+    _compensated_cumsum(w0[s0] - w1[s0], out=merged[:n0])  # c0
+    _compensated_cumsum(w1[s1] - w0[s1], out=merged[n0:])  # c1
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    first = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+    grid = merged[first]
+    w = grid.copy()
+    w[1:] -= grid[:-1]
+    # each run keeps its order in the merge, so the entry o of the merge
+    # at a first occurrence f has below it o entries of c0 when o < n0, and
+    # o - n0 entries of c1 otherwise; the rest of the f entries below it
+    # are of the other run.  With d = f - o, which is >= 0 in the first
+    # case and <= 0 in the second, c0 has min(o, n0) + min(d, 0) entries
+    # below it and c1 the rest
+    o = order[first]
+    p0 = np.minimum(o, n0) + np.minimum(first - o, 0)
+    p1 = first - p0
+    # past the end of the shorter run the last atom takes the remainder
+    return s0[np.minimum(p0, n0 - 1)], s1[np.minimum(p1, len(s1) - 1)], w
 
 
 def crossing_ok_by_values(coupling):

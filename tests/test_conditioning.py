@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from treecast import (
     ConditionalPair,
@@ -28,10 +28,11 @@ from treecast import (
     w_of_lambda,
 )
 
+from treecast import conditioning
 from treecast.conditioning import _compensated_cumsum
 
-from _oracles import (crossing_ok_by_values, genuine_pair_arrays, random_sandwich_case,
-                      searched_coupling)
+from _oracles import (crossing_ok_by_values, genuine_pair_arrays, merge_coupling,
+                      random_sandwich_case, searched_coupling)
 
 
 # ----------------------------------------------------------------- coupling
@@ -60,15 +61,33 @@ def test_coupling_validation():
         Coupling((pair.values, pair.w0, pair.w1), at0, at1, np.array([0.2]))
 
 
-@pytest.mark.parametrize("i0", [[-1, 1], [0, 3], [0.0, 1.0]],
-                         ids=["negative", "past-the-end", "float"])
+# 2**32 + 1 wraps to 1, a valid position, if it is cast to int32 before
+# the range check
+@pytest.mark.parametrize("i0", [np.array([-1, 1]), np.array([0, 3]), np.array([0.0, 1.0]),
+                                np.array([0, 2**32 + 1], dtype=np.int64),
+                                np.array([0, 2**32 + 1], dtype=np.uint64)],
+                         ids=["negative", "past-the-end", "float", "int64-wraps-to-1",
+                              "uint64-wraps-to-1"])
 def test_coupling_rejects_bad_positions(i0):
     pair = three_atom_pair()
     w = np.array([0.1, 0.1])
     with pytest.raises(InvalidParameter):
-        Coupling(pair, np.array(i0), np.array([0, 1]), w)
+        Coupling(pair, i0, np.array([0, 1]), w)
     with pytest.raises(InvalidParameter):
-        Coupling(pair, np.array([0, 1]), np.array(i0), w)
+        Coupling(pair, np.array([0, 1]), i0, w)
+
+
+def test_coupling_positions_are_int32(monkeypatch):
+    pair = three_atom_pair()
+    for dtype in (np.int8, np.uint16, np.int64, np.uint64):
+        cpl = Coupling(pair, np.array([2], dtype=dtype), np.array([0], dtype=dtype),
+                       np.array([0.2]))
+        assert cpl.i0.dtype == cpl.i1.dtype == np.int32
+        assert cpl.i0.tolist() == [2] and cpl.i1.tolist() == [0]
+    # a support of 2**31 atoms or more is refused, whatever the positions
+    monkeypatch.setattr(ConditionalPair, "__len__", lambda self: 2**31)
+    with pytest.raises(InvalidParameter, match="int32"):
+        Coupling(pair, np.array([2]), np.array([0]), np.array([0.2]))
 
 
 def test_coupling_values_are_support_positions():
@@ -248,19 +267,26 @@ def test_exact_step_and_coupling_memory_at_depth_six():
     peak("crossing_ok", cpl.crossing_ok)
     assert len(law) > 6_000_000
     assert np.count_nonzero(cpl.diagonal) + len(cpl.weight) > 13_000_000
-    # measured 5.26, 1.00, 1.00, 5.00, 0.01, 2.00 and 0.25; the bounds are
+    # measured 5.26, 1.00, 1.00, 3.00, 0.01, 1.01 and 0.25; the bounds are
     # the peaks before the temporaries were cut, except that the gap
     # identity's (2.00 while the unused TV term was formed), the coupling's
     # and the weight check's (1.00 while the diagonal was formed to be
-    # summed, then 0.13 while the check formed a bool mask) and the pair's
-    # (1.13 with that mask) are below those peaks, and build_coupling's is
-    # its measured peak, set by its merge of the cumulative masses.  The
-    # pair's 1.00 is its derived w1
+    # summed, then 0.13 while the check formed a bool mask), the pair's
+    # (1.13 with that mask), build_coupling's (5.00 with the merge's order,
+    # first occurrences and grid whole, and int64 positions) and
+    # marginal_residuals' (2.00 with a bincount per law) are their measured
+    # peaks plus a margin.  The pair's 1.00 is its derived w1; build_coupling's
+    # 3.00 is its compensated prefix sums beside the surplus positions and
+    # the cumulative masses, and marginal_residuals' 1.01 its accumulator
     bounds = {"evolve": 7.38, "pair": 1.05, "gap_identity_residual": 1.5,
-              "build_coupling": 5.01, "coupling_check": 0.05,
-              "marginal_residuals": 3.0, "crossing_ok": 3.0}
+              "build_coupling": 3.05, "coupling_check": 0.05,
+              "marginal_residuals": 1.05, "crossing_ok": 3.0}
     ratios = {name: peaks[name] / law.values.nbytes for name in bounds}
     assert all(ratios[name] <= bounds[name] for name in bounds), ratios
+    # the stored crossing pairs: int32 positions and the weights, whose
+    # buffer is the merge's (no more entries than the law has atoms)
+    held = [cpl.i0, cpl.i1, cpl.weight if cpl.weight.base is None else cpl.weight.base]
+    assert sum(x.nbytes for x in held) <= 2.0 * law.values.nbytes
 
 
 def test_coupling_marginals_at_depth_six_within_an_ulp():
@@ -375,6 +401,78 @@ def test_merged_pairing_equals_searched_pairing_on_deep_laws():
             pair = evolve(pair, c, 2, exact_policy())
             assert_pairing_matches_search(pair)
         assert len(pair) == atoms
+
+
+B = conditioning._BLOCK
+# values k * ln 2 whose exp(-value) numpy rounds to exactly 2**-k
+EXACT_K = [-11, -10, -5, -2, -1, 1, 2, 4, 5, 9, 10]
+
+
+def pair_with_infinite_atoms(values, w0, top, q):
+    """The pair of finite ``values`` and ``w0``, with a +inf atom of root-0
+    weight ``top`` and a -inf atom of root-1 weight ``q`` (each kept, at
+    weight 0 too, when ``top`` or ``q`` is not None)."""
+    if top is not None:
+        values, w0 = np.append(values, math.inf), np.append(w0, top)
+    if q is not None:
+        values, w0 = np.insert(values, 0, -math.inf), np.insert(w0, 0, 0.0)
+    return ConditionalPair(depth=1, values=values, w0=w0, q=q or 0.0)
+
+
+@st.composite
+def dyadic_pairs(draw):
+    """Pairs whose residuals and cumulative masses are exact: values
+    k * ln 2, weights small multiples of a power of 2 and totals exactly 1,
+    so masses are shared by c0 and c1 and the two surplus totals agree."""
+    ks = sorted(draw(st.sets(st.sampled_from(EXACT_K + [0]), min_size=2)))
+    m = np.array(draw(st.lists(st.integers(0, 8), min_size=len(ks), max_size=len(ks))))
+    ks = np.array(ks)
+    a, b = int(m.sum()), float((m * 2.0 ** -ks).sum())  # root-0 and root-1 units
+    assume(a > 0)
+    scale = 2.0 ** -math.ceil(math.log2(max(a, b)))
+    top, q = 1 - a * scale, 1 - b * scale
+    return pair_with_infinite_atoms(ks * math.log(2.0), m * scale,
+                                    top if top or draw(st.booleans()) else None,
+                                    q if q or draw(st.booleans()) else None)
+
+
+@st.composite
+def float_pairs(draw):
+    """Pairs with surplus runs of n0 and n1 atoms, up to one above twice the
+    block size, at random values and weights (so the two surplus totals
+    differ by rounding), with weightless atoms, an atom at 0, +-inf atoms,
+    and runs whose tail is too small to move the cumulative mass."""
+    sizes = [1, 2, 3, B - 1, B, B + 1, 2 * B + 1]
+    n0, n1 = draw(st.sampled_from(sizes)), draw(st.sampled_from(sizes))
+    zeros, tiny = draw(st.integers(0, 3)), draw(st.sampled_from([None, 1.0, -1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = 0.01 + np.cumsum(rng.uniform(0.5, 1.5, n0 + zeros)) * (3.0 / (n0 + zeros))
+    neg = -0.01 - np.cumsum(rng.uniform(0.5, 1.5, n1 + zeros)) * (3.0 / (n1 + zeros))
+    centre = [0.0] if draw(st.booleans()) else []
+    values = np.concatenate((neg[::-1], centre, pos))
+    u = rng.uniform(0.5, 1.5, len(values))
+    u[rng.choice(len(neg), zeros, replace=False)] = 0.0
+    u[len(values) - len(pos) + rng.choice(len(pos), zeros, replace=False)] = 0.0
+    if tiny is not None:  # all but the first atom of the run on the side of sign tiny
+        u[np.flatnonzero(values * tiny > 0)[1:]] *= 1e-30
+    a, b = u.sum(), (u * np.exp(-values)).sum()
+    w0 = u / max(a, b)
+    top, q = max(1 - w0.sum(), 0.0), max(1 - (w0 * np.exp(-values)).sum(), 0.0)
+    return pair_with_infinite_atoms(values, w0, top if top or draw(st.booleans()) else None,
+                                    q if q or draw(st.booleans()) else None)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(dyadic_pairs(), float_pairs()))
+def test_block_merge_equals_full_size_merge(pair):
+    """The coupling is bitwise the one merged with every array at full
+    size: positions as int64 values, weights by bytes."""
+    cpl = build_coupling(pair, symmetric_channel(0.3))
+    i0, i1, w = merge_coupling(pair)
+    assert cpl.i0.dtype == cpl.i1.dtype == np.int32
+    assert np.array_equal(cpl.i0.astype(np.int64), i0)
+    assert np.array_equal(cpl.i1.astype(np.int64), i1)
+    assert cpl.weight.dtype == w.dtype and cpl.weight.tobytes() == w.tobytes()
 
 
 # ----------------------------------------------------------------- sandwich

@@ -14,6 +14,7 @@ from treecast import (
     ConditionalPair,
     InvalidParameter,
     base_pair,
+    build_coupling,
     deep_policy,
     diagnostics,
     evolve,
@@ -599,6 +600,43 @@ def test_relabelled_twins_agree_on_every_statistic():
                 for name, value in da.items():
                     bound = atoms * eps * max(1.0, abs(value))
                     assert abs(value - db[name]) <= bound, (p00, p10, k, a.depth, name)
+            assert a.depth == b.depth == depth
+
+
+def test_relabelled_twins_couple_alike():
+    """The twins of ``test_relabelled_twins_agree_on_every_statistic``,
+    exact k = 2 to depth 4 and lattice k = 2 to depth 12: the twin's support
+    is the original's negated and reversed, and the couplings' mean
+    difference (the mean gap), diagonal mass and crossing weight (the TV)
+    agree within atoms x eps x max(1, |value|); both cross at 0.
+
+    An atom whose two weights are both subnormal can underflow to nothing
+    on one side only (a lattice atom at 0.526 holds 2e-323 at depth 9 of
+    one twin pair and is gone from the other), so the supports are
+    compared on the atoms with a normal weight."""
+    rng = np.random.default_rng(5)
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    for p00, p10 in rng.uniform(0.05, 0.95, (10, 2)):
+        c, twin = make_channel(p00, p10), make_channel(1 - p10, 1 - p00)
+        for policy, depth in ((exact_policy(), 4), (deep_policy(), 12)):
+            pairs = [trajectory(base_pair(x, 2), lambda p, x=x: evolve(p, x, 2, policy), depth)
+                     for x in (c, twin)]
+            for a, b in zip(*pairs):
+                at = (p00, p10, a.depth)
+                atoms = max(len(a), len(b))
+                mirror, got = (-a.values[(a.w0 >= tiny) | (a.w1 >= tiny)][::-1],
+                               b.values[(b.w0 >= tiny) | (b.w1 >= tiny)])
+                assert len(mirror) == len(got), at
+                finite = np.isfinite(mirror)
+                assert np.array_equal(mirror[~finite], got[~finite]), at
+                gap = np.abs(got[finite] - mirror[finite])
+                assert np.all(gap <= atoms * eps * np.maximum(1.0, np.abs(mirror[finite]))), at
+                ca, cb = build_coupling(a, c), build_coupling(b, twin)
+                assert ca.crossing_ok() and cb.crossing_ok(), at
+                for x, y in ((ca.mean_difference(), cb.mean_difference()),
+                             (ca.diagonal.sum(), cb.diagonal.sum()),
+                             (ca.weight.sum(), cb.weight.sum())):
+                    assert abs(x - y) <= atoms * eps * max(1.0, abs(x)), at
             assert a.depth == b.depth == depth
 
 
