@@ -449,10 +449,15 @@ _DISPATCH = {
 }
 
 
+_PARSER = None  # built by the first call of main, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

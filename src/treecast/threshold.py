@@ -37,7 +37,8 @@ from .channels import (BinaryChannel, _LOG_FLOAT_MAX, _bisect_root, _real,
                        w_of_lambda, lambda_of_w, kelly_threshold, kesten_stigum_eps_c,
                        brightwell_winkler_lower_w, mossel_peres_lhs,
                        geometric_mean_bound_lhs)
-from .evolution import deep_policy, base_pair, evolve, diagnostics, trajectory
+from .atoms import root0_terms
+from .evolution import deep_policy, base_pair, evolve, trajectory
 from .sampling import (_population_size, population_from_pair, population_evolve_anchored,
                        population_tv)
 
@@ -115,6 +116,13 @@ def fitted_rate(curve) -> float:
     return float(np.exp(slope))
 
 
+def _pair_tv(pair) -> float:
+    """The ``tv`` of :func:`~treecast.evolution.diagnostics` alone, without
+    the mean gap or the posterior behind ``var_A``."""
+    v, w = pair.live()
+    return float(root0_terms(v, gap=False)[0] @ w)
+
+
 def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
                           engine: str = "exact",
                           pop_size: int = 100_000, seed: int = 0) -> Decision:
@@ -137,7 +145,7 @@ def decide_reconstruction(family: ChannelFamily, param: float, depth: int,
     first = base_pair(c, k)
     if engine == "exact":
         step = lambda p: evolve(p, c, k, deep_policy())
-        measure = lambda p: diagnostics(p, c)["tv"]
+        measure = _pair_tv
         used_seed = None
     else:
         # a step too large for the cap is refused before the first draw

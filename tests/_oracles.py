@@ -4,10 +4,11 @@ Everything here works from first principles: exhaustive enumeration over
 binary tree configurations, finite differences on dense grids, or direct
 formula evaluation.  None of it calls the recursive machinery under test,
 so a library bug cannot leak into its own reference values.  The
-exceptions are the six straightforward forms that the library replaced
+exceptions are the eight straightforward forms that the library replaced
 with faster or leaner ones, kept to pin them down: the full outer-product
 convolution, the searched comonotone coupling, the merged comonotone
-coupling with every array at full size, the crossing check on the paired
+coupling with every array at full size, its compensated prefix sum and
+merge flags taken over whole arrays, the crossing check on the paired
 values, the merge by a stable sort and the anchored population step that
 draws both a tilted and a uniform index for every child.  The convolution carries both conditional weight
 vectors through every fold, where the library folds the root-0 weights
@@ -403,14 +404,39 @@ def searched_coupling(v, w0, w1):
     return v[a_idx[keep]], v[b_idx[keep]], seg[keep]
 
 
+def full_compensated_cumsum(x, out=None):
+    """``conditioning._compensated_cumsum`` with every step taken over the
+    whole array at once: the plain sums, each step's TwoSum rounding error
+    ``(prev - (c - b)) + (x - b)`` with ``b = c - prev``, their running sum
+    added on, then the running maximum.  The library carries the three
+    running quantities from block to block instead."""
+    c = np.cumsum(x, out=out)
+    b = np.subtract(c[1:], c[:-1])
+    err = np.subtract(c[1:], b)
+    np.subtract(c[:-1], err, out=err)
+    np.subtract(x[1:], b, out=b)
+    err += b
+    c[1:] += np.cumsum(err, out=err)
+    return np.maximum.accumulate(c, out=c)
+
+
+def stable_merge_flags(c0, c1):
+    """Whether each entry of the stable merge of ``c0`` then ``c1`` is from
+    ``c0``, read from a full-size stable ``argsort``; the library orders a
+    block of the merge at a time."""
+    return np.argsort(np.concatenate((c0, c1)), kind="stable") < len(c0)
+
+
 def merge_coupling(pair):
     """Crossing pairs of the diagonal-plus-crossing coupling, merged at
     full size: ``(i0, i1, w)`` with intp positions.
 
-    A stable ``argsort`` merges the two sorted cumulative-mass runs, and
-    the merge, its order, the first occurrences and the grid are each held
-    whole; the library keeps only whether each merged entry is from ``c0``
-    and forms the pairs a block at a time.
+    The surpluses are gathered and summed whole, a stable ``argsort``
+    merges the two sorted cumulative-mass runs, and the merge, its order,
+    the first occurrences and the grid are each held whole; the library
+    sums the masses a block at a time, keeps only whether each merged entry
+    is from ``c0``, found a block of the merge at a time, and forms the
+    pairs a block at a time.
     """
     w0, w1 = pair.w0, pair.w1
     s0 = np.flatnonzero(w0 > w1)
@@ -419,8 +445,8 @@ def merge_coupling(pair):
         return s0[:0], s1[:0], np.empty(0)
     n0 = len(s0)
     merged = np.empty(n0 + len(s1))
-    _compensated_cumsum(w0[s0] - w1[s0], out=merged[:n0])  # c0
-    _compensated_cumsum(w1[s1] - w0[s1], out=merged[n0:])  # c1
+    full_compensated_cumsum(w0[s0] - w1[s0], out=merged[:n0])  # c0
+    full_compensated_cumsum(w1[s1] - w0[s1], out=merged[n0:])  # c1
     order = np.argsort(merged, kind="stable")
     merged = merged[order]
     first = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))

@@ -291,6 +291,33 @@ def test_evolve_rerun_byte_identical(tmp_path, capsys, monkeypatch):
     assert bytes_a  # nonempty
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    """``main`` builds its parser on its first call, not at import, and
+    reuses it: consecutive calls with different subcommands, one of them a
+    parse error, print the bytes and exit codes of calls made each with a
+    newly built parser."""
+    proc = run_fresh_interpreter("import treecast.cli\nprint(treecast.cli._PARSER is None)")
+    assert proc.returncode == 0 and proc.stdout.strip() == "True", proc.stderr
+    calls = [["bounds", "--hardcore", "--k", "2"],
+             ["evolve", "--symmetric", "0.2", "--k", "3", "--depth", "3"],
+             ["evolve", "--hardcore-lambda", "2", "--depth", "3", "--format", "json"],
+             ["evolve", "--depth"],
+             ["couple", "--symmetric", "0.3", "--depth", "2"],
+             ["bounds", "--symmetric", "--k", "3"]]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    together = [run_cli(argv, capsys) for argv in calls]
+    assert len(built) == 1
+    alone = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        alone.append(run_cli(argv, capsys))
+    assert together == alone
+    assert [code for code, _, _ in together] == [0, 0, 0, 2, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # couple
 

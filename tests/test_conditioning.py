@@ -31,8 +31,9 @@ from treecast import (
 from treecast import conditioning
 from treecast.conditioning import _compensated_cumsum
 
-from _oracles import (crossing_ok_by_values, genuine_pair_arrays, merge_coupling,
-                      random_sandwich_case, searched_coupling)
+from _oracles import (crossing_ok_by_values, full_compensated_cumsum, genuine_pair_arrays,
+                      merge_coupling, random_sandwich_case, searched_coupling,
+                      stable_merge_flags)
 
 
 # ----------------------------------------------------------------- coupling
@@ -140,6 +141,26 @@ def test_marginal_residuals_report_moved_mass():
         assert abs(got - delta) <= base + 1e-16, (got, delta)
 
 
+@pytest.mark.parametrize("where", ["inside-a-block", "across-a-block-edge"])
+@pytest.mark.parametrize("side", ["i0", "i1"])
+def test_marginal_residuals_refuse_decreasing_positions(where, side):
+    """The marginal check reads the pairs landing on a block of atoms as one
+    run of the comonotone order, so positions that step down are refused,
+    inside a block of pairs and between the last pair of one block and the
+    first of the next."""
+    v, q, _ = genuine_pair_arrays(np.random.default_rng(38), n=3 * conditioning._BLOCK)
+    pair = ConditionalPair(depth=1, values=v, w0=q)
+    cpl = build_coupling(pair, symmetric_channel(0.3))
+    assert len(cpl.weight) > conditioning._BLOCK + 1
+    assert max(cpl.marginal_residuals(pair)) < 1e-12
+    j = 5 if where == "inside-a-block" else conditioning._BLOCK
+    at = {"i0": cpl.i0.copy(), "i1": cpl.i1.copy()}
+    at[side][j - 1] = at[side][j] + 1
+    wrong = Coupling(pair, at["i0"], at["i1"], cpl.weight)
+    with pytest.raises(InvalidParameter, match="never decrease"):
+        wrong.marginal_residuals(pair)
+
+
 def test_identical_laws_couple_on_diagonal():
     """Equal laws are an observation that says nothing: one atom at LLR 0,
     all of it on the diagonal, and no crossing pair."""
@@ -242,8 +263,9 @@ def test_exact_step_and_coupling_memory_at_depth_six():
     """tracemalloc peaks on the exact depth-6 law at eps=0.2, k=2 (6.5M
     atoms; 13M coupling pairs, diagonal atoms and crossing pairs), in
     multiples of the law's ``values.nbytes``: the step with its merge, a
-    pair's construction, the gap identity, the coupling, its weight check
-    and its two checks allocate no full-size array that no result needs."""
+    pair's construction, the gap identity, the coupling, its weight check,
+    its two checks, its mean difference and its output rows allocate no
+    full-size array that no result needs."""
     c = symmetric_channel(0.2)
     pair = evolve_to_depth(c, 2, 5, exact_policy())
     peaks = {}
@@ -265,22 +287,29 @@ def test_exact_step_and_coupling_memory_at_depth_six():
     peak("coupling_check", lambda: Coupling(law, cpl.i0, cpl.i1, cpl.weight))
     peak("marginal_residuals", lambda: cpl.marginal_residuals(law))
     peak("crossing_ok", cpl.crossing_ok)
+    peak("mean_difference", cpl.mean_difference)
+    peak("pairs", cpl.pairs)
     assert len(law) > 6_000_000
     assert np.count_nonzero(cpl.diagonal) + len(cpl.weight) > 13_000_000
-    # measured 5.26, 1.00, 1.00, 3.00, 0.01, 1.01 and 0.25; the bounds are
-    # the peaks before the temporaries were cut, except that the gap
-    # identity's (2.00 while the unused TV term was formed), the coupling's
-    # and the weight check's (1.00 while the diagonal was formed to be
-    # summed, then 0.13 while the check formed a bool mask), the pair's
-    # (1.13 with that mask), build_coupling's (5.00 with the merge's order,
-    # first occurrences and grid whole, and int64 positions) and
-    # marginal_residuals' (2.00 with a bincount per law) are their measured
-    # peaks plus a margin.  The pair's 1.00 is its derived w1; build_coupling's
-    # 3.00 is its compensated prefix sums beside the surplus positions and
-    # the cumulative masses, and marginal_residuals' 1.01 its accumulator
+    # measured 5.26, 1.00, 1.00, 2.45, 0.01, 0.03, 0.25, 1.15 and 6.02; the
+    # bounds are the peaks before the temporaries were cut, except that the
+    # gap identity's (2.00 while the unused TV term was formed), the
+    # coupling's and the weight check's (1.00 while the diagonal was formed
+    # to be summed, then 0.13 while the check formed a bool mask), the
+    # pair's (1.13 with that mask), build_coupling's (3.00 with a full-size
+    # argsort of the merge and full-size temporaries of the prefix sums),
+    # marginal_residuals' (1.01 with a full-size accumulator), the mean
+    # difference's (3.13 with y0, y1 and their live subsets whole) and
+    # pairs' (9.13 with the diagonal, its live atoms and each output's two
+    # parts whole) are their measured peaks plus a margin.  The pair's 1.00
+    # is its derived w1; build_coupling's 2.45 is the merged masses, the
+    # stored positions, the surplus positions of law 1 and the merge flags;
+    # the mean difference's 1.15 is the dotted vector and a bool mask, and
+    # pairs' 6.02 its three outputs
     bounds = {"evolve": 7.38, "pair": 1.05, "gap_identity_residual": 1.5,
-              "build_coupling": 3.05, "coupling_check": 0.05,
-              "marginal_residuals": 1.05, "crossing_ok": 3.0}
+              "build_coupling": 2.5, "coupling_check": 0.05,
+              "marginal_residuals": 0.05, "crossing_ok": 3.0,
+              "mean_difference": 1.2, "pairs": 6.05}
     ratios = {name: peaks[name] / law.values.nbytes for name in bounds}
     assert all(ratios[name] <= bounds[name] for name in bounds), ratios
     # the stored crossing pairs: int32 positions and the weights, whose
@@ -466,13 +495,81 @@ def float_pairs(draw):
 @given(st.one_of(dyadic_pairs(), float_pairs()))
 def test_block_merge_equals_full_size_merge(pair):
     """The coupling is bitwise the one merged with every array at full
-    size: positions as int64 values, weights by bytes."""
+    size: positions as int64 values, weights by bytes.  So are the steps
+    taken a block at a time: the surplus positions and cumulative masses,
+    and the merge flags."""
     cpl = build_coupling(pair, symmetric_channel(0.3))
     i0, i1, w = merge_coupling(pair)
     assert cpl.i0.dtype == cpl.i1.dtype == np.int32
     assert np.array_equal(cpl.i0.astype(np.int64), i0)
     assert np.array_equal(cpl.i1.astype(np.int64), i1)
     assert cpl.weight.dtype == w.dtype and cpl.weight.tobytes() == w.tobytes()
+    w0, w1 = pair.w0, pair.w1
+    s0, s1 = np.flatnonzero(w0 > w1), np.flatnonzero(w1 > w0)
+    if len(s0) == 0 or len(s1) == 0:
+        return
+    c0 = full_compensated_cumsum(w0[s0] - w1[s0])
+    c1 = full_compensated_cumsum(w1[s1] - w0[s1])
+    got0, got1 = np.empty(len(s0), np.int32), np.empty(len(s1), np.int32)
+    merged = np.empty(len(s0) + len(s1))
+    conditioning._surplus(w0, w1, got0, got1, merged)
+    assert np.array_equal(got0, s0) and np.array_equal(got1, s1)
+    _compensated_cumsum(merged[:len(s0)], out=merged[:len(s0)])
+    _compensated_cumsum(merged[len(s0):], out=merged[len(s0):])
+    assert merged.tobytes() == np.concatenate((c0, c1)).tobytes()
+    assert np.array_equal(conditioning._merge_flags(c0, c1), stable_merge_flags(c0, c1))
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1])
+def test_block_compensated_cumsum_equals_full_size(n):
+    """Block by block, with the running sum, error sum and maximum carried
+    across block edges, the prefix sums keep the full-size bits: into a
+    new array, into a given one and over their own input."""
+    rng = np.random.default_rng(n)
+    x = rng.random(n) * 10.0 ** rng.uniform(-12.0, 0.0, n)
+    x[rng.integers(0, n, n // 7)] = 0.0  # steps that add nothing
+    want = full_compensated_cumsum(x.copy()).tobytes()
+    assert _compensated_cumsum(x).tobytes() == want
+    out = np.empty(n)
+    assert _compensated_cumsum(x, out=out) is out and out.tobytes() == want
+    y = x.copy()
+    assert _compensated_cumsum(y, out=y) is y and y.tobytes() == want
+    # a term below 0 makes the sums fall, which the running maximum undoes;
+    # at the first entry of a block, only the carried maximum does
+    x[B::B] = -1.0
+    assert _compensated_cumsum(x).tobytes() == full_compensated_cumsum(x.copy()).tobytes()
+
+
+def merge_flag_cases():
+    """Non-decreasing runs ``(c0, c1)`` whose merge blocks hold only one
+    run's entries, whose runs cross block edges, and whose tied masses sit
+    at and across block edges."""
+    rng = np.random.default_rng(37)
+    low, high = np.arange(1.0, B + 4.0), np.arange(1.0, 2 * B + 2.0) + 3 * B
+    tied = np.arange(1.0, B + 2.0)
+    cases = {
+        "c1-below-c0": (high, low),  # the first block has no entry of c0
+        "c0-below-c1": (low, high),  # the last block has none
+        "c1-inside-c0": (np.concatenate((low, high)), tied + B + 3.5),
+        "all-tied": (tied, tied),  # each tie two entries, block edges between ties
+        "ties-across-edges": (np.concatenate(([0.5], tied)), tied),  # edges inside ties
+        "ties-at-the-end": (tied[:-2], tied[1:]),
+        "single-entries": (np.array([2.0]), np.array([2.0])),
+    }
+    for n0, n1 in ((B + 7, 2 * B - 3), (3, 2 * B + 1), (2 * B + 1, 1)):
+        # few distinct masses: runs of ties longer than a block
+        cases[f"random-ties-{n0}-{n1}"] = (np.sort(rng.integers(0, 50, n0)).astype(float),
+                                           np.sort(rng.integers(0, 50, n1)).astype(float))
+    return cases
+
+
+MERGE_FLAG_CASES = merge_flag_cases()
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_FLAG_CASES))
+def test_block_merge_flags_equal_stable_argsort(name):
+    c0, c1 = MERGE_FLAG_CASES[name]
+    assert np.array_equal(conditioning._merge_flags(c0, c1), stable_merge_flags(c0, c1))
 
 
 # ----------------------------------------------------------------- sandwich

@@ -14,13 +14,18 @@ from treecast import (
     ChannelFamily,
     Decision,
     InvalidParameter,
+    base_pair,
     bisect_threshold,
     bounds_report,
     decide_reconstruction,
+    deep_policy,
+    diagnostics,
+    evolve,
     fitted_rate,
     kelly_threshold,
     kesten_stigum_eps_c,
     restricted_bound_crossover,
+    trajectory,
 )
 
 
@@ -125,6 +130,19 @@ def test_decide_hardcore_sides():
     high = decide_reconstruction(fam, 500.0, depth=8)
     assert low.verdict == "decaying"
     assert high.verdict == "non-decaying"
+
+
+@pytest.mark.parametrize("kind, param", [("hardcore", 30.0), ("symmetric", 0.2)])
+def test_exact_decision_curve_is_the_diagnostics_tv(kind, param):
+    """The exact engine reads the TV alone, with the bits of the ``tv`` that
+    ``diagnostics`` reports beside the mean gap and ``var_A``."""
+    fam = ChannelFamily(kind=kind, k=2)
+    c = fam.channel(param)
+    d = decide_reconstruction(fam, param, depth=12)
+    pairs = trajectory(base_pair(c, 2), lambda p: evolve(p, c, 2, deep_policy()), 12)
+    want = [diagnostics(p, c)["tv"] for p in pairs]
+    assert np.array(d.curve).tobytes() == np.array(want).tobytes()
+    assert d.statistic == want[-1] > 0
 
 
 # ---------------------------------------------------------------- bisection
